@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from .exactnum import format_rational, parse_rational
@@ -43,6 +45,13 @@ from .weierstrass import Curve, format_cubic
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only plain numbers such as -5 for negative values;
+        # anything else with a leading minus, like the curve -5,9 or the
+        # rational -2/3, would be read as an unknown option
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     # argparse exits with 2 on usage errors; 2 is reserved for partial results
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -72,13 +81,7 @@ def _emit(bundle: dict, output: Optional[str]) -> None:
 
 
 def _config(args: argparse.Namespace) -> Config:
-    return Config(
-        target_count=args.count,
-        max_iterations=args.max_iterations,
-        lambda_search_bound=args.lambda_bound,
-        factor_effort=args.effort,
-        prime_start=args.prime_start,
-    )
+    return Config(**{f.name: getattr(args, f.name) for f in fields(Config)})
 
 
 def _report_route(pp) -> None:
@@ -197,13 +200,18 @@ def _cmd_identity_check(args: argparse.Namespace) -> int:
 
 
 def _add_search_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--count", type=int, default=1, help="certificates to emit")
-    sub.add_argument("--max-iterations", type=int, default=64)
-    sub.add_argument("--lambda-bound", type=int, default=40,
+    # each flag stores into the Config field of the same name, default included
+    defaults = Config()
+    sub.add_argument("--count", dest="target_count", type=int,
+                     default=defaults.target_count, help="certificates to emit")
+    sub.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
+    sub.add_argument("--lambda-bound", dest="lambda_search_bound", type=int,
+                     default=defaults.lambda_search_bound,
                      help="height bound for the rescaling/prime search")
-    sub.add_argument("--effort", type=int, default=200_000,
+    sub.add_argument("--effort", dest="factor_effort", type=int,
+                     default=defaults.factor_effort,
                      help="factorization budget for squarefree labels")
-    sub.add_argument("--prime-start", type=int, default=2)
+    sub.add_argument("--prime-start", type=int, default=defaults.prime_start)
     sub.add_argument("--output", help="write the JSON bundle here instead of stdout")
 
 

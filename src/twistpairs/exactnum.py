@@ -48,7 +48,7 @@ def make_rational(num: int, den: int = 1) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse the text format ``n`` or ``n/m`` (optional leading minus)."""
-    if not _RATIONAL_RE.fullmatch(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational in n or n/m form: {text!r}")
     if "/" in text:
         num, den = text.split("/")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .weierstrass import Curve, WPoint, format_cubic
+from .weierstrass import Curve, WPoint, format_cubic, torsion_order_multiples
 
 Triple = tuple[Fraction, Fraction, Fraction]
 
@@ -152,9 +152,6 @@ class PlaneCubic:
 
     # ---------------------------------------------------------- named points
 
-    def base_point(self) -> ProjPoint:
-        return BASE_POINT
-
     def tangent_point(self) -> ProjPoint:
         """Third intersection of the tangent line at the base point.
 
@@ -256,18 +253,7 @@ class PlaneCubic:
         if point == BASE_POINT:
             raise ValueError("non-torsion certification needs a point other than the base")
         self._require(point)
-        multiples = []
-        current = point
-        for order in range(2, 11):
-            current = self.add(current, point)
-            if current == BASE_POINT:
-                return None
-            multiples.append((order, current))
-        order_twelve = self.add(multiples[-1][1], multiples[0][1])
-        if order_twelve == BASE_POINT:
-            return None
-        multiples.append((12, order_twelve))
-        return tuple(multiples)
+        return torsion_order_multiples(self.add, lambda p: p == BASE_POINT, point)
 
     # -------------------------------------------------- Weierstrass crossing
 

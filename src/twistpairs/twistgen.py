@@ -23,13 +23,14 @@ on products, never by factorization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .exactnum import (
+    DEFAULT_FACTOR_EFFORT,
     format_rational,
     parse_rational,
     primes_avoiding,
@@ -72,7 +73,7 @@ class Config:
     target_count: int = 1
     max_iterations: int = 64
     lambda_search_bound: int = 40
-    factor_effort: int = 200_000
+    factor_effort: int = DEFAULT_FACTOR_EFFORT
     prime_start: int = 2
 
     def __post_init__(self) -> None:
@@ -306,16 +307,7 @@ def prepare_pair(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
     which case (as for any Q-isomorphic pair) the isomorphic route applies.
     Everything else gets a rescaling search and the general route.
     """
-    if curve1.has_j_zero and curve2.has_j_zero:
-        if curve1.b == curve2.b:
-            return PreparedPair(
-                route=ROUTE_ISOMORPHIC,
-                curve1=curve1,
-                curve2=curve2,
-                model1=curve1,
-                model2=curve2,
-                scale=Fraction(1),
-            )
+    if curve1.has_j_zero and curve2.has_j_zero and curve1.b != curve2.b:
         return _prepare_jzero(curve1, curve2, cfg)
     iso_scale = are_isomorphic_over_q(curve1, curve2)
     if iso_scale is not None:
@@ -372,105 +364,81 @@ def _squarefree_rep(value: Fraction, effort: int) -> tuple[int, bool]:
     return squarefree_part(value.numerator * value.denominator, effort)
 
 
-def _generate_from_cubic(
-    pp: PreparedPair, cfg: Config
-) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
+#: One step of a generation stream: a skip reason, or a candidate twist
+#: value D with one (model, x, t) solution of D*t^2 = x^3 + a*x + b per curve.
+Candidate = Union[str, tuple[Fraction, tuple[tuple[Curve, Fraction, Fraction], ...]]]
+
+
+def _seed_multiples(pp: PreparedPair) -> Iterator[Candidate]:
+    """kP for k = 1, 2, 3, ... of the seed P; D is the common cubic value."""
     cubic, seed = pp.cubic, pp.seed
     assert cubic is not None and seed is not None
-    ledger = SquareClassLedger()
-    report = RunReport(route=pp.route, prime=pp.prime, t_value=pp.t_value)
-    if pp.route == ROUTE_JZERO:
-        report.notes.append(
-            "sextic twist factor normalized as t/(d-b) so the recipe point "
-            "(p+1, 1) lies on the cubic directly"
-        )
-    certificates: list[TwistCertificate] = []
     current = seed
-    for k in range(1, cfg.max_iterations + 1):
-        report.iterations_used = k
-        if k > 1:
-            current = cubic.add(current, seed)
+    while True:
         if current.is_infinite:
-            report.skipped.append((k, SKIP_AT_INFINITY))
-            continue
-        value = cubic.common_value(current)
-        if value == 0:
-            report.skipped.append((k, SKIP_ZERO_VALUE))
-            continue
-        if not ledger.admits(value):
-            report.skipped.append((k, SKIP_CLASS_COLLISION))
-            continue
-        x_coord, y_coord = current.affine()
-        first = _twist_entry(pp.model1, x_coord, Fraction(1), value)
-        second = _twist_entry(pp.model2, y_coord, Fraction(1), value)
-        if first is None or second is None:
-            report.skipped.append((k, SKIP_TORSION_TWIST))
-            continue
-        ledger.add(k, value)
-        report.accepted.append((k, value))
-        certificates.append(
-            TwistCertificate(
-                route=pp.route,
-                scale=pp.scale,
-                k=k,
-                value=value,
-                squarefree_rep=_squarefree_rep(value, cfg.factor_effort),
-                entries=(first, second),
+            yield SKIP_AT_INFINITY
+        else:
+            x_coord, y_coord = current.affine()
+            yield cubic.common_value(current), (
+                (pp.model1, x_coord, Fraction(1)),
+                (pp.model2, y_coord, Fraction(1)),
             )
-        )
-        if len(certificates) >= cfg.target_count:
-            break
-    report.budget_exhausted = len(certificates) < cfg.target_count
-    return certificates, ledger, report
+        current = cubic.add(current, seed)
 
 
-def _elementary_scan(
-    curve: Curve,
-    cfg: Config,
-    transport: Optional[tuple[Fraction, Curve]] = None,
-) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
-    """Scan inputs 1, 2, 3, ... of the cubic; each non-square value twists.
+def _integer_inputs(
+    curve: Curve, transport: Optional[tuple[Fraction, Curve]] = None
+) -> Iterator[Candidate]:
+    """Inputs x = 1, 2, 3, ... of the cubic; D is its value at x.
 
-    With ``transport`` set, every certificate additionally covers the given
-    Q-isomorphic curve through the scaling map composed with the twist map.
+    With ``transport`` = (u, other), every solution is also carried to the
+    Q-isomorphic model ``other`` by (x, t) -> (u^2*x, u^3*t).
     """
-    ledger = SquareClassLedger()
-    report = RunReport(route=ROUTE_ISOMORPHIC)
-    certificates: list[TwistCertificate] = []
-    scale = transport[0] if transport else Fraction(1)
-    for k in range(1, cfg.max_iterations + 1):
-        report.iterations_used = k
-        x_input = Fraction(k)
-        value = curve.rhs(x_input)
-        if value == 0:
-            report.skipped.append((k, SKIP_ZERO_VALUE))
-            continue
-        if not ledger.admits(value):
-            report.skipped.append((k, SKIP_CLASS_COLLISION))
-            continue
-        entries = []
-        first = _twist_entry(curve, x_input, Fraction(1), value)
-        if first is None:
-            report.skipped.append((k, SKIP_TORSION_TWIST))
-            continue
-        entries.append(first)
+    for n in count(1):
+        x_input = Fraction(n)
+        solutions = ((curve, x_input, Fraction(1)),)
         if transport is not None:
             u, other = transport
-            second = _twist_entry(other, u**2 * x_input, u**3, value)
-            if second is None:
-                report.skipped.append((k, SKIP_TORSION_TWIST))
-                continue
-            entries.append(second)
+            solutions += ((other, u**2 * x_input, u**3),)
+        yield curve.rhs(x_input), solutions
+
+
+def _run_generation(
+    candidates: Iterator[Candidate],
+    scale: Fraction,
+    cfg: Config,
+    report: RunReport,
+) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
+    """Certify candidates in order until the target count or the budget."""
+    ledger = SquareClassLedger()
+    certificates: list[TwistCertificate] = []
+    steps = islice(candidates, cfg.max_iterations)
+    for k, candidate in enumerate(steps, start=1):
+        report.iterations_used = k
+        if isinstance(candidate, str):
+            report.skipped.append((k, candidate))
+            continue
+        value, solutions = candidate
+        if value == 0:
+            report.skipped.append((k, SKIP_ZERO_VALUE))
+            continue
+        if not ledger.admits(value):
+            report.skipped.append((k, SKIP_CLASS_COLLISION))
+            continue
+        entries = tuple(_twist_entry(model, x, t, value) for model, x, t in solutions)
+        if any(entry is None for entry in entries):
+            report.skipped.append((k, SKIP_TORSION_TWIST))
+            continue
         ledger.add(k, value)
         report.accepted.append((k, value))
         certificates.append(
             TwistCertificate(
-                route=ROUTE_ISOMORPHIC,
+                route=report.route,
                 scale=scale,
                 k=k,
                 value=value,
                 squarefree_rep=_squarefree_rep(value, cfg.factor_effort),
-                entries=tuple(entries),
+                entries=entries,
             )
         )
         if len(certificates) >= cfg.target_count:
@@ -482,17 +450,27 @@ def _elementary_scan(
 def generate(
     pp: PreparedPair, cfg: Config
 ) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
-    """Run the generation loop appropriate to the prepared route."""
+    """Run the generation loop on the candidate stream of the prepared route."""
+    report = RunReport(route=pp.route, prime=pp.prime, t_value=pp.t_value)
     if pp.route == ROUTE_ISOMORPHIC:
-        return _elementary_scan(pp.model1, cfg, transport=(pp.scale, pp.model2))
-    return _generate_from_cubic(pp, cfg)
+        candidates = _integer_inputs(pp.model1, transport=(pp.scale, pp.model2))
+    else:
+        candidates = _seed_multiples(pp)
+    if pp.route == ROUTE_JZERO:
+        report.notes.append(
+            "sextic twist factor normalized as t/(d-b) so the recipe point "
+            "(p+1, 1) lies on the cubic directly"
+        )
+    return _run_generation(candidates, pp.scale, cfg, report)
 
 
 def elementary_generate(
     curve: Curve, cfg: Config
 ) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
     """Single-curve mode: certificates with one entry each."""
-    return _elementary_scan(curve, cfg, transport=None)
+    return _run_generation(
+        _integer_inputs(curve), Fraction(1), cfg, RunReport(route=ROUTE_ISOMORPHIC)
+    )
 
 
 def jzero_generate(
@@ -575,10 +553,9 @@ def verify_certificate(cert: TwistCertificate) -> tuple[bool, Optional[str]]:
         recorded = dict(entry.witness.multiples)
         if set(recorded) != set(RATIONAL_TORSION_ORDERS):
             return False, "witness-orders-incomplete"
-        for order in RATIONAL_TORSION_ORDERS:
-            recomputed = entry.twist_model.scalar_mul(order, entry.twist_point)
-            if recomputed.is_infinity or recomputed != recorded[order]:
-                return False, "witness-recompute-mismatch"
+        recomputed = certify_nontorsion(entry.twist_model, entry.twist_point)
+        if recomputed is None or dict(recomputed.multiples) != recorded:
+            return False, "witness-recompute-mismatch"
     return True, None
 
 
@@ -681,27 +658,32 @@ def certificate_to_dict(cert: TwistCertificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> TwistCertificate:
-    if data.get("version") != CERTIFICATE_VERSION:
-        raise ValueError(f"unsupported certificate version: {data.get('version')}")
-    value = parse_rational(data["D"])
-    entries = [_entry_from_dict(raw, value) for raw in data["curves"]]
-    squarefree = data.get("squarefree_D")
-    annotation = data.get("annotation")
-    return TwistCertificate(
-        route=data["route"],
-        scale=parse_rational(data["lambda"]),
-        k=int(data["k"]),
-        value=value,
-        squarefree_rep=(
-            None
-            if squarefree is None
-            else (int(squarefree["value"]), bool(squarefree["complete"]))
-        ),
-        entries=tuple(entries),
-        annotation=(
-            tuple(sorted(annotation.items())) if annotation is not None else None
-        ),
-    )
+    """Parse one certificate; a malformed one raises ValueError or KeyError."""
+    try:
+        if data.get("version") != CERTIFICATE_VERSION:
+            raise ValueError(f"unsupported certificate version: {data.get('version')}")
+        value = parse_rational(data["D"])
+        entries = [_entry_from_dict(raw, value) for raw in data["curves"]]
+        squarefree = data.get("squarefree_D")
+        annotation = data.get("annotation")
+        return TwistCertificate(
+            route=data["route"],
+            scale=parse_rational(data["lambda"]),
+            k=int(data["k"]),
+            value=value,
+            squarefree_rep=(
+                None
+                if squarefree is None
+                else (int(squarefree["value"]), bool(squarefree["complete"]))
+            ),
+            entries=tuple(entries),
+            annotation=(
+                tuple(sorted(annotation.items())) if annotation is not None else None
+            ),
+        )
+    except (TypeError, AttributeError) as exc:
+        # a JSON value of the wrong kind, such as a number where a list belongs
+        raise ValueError(f"malformed certificate: {exc}") from exc
 
 
 def bundle_to_dict(
@@ -711,13 +693,7 @@ def bundle_to_dict(
     ledger_ok: bool,
     extra_config: Optional[dict] = None,
 ) -> dict:
-    config = {
-        "target_count": cfg.target_count,
-        "max_iterations": cfg.max_iterations,
-        "lambda_search_bound": cfg.lambda_search_bound,
-        "factor_effort": cfg.factor_effort,
-        "prime_start": cfg.prime_start,
-    }
+    config = asdict(cfg)
     if extra_config:
         config.update(extra_config)
     return {
@@ -729,6 +705,10 @@ def bundle_to_dict(
 
 
 def bundle_from_dict(data: dict) -> tuple[list[Curve], dict, list[TwistCertificate], bool]:
-    pair = [curve_from_dict(c) for c in data["pair"]]
-    certs = [certificate_from_dict(c) for c in data["certificates"]]
-    return pair, dict(data["config"]), certs, bool(data["ledger_ok"])
+    """Parse a bundle; a malformed one raises ValueError or KeyError."""
+    try:
+        pair = [curve_from_dict(c) for c in data["pair"]]
+        certs = [certificate_from_dict(c) for c in data["certificates"]]
+        return pair, dict(data["config"]), certs, bool(data["ledger_ok"])
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed bundle: {exc}") from exc

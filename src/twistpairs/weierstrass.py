@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from .exactnum import is_perfect_square, rational_cube_root
 
 #: Orders a nontrivial rational torsion point can have over Q.
 RATIONAL_TORSION_ORDERS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+
+PointT = TypeVar("PointT")
 
 
 def disc_quantity(a: Fraction, b: Fraction) -> Fraction:
@@ -180,6 +182,31 @@ def quadratic_twist(
     return twisted, solution_map
 
 
+def torsion_order_multiples(
+    add: Callable[[PointT, PointT], PointT],
+    is_identity: Callable[[PointT], bool],
+    point: PointT,
+) -> Optional[tuple[tuple[int, PointT], ...]]:
+    """The multiples 2P..10P and 12P = 10P + 2P under ``add``, or None.
+
+    Returns None as soon as one of them is the identity.  The chain serves
+    any group law on the rational points of an elliptic curve over Q, since
+    the candidate torsion orders are the same for all of them.
+    """
+    multiples = []
+    current = point
+    for order in range(2, 11):
+        current = add(current, point)
+        if is_identity(current):
+            return None
+        multiples.append((order, current))
+    order_twelve = add(current, multiples[0][1])
+    if is_identity(order_twelve):
+        return None
+    multiples.append((12, order_twelve))
+    return tuple(multiples)
+
+
 def certify_nontorsion(curve: Curve, point: WPoint) -> Optional[NonTorsionWitness]:
     """Witness that no candidate torsion order kills the point, or None.
 
@@ -189,20 +216,13 @@ def certify_nontorsion(curve: Curve, point: WPoint) -> Optional[NonTorsionWitnes
     if point.is_infinity:
         raise ValueError("non-torsion certification needs an affine point")
     curve._require(point)
-    multiples = []
-    current = point
-    for order in range(2, 11):
-        current = curve._add_raw(current, point)
-        if current.is_infinity:
-            return None
-        multiples.append((order, current))
-    double = multiples[0][1]
-    order_twelve = curve._add_raw(multiples[-1][1], double)
-    if order_twelve.is_infinity:
+    multiples = torsion_order_multiples(
+        curve._add_raw, lambda p: p.is_infinity, point
+    )
+    if multiples is None:
         return None
-    multiples.append((12, order_twelve))
     return NonTorsionWitness(
-        checked_orders=RATIONAL_TORSION_ORDERS, multiples=tuple(multiples)
+        checked_orders=RATIONAL_TORSION_ORDERS, multiples=multiples
     )
 
 

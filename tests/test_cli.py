@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, schema, determinism, round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -47,6 +48,18 @@ class TestGenerate:
         assert code == 2
         assert "partial result" in err
         assert json.loads(out_file.read_text())["certificates"]
+
+    @pytest.mark.parametrize("command, values", [
+        ("generate", (("--curve1", "-5,9"), ("--curve2", "3,-2"))),
+        ("corollary", (("--curve", "-1,1"), ("--delta", "-2/3"))),
+        ("elementary", (("--curve", "-1,1"),)),
+    ], ids=["generate", "corollary", "elementary"])
+    def test_negative_values_as_separate_arguments(self, capsys, command, values):
+        spaced = [arg for pair in values for arg in pair]
+        joined = [f"{flag}={value}" for flag, value in values]
+        code, out, _ = run_cli(capsys, command, *spaced, "--count", "1")
+        assert code == 0
+        assert run_cli(capsys, command, *joined, "--count", "1")[:2] == (0, out)
 
     def test_j_zero_pair_routes_automatically(self, capsys):
         code, out, err = run_cli(
@@ -158,6 +171,29 @@ class TestVerifyCommand:
             assert "FAILED" not in out
             assert out.count(": OK") >= 2
 
+    @pytest.mark.parametrize("path, value", [
+        ((), [1, 2]),
+        (("certificates", 0, "curves"), 5),
+        (("certificates", 0, "D"), 3),
+        (("certificates", 0, "curves", 0, "witness", "orders"), None),
+    ], ids=["top-level-list", "curves-int", "D-number", "orders-null"])
+    def test_malformed_bundle_exits_one(self, capsys, tmp_path, path, value):
+        out_file = tmp_path / "bundle.json"
+        run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
+        bundle = json.loads(out_file.read_text())
+        if path:
+            *parents, last = path
+            target = bundle
+            for key in parents:
+                target = target[key]
+            target[last] = value
+        else:
+            bundle = value
+        out_file.write_text(json.dumps(bundle))
+        code, _, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 1
+        assert err.startswith("error: ")
+
     def test_tampered_bundle_fails(self, capsys, tmp_path):
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
@@ -191,3 +227,31 @@ class TestDeterminism:
         assert run_cli(capsys, *argv, "--output", str(first))[0] == 0
         assert run_cli(capsys, *argv, "--output", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+    # pinned SHA-256 per route: the bundle bytes may move only when the
+    # certificate format or the search order changes on purpose
+    @pytest.mark.parametrize("argv, digest", [
+        (("generate", "--curve1", "1,1", "--curve2", "2,2"),
+         "6d22b34e6b4664b08fd368dca24523f0f99c9fa5f1aaeff1dcbe9a29b7611a37"),
+        (("generate", "--curve1", "1,1", "--curve2", "16,64"),
+         "41b77dab34a145eef05e8e3ec419fccb8bfd933722e09372b0a37be5e40d0a1a"),
+        (("generate", "--curve1", "0,2", "--curve2", "0,2"),
+         "5fe73fde01f0155461ba1e55bf1cc9632102120532acdab4957ccc8dc3f95b61"),
+        (("jzero", "--curve1", "0,1", "--curve2", "0,2"),
+         "a08a3dd3a3f1d37b27e8b9ad6106c9b5ed32ea44b60c83cb39a5bdbafb28e871"),
+        (("generate", "--curve1", "0,1", "--curve2", "0,2"),
+         "a08a3dd3a3f1d37b27e8b9ad6106c9b5ed32ea44b60c83cb39a5bdbafb28e871"),
+        (("corollary", "--curve", "1,1", "--delta", "2"),
+         "194828aadba23bc1a838f331c1e073f258da6cfa66a432cf728f658fe9b1a3c6"),
+        (("corollary", "--curve", "1,1", "--delta", "4"),
+         "6536e78b027cb568c8430beec9ac7e7b0fd0216eb89c401b2c99e26ccb5ee62a"),
+        (("elementary", "--curve", "1,1"),
+         "a19b373e999366e1c2875db566d8f3959d2b0ce7cc7031caad3226c50f25e0e9"),
+    ], ids=["general", "isomorphic", "identical-jzero", "jzero", "generate-jzero",
+            "corollary-delta2", "corollary-delta4", "elementary"])
+    def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        out_file = tmp_path / "bundle.json"
+        code, _, _ = run_cli(capsys, *argv, "--count", "3", "--effort", "2000",
+                             "--output", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest

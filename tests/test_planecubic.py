@@ -13,7 +13,7 @@ from twistpairs.planecubic import (
     parse_proj_point,
     smoothness_quantity,
 )
-from twistpairs.weierstrass import WPoint
+from twistpairs.weierstrass import WPoint, certify_nontorsion
 
 #: The worked pair: x^3 + x + 1 = y^3 + 2y + 2, tangent point (-1, -1).
 WORKED = PlaneCubic(1, 1, 2, 2)
@@ -148,10 +148,20 @@ class TestGroupLaw:
 
 class TestNonTorsionOnCubic:
     def test_worked_seed_certified(self):
-        witness = WORKED.certify_nontorsion(WORKED.tangent_point())
+        seed = WORKED.tangent_point()
+        witness = WORKED.certify_nontorsion(seed)
         assert witness is not None
         assert [order for order, _ in witness] == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
         assert all(point != BASE_POINT for _, point in witness)
+        # the chain agrees with double-and-add, and the change of variables,
+        # a group isomorphism, carries it onto the Weierstrass witness
+        image_witness = certify_nontorsion(
+            WORKED.to_weierstrass(), WORKED.transform_point(seed)
+        )
+        image_multiples = dict(image_witness.multiples)
+        for order, multiple in witness:
+            assert WORKED.scalar_mul(order, seed) == multiple
+            assert WORKED.transform_point(multiple) == image_multiples[order]
 
     def test_two_torsion_detected(self):
         # b == d forces the tangent point's image onto the x-axis of the

@@ -325,6 +325,22 @@ def cert():
     return certs[0]
 
 
+def _edit_one_point(multiples):
+    order, point = multiples[3]
+    return multiples[:3] + ((order, WPoint(point.x + 1, point.y)),) + multiples[4:]
+
+
+def _swap_ten_and_twelve(multiples):
+    (ten, ten_point), (twelve, twelve_point) = multiples[-2:]
+    assert (ten, twelve) == (10, 12)
+    return multiples[:-2] + ((ten, twelve_point), (twelve, ten_point))
+
+
+def _drop_twelve(multiples):
+    assert multiples[-1][0] == 12
+    return multiples[:-1]
+
+
 class TestVerification:
     def test_round_trip(self, cert):
         assert verify_certificate(cert) == (True, None)
@@ -351,14 +367,16 @@ class TestVerification:
         assert verify_certificate(scaled_cert) == (True, None)
         assert same_square_class(cert.value, new_value)
 
-    def test_corrupted_witness_detected(self, cert):
+    @pytest.mark.parametrize("mutate, reason", [
+        (_edit_one_point, "witness-recompute-mismatch"),
+        (_swap_ten_and_twelve, "witness-recompute-mismatch"),
+        (_drop_twelve, "witness-orders-incomplete"),
+    ], ids=["one-point-edit", "swap-10-12", "drop-12"])
+    def test_corrupted_witness_detected(self, cert, mutate, reason):
         entry = cert.entries[0]
-        bad_multiples = list(entry.witness.multiples)
-        order, point = bad_multiples[3]
-        bad_multiples[3] = (order, WPoint(point.x + 1, point.y))
-        bad_witness = replace(entry.witness, multiples=tuple(bad_multiples))
+        bad_witness = replace(entry.witness, multiples=mutate(entry.witness.multiples))
         bad_cert = replace(cert, entries=(replace(entry, witness=bad_witness),) + cert.entries[1:])
-        assert verify_certificate(bad_cert) == (False, "witness-recompute-mismatch")
+        assert verify_certificate(bad_cert) == (False, reason)
 
     def test_corrupted_solution_detected(self, cert):
         entry = cert.entries[0]
