@@ -7,6 +7,11 @@ needs on top of those: square tests, square-class comparison, budgeted
 factorization with squarefree-part extraction, a deterministic
 strong-pseudoprime test, p-adic valuations, and a filtered prime stream.
 
+Factorization runs trial division, then a short Brent-rho prefix, then
+elliptic-curve factorization (ECM) on Montgomery curves for what rho leaves
+unsplit (Lenstra, Ann. Math. 126 (1987); Montgomery, Math. Comp. 48 (1987)).
+Every stage has fixed parameters, so results depend only on n and the effort.
+
 All functions are pure and all values immutable, so everything here is safe
 to use from concurrent contexts.
 """
@@ -16,15 +21,24 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import count
 from math import gcd, isqrt
 from typing import Iterator, Optional, Sequence
 
-#: Default iteration budget for the rho stage of ``factorize``.  Chosen so
-#: inputs with no prime-square factor beyond ~20 digits usually complete.
+#: Default work budget of ``factorize``: the first ``_RHO_EFFORT`` units are
+#: Brent-rho iterations, and every ``_ECM_CURVE_EFFORT`` after them buy one ECM
+#: curve, so the default runs 14 curves.  They find most prime factors up to
+#: 10-20 digits, where rho alone stalls.
 DEFAULT_FACTOR_EFFORT = 200_000
 
 _TRIAL_BOUND = 10_000
+_RHO_EFFORT = 2_000
+_ECM_CURVE_EFFORT = 14_000
+_ECM_B1 = 1_000
+_ECM_B2 = 50_000
+_ECM_WHEEL = 210
+_ECM_FIRST_SIGMA = 6
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
@@ -189,11 +203,126 @@ def _split_perfect_power(n: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def factorize(n: int, effort: int = DEFAULT_FACTOR_EFFORT) -> PartialFactorization:
-    """Trial division to a fixed bound, then budgeted Brent rho.
+@cache
+def _ecm_tables() -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """Stage-1 multiplier and stage-2 schedule.
 
-    Deterministic for a fixed effort value.  Incomplete results are reported
-    through the cofactor, never raised.
+    The multiplier is the product of the largest power of each prime that is
+    at most B1.  Every prime p in (B1, B2] is m*W + j or m*W - j for a baby
+    step j < W/2 coprime to the wheel W = 210; the schedule lists, for each
+    giant step m, the j that hit a prime.  Built on first use, not on import.
+    """
+    limit = _ECM_B2 + _ECM_WHEEL
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    multiplier = 1
+    for p in range(2, _ECM_B1 + 1):
+        if sieve[p]:
+            power = p
+            while power * p <= _ECM_B1:
+                power *= p
+            multiplier *= power
+    babies = tuple(j for j in range(1, _ECM_WHEEL // 2) if gcd(j, _ECM_WHEEL) == 1)
+
+    def in_range_prime(q: int) -> bool:
+        return _ECM_B1 < q <= _ECM_B2 and sieve[q]
+
+    schedule = []
+    for m in range(_ECM_B1 // _ECM_WHEEL, _ECM_B2 // _ECM_WHEEL + 2):
+        centre = m * _ECM_WHEEL
+        hits = tuple(j for j in babies if in_range_prime(centre - j) or in_range_prime(centre + j))
+        if hits:
+            schedule.append((m, hits))
+    return multiplier, tuple(schedule)
+
+
+def _ecm_curve(n: int, sigma: int) -> Optional[int]:
+    """One ECM curve on an odd composite n with no factor below the trial bound.
+
+    The Montgomery curve and its start point come from Suyama's
+    parametrization at sigma.  Stage 1 multiplies by every prime power up to
+    B1 on an x-only ladder; stage 2 covers each single prime in (B1, B2] by
+    baby and giant steps over the 210-wheel.  Returns a proper factor of n,
+    or None when this curve finds none.
+    """
+    multiplier, schedule = _ecm_tables()
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    denominator = 16 * pow(u, 3, n) * v % n
+    g = gcd(denominator, n)
+    if g != 1:
+        return g if g < n else None
+    # (A + 2) / 4 for the curve y^2 = x^3 + A*x^2 + x
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(denominator, -1, n) % n
+
+    def double(x: int, z: int) -> tuple[int, int]:
+        plus = (x + z) * (x + z) % n
+        minus = (x - z) * (x - z) % n
+        diff = plus - minus
+        return plus * minus % n, diff * (minus + a24 * diff) % n
+
+    def add(x1: int, z1: int, x2: int, z2: int, xd: int, zd: int) -> tuple[int, int]:
+        # x-only P1 + P2, given x(P1 - P2) = xd/zd
+        cross1 = (x1 - z1) * (x2 + z2) % n
+        cross2 = (x1 + z1) * (x2 - z2) % n
+        total, delta = cross1 + cross2, cross1 - cross2
+        return zd * total * total % n, xd * delta * delta % n
+
+    def multiply(k: int, x: int, z: int) -> tuple[int, int]:
+        # Montgomery ladder: the two registers always differ by (x : z)
+        x0, z0 = x, z
+        x1, z1 = double(x, z)
+        for bit in bin(k)[3:]:
+            if bit == "1":
+                x0, z0 = add(x1, z1, x0, z0, x, z)
+                x1, z1 = double(x1, z1)
+            else:
+                x1, z1 = add(x0, z0, x1, z1, x, z)
+                x0, z0 = double(x0, z0)
+        return x0, z0
+
+    x, z = multiply(multiplier, pow(u, 3, n), pow(v, 3, n))
+    g = gcd(z, n)
+    if g != 1:
+        return g if g < n else None
+
+    # baby steps: x(jQ) for odd j, each from the previous by adding 2Q
+    x2, z2 = double(x, z)
+    steps = {1: (x, z)}
+    previous, current = (x, z), add(x2, z2, x, z, x, z)
+    for j in range(3, _ECM_WHEEL // 2, 2):
+        steps[j] = current
+        previous, current = current, add(*current, x2, z2, *previous)
+
+    # giant steps: x(m*W*Q) for consecutive m, by differential addition
+    wx, wz = multiply(_ECM_WHEEL, x, z)
+    m = schedule[0][0]
+    previous, current = multiply(m - 1, wx, wz), multiply(m, wx, wz)
+    product = 1
+    for giant, hits in schedule:
+        while m < giant:
+            previous, current = current, add(*current, wx, wz, *previous)
+            m += 1
+        gx, gz = current
+        for j in hits:
+            bx, bz = steps[j]
+            product = product * (gx * bz - bx * gz) % n
+    g = gcd(product, n)
+    return g if 1 < g < n else None
+
+
+def factorize(n: int, effort: int = DEFAULT_FACTOR_EFFORT) -> PartialFactorization:
+    """Trial division to a fixed bound, a short Brent-rho prefix, then ECM.
+
+    ``effort`` buys up to ``min(effort, 2000)`` rho iterations, shared by
+    every value rho tries, and then one ECM curve per further 14,000 units,
+    shared the same way; an effort of 2000 or less runs no curve.  Curves
+    use sigma = 6, 7, 8, ... in order.  A perfect power is split once into
+    its root and multiplicity.  Deterministic for a fixed effort value.
+    Incomplete results are reported through the cofactor, never raised.
     """
     magnitude = abs(n)
     if magnitude < 1:
@@ -207,31 +336,32 @@ def factorize(n: int, effort: int = DEFAULT_FACTOR_EFFORT) -> PartialFactorizati
             magnitude //= candidate
         candidate += 1 if candidate == 2 else 2
 
-    budget = effort
-    pending = [magnitude] if magnitude > 1 else []
-    unresolved: list[int] = []
+    budget = min(effort, _RHO_EFFORT)
+    end_sigma = _ECM_FIRST_SIGMA + max(0, effort - _RHO_EFFORT) // _ECM_CURVE_EFFORT
+    sigma = _ECM_FIRST_SIGMA
+    # (value, multiplicity) pairs still to split
+    pending = [(magnitude, 1)] if magnitude > 1 else []
+    cofactor = 1
     while pending:
-        value = pending.pop()
-        if value == 1:
-            continue
+        value, multiplicity = pending.pop()
         if value <= _TRIAL_BOUND * _TRIAL_BOUND or is_probable_prime(value):
             # below the trial bound squared everything left is prime
-            found[value] = found.get(value, 0) + 1
+            found[value] = found.get(value, 0) + multiplicity
             continue
         power = _split_perfect_power(value)
         if power is not None:
             root, k = power
-            pending.extend([root] * k)
+            pending.append((root, multiplicity * k))
             continue
         factor, budget = _brent_rho(value, budget)
+        while factor is None and sigma < end_sigma:
+            factor = _ecm_curve(value, sigma)
+            sigma += 1
         if factor is None:
-            unresolved.append(value)
+            cofactor *= value**multiplicity
         else:
-            pending.extend([factor, value // factor])
+            pending.extend([(factor, multiplicity), (value // factor, multiplicity)])
 
-    cofactor = 1
-    for value in unresolved:
-        cofactor *= value
     return PartialFactorization(
         factors=tuple(sorted(found.items())),
         cofactor=cofactor,
@@ -243,8 +373,9 @@ def squarefree_part(n: int, effort: int = DEFAULT_FACTOR_EFFORT) -> tuple[int, b
     """Representative s with n/s a perfect square; sign(s) = sign(n).
 
     The boolean reports whether s is certified squarefree.  When the
-    factorization budget runs out, the unfactored cofactor is kept inside s
-    (unless it is itself a perfect square, which contributes nothing).
+    factorization budget runs out, the unfactored cofactor is kept inside s,
+    except that a perfect-square cofactor contributes nothing and a perfect
+    cube contributes its root.
     """
     if n == 0:
         raise ValueError("squarefree part needs n != 0")
@@ -255,12 +386,11 @@ def squarefree_part(n: int, effort: int = DEFAULT_FACTOR_EFFORT) -> tuple[int, b
         if exponent % 2:
             part *= prime
     cofactor = decomposition.cofactor
-    if cofactor == 1:
-        return sign * part, True
-    root = isqrt(cofactor)
-    if root * root == cofactor:
-        return sign * part, True
-    return sign * part * cofactor, False
+    # an unsplit square contributes nothing, an unsplit cube its root once
+    while (power := _split_perfect_power(cofactor)) is not None:
+        root, k = power
+        cofactor = root if k % 2 else 1
+    return sign * part * cofactor, cofactor == 1
 
 
 def valuation(n: int, p: int) -> int:

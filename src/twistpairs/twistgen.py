@@ -360,8 +360,12 @@ def _twist_entry(
 
 
 def _squarefree_rep(value: Fraction, effort: int) -> tuple[int, bool]:
-    # numerator*denominator is an integer in the square class of the value
-    return squarefree_part(value.numerator * value.denominator, effort)
+    # numerator and denominator are coprime, so the product of their
+    # squarefree parts is the squarefree part of numerator*denominator, an
+    # integer in the square class of the value
+    num_part, num_complete = squarefree_part(value.numerator, effort)
+    den_part, den_complete = squarefree_part(value.denominator, effort)
+    return num_part * den_part, num_complete and den_complete
 
 
 #: One step of a generation stream: a skip reason, or a candidate twist
@@ -536,6 +540,11 @@ def verify_certificate(cert: TwistCertificate) -> tuple[bool, Optional[str]]:
         return False, "zero-twist-value"
     if not cert.entries:
         return False, "no-curve-entries"
+    if cert.squarefree_rep is not None:
+        # a square test, not a refactorization: `complete` is not rechecked
+        label = cert.squarefree_rep[0]
+        if label == 0 or not same_square_class(Fraction(label), value):
+            return False, "label-class-mismatch"
     for entry in cert.entries:
         model, x, t = entry.model, entry.solution_x, entry.solution_t
         if value * t * t != model.rhs(x):

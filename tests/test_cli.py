@@ -242,7 +242,7 @@ class TestDeterminism:
         (("generate", "--curve1", "0,1", "--curve2", "0,2"),
          "a08a3dd3a3f1d37b27e8b9ad6106c9b5ed32ea44b60c83cb39a5bdbafb28e871"),
         (("corollary", "--curve", "1,1", "--delta", "2"),
-         "194828aadba23bc1a838f331c1e073f258da6cfa66a432cf728f658fe9b1a3c6"),
+         "882c8da6057a3bc9708d15fba2b3f995bc7cdd8e370495f92068a67d10ae921a"),
         (("corollary", "--curve", "1,1", "--delta", "4"),
          "6536e78b027cb568c8430beec9ac7e7b0fd0216eb89c401b2c99e26ccb5ee62a"),
         (("elementary", "--curve", "1,1"),

@@ -1,10 +1,13 @@
 """Rational plumbing and integer number theory."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from twistpairs import exactnum
 from twistpairs.exactnum import (
     factorize,
     format_rational,
@@ -23,6 +26,16 @@ from twistpairs.exactnum import (
 
 def take(iterator, n):
     return [next(iterator) for _ in range(n)]
+
+
+def next_prime(n):
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+# two primes of about 40 bits: far beyond 2,000 rho iterations, found by ECM
+HARD_SEMIPRIME = next_prime(2**39 + 10**9) * next_prime(2**40 - 10**9)
 
 
 class TestMakeRational:
@@ -149,6 +162,77 @@ class TestFactorize:
     def test_deterministic(self):
         n = 2**4 * 3 * 10_000_019 * 10_000_079
         assert factorize(n) == factorize(n)
+
+    def test_ecm_splits_what_rho_cannot(self):
+        assert not factorize(HARD_SEMIPRIME, effort=2000).complete
+        result = factorize(HARD_SEMIPRIME)
+        assert result.complete
+        assert [e for _, e in result.factors] == [1, 1]
+        assert result.reconstruct() == HARD_SEMIPRIME
+
+    def test_ecm_stage_two_finds_the_single_large_prime(self):
+        # Mod p, the sigma = 6 Suyama curve B*y^2 = x^3 + A*x^2 + x through
+        # its start point has 8 * 3 * 1259 points: B1-smooth but for one prime
+        # in (B1, B2], so stage 1 leaves a point of order 1259 for stage 2.
+        p, q, sigma = 30059, 2**61 - 1, 6
+        u, v = sigma * sigma - 5, 4 * sigma
+        a24 = pow(v - u, 3, p) * (3 * u + v) * pow(16 * u**3 * v, -1, p) % p
+        a = (4 * a24 - 2) % p
+        x0 = u**3 * pow(v**3, -1, p) % p
+
+        def legendre(t):
+            return 0 if t % p == 0 else 1 if pow(t, (p - 1) // 2, p) == 1 else -1
+
+        def rhs(x):
+            return x**3 + a * x * x + x
+
+        trace = sum(legendre(rhs(x)) for x in range(p))
+        assert p + 1 + legendre(rhs(x0)) * trace == 8 * 3 * 1259
+        assert exactnum._ecm_curve(p * q, sigma) == p
+
+    def test_no_curve_runs_within_the_rho_prefix(self, monkeypatch):
+        def no_curves(n, sigma):
+            raise AssertionError("an ECM curve ran")
+
+        monkeypatch.setattr(exactnum, "_ecm_curve", no_curves)
+        for effort in (2000, 1):
+            part, complete = squarefree_part(HARD_SEMIPRIME, effort=effort)
+            assert part == HARD_SEMIPRIME and not complete
+
+    def test_perfect_power_multiplicity(self, monkeypatch):
+        # the cube root goes back on the stack once, so rho splits it once
+        rho_inputs = []
+        brent_rho = exactnum._brent_rho
+
+        def counting_rho(n, budget):
+            rho_inputs.append(n)
+            return brent_rho(n, budget)
+
+        monkeypatch.setattr(exactnum, "_brent_rho", counting_rho)
+        p, q = next_prime(10**9), next_prime(3 * 10**9)
+        result = factorize((p * q) ** 3)
+        assert result.factors == ((p, 3), (q, 3)) and result.complete
+        assert rho_inputs == [p * q]
+
+    def test_against_sympy(self):
+        # The oracle is the known prime multiset, each prime certified by
+        # sympy.isprime: by unique factorization it equals sympy.factorint(n),
+        # which itself takes about 10 s on these 40 inputs.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(37)
+        for _ in range(40):
+            primes = Counter(
+                next_prime(rng.getrandbits(rng.randint(20, 45)) | 1 << 19)
+                for _ in range(rng.choice([2, 3]))
+            )
+            assert all(sympy.isprime(p) for p in primes)
+            n = prod(p**e for p, e in primes.items())
+            result = factorize(n)
+            assert result.reconstruct() == n
+            if result.complete:
+                assert dict(result.factors) == primes
+            part, _ = squarefree_part(n)
+            assert is_perfect_square(Fraction(n, part)) is not None
 
 
 class TestSquarefreePart:

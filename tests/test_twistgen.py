@@ -378,6 +378,13 @@ class TestVerification:
         bad_cert = replace(cert, entries=(replace(entry, witness=bad_witness),) + cert.entries[1:])
         assert verify_certificate(bad_cert) == (False, reason)
 
+    @pytest.mark.parametrize("label", [7, 0])
+    def test_tampered_label_detected(self, cert, label):
+        # the label must stay in the square class of D; `complete` is not rechecked
+        assert cert.squarefree_rep is not None
+        bad_cert = replace(cert, squarefree_rep=(label, cert.squarefree_rep[1]))
+        assert verify_certificate(bad_cert) == (False, "label-class-mismatch")
+
     def test_corrupted_solution_detected(self, cert):
         entry = cert.entries[0]
         bad_cert = replace(cert, entries=(replace(entry, solution_x=entry.solution_x + 1),) + cert.entries[1:])
