@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from dataclasses import fields
+from functools import cache
 from typing import Optional, Sequence
 
 from .exactnum import format_rational, parse_rational
@@ -258,9 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building costs about 30 parses, and parse_args
+# leaves the parser unchanged
+_parser = cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SearchExhausted as exc:

@@ -204,6 +204,23 @@ def _split_perfect_power(n: int) -> Optional[tuple[int, int]]:
 
 
 @cache
+def _sieve(limit: int) -> bytes:
+    """sieve[n] == 1 exactly when n < limit is prime."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return bytes(sieve)
+
+
+@cache
+def _trial_primes() -> tuple[int, ...]:
+    """The primes up to the trial bound, sieved on first use."""
+    return tuple(p for p, flag in enumerate(_sieve(_TRIAL_BOUND + 1)) if flag)
+
+
+@cache
 def _ecm_tables() -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
     """Stage-1 multiplier and stage-2 schedule.
 
@@ -212,12 +229,7 @@ def _ecm_tables() -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
     step j < W/2 coprime to the wheel W = 210; the schedule lists, for each
     giant step m, the j that hit a prime.  Built on first use, not on import.
     """
-    limit = _ECM_B2 + _ECM_WHEEL
-    sieve = bytearray([1]) * limit
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    sieve = _sieve(_ECM_B2 + _ECM_WHEEL)
     multiplier = 1
     for p in range(2, _ECM_B1 + 1):
         if sieve[p]:
@@ -329,12 +341,12 @@ def factorize(n: int, effort: int = DEFAULT_FACTOR_EFFORT) -> PartialFactorizati
         raise ValueError("factorize needs |n| >= 1")
     found: dict[int, int] = {}
 
-    candidate = 2
-    while candidate <= _TRIAL_BOUND and candidate * candidate <= magnitude:
-        while magnitude % candidate == 0:
-            found[candidate] = found.get(candidate, 0) + 1
-            magnitude //= candidate
-        candidate += 1 if candidate == 2 else 2
+    for prime in _trial_primes():
+        if prime * prime > magnitude:
+            break
+        while magnitude % prime == 0:
+            found[prime] = found.get(prime, 0) + 1
+            magnitude //= prime
 
     budget = min(effort, _RHO_EFFORT)
     end_sigma = _ECM_FIRST_SIGMA + max(0, effort - _RHO_EFFORT) // _ECM_CURVE_EFFORT

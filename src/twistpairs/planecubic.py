@@ -7,20 +7,21 @@ depressed cubics agree: x^3 + a*x + b = y^3 + c*y + d, homogenized to
 
 It always contains the base point [1:1:0]; the chord-tangent construction
 with that base point makes the rational points an abelian group.  The group
-law lives here directly (lines, third intersections, exact division of the
-parameter cubic), and a closed-form change of variables carries the curve
-onto a short Weierstrass model for cross-validation and torsion reasoning.
+law lives here directly, on primitive integer triples (rationals appear only
+in ``affine``, ``common_value`` and ``transform_point``), and a closed-form
+change of variables carries the curve onto a short Weierstrass model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .weierstrass import Curve, WPoint, format_cubic, torsion_order_multiples
 
-Triple = tuple[Fraction, Fraction, Fraction]
+Coords = tuple[int, int, int]
 
 
 def smoothness_quantity(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
@@ -35,30 +36,45 @@ def smoothness_quantity(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> F
     ) ** 2
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """Projective point [x:y:z], canonically scaled.
+def _point(x: int, y: int, z: int) -> ProjPoint:
+    """(x : y : z) scaled to content 1 and z, or else the first nonzero coordinate, > 0."""
+    g = gcd(x, y, z)
+    if g == 0:
+        raise ValueError("[0:0:0] is not a projective point")
+    if (z or x or y) < 0:
+        g = -g
+    point = object.__new__(ProjPoint)
+    object.__setattr__(point, "coords", (x // g, y // g, z // g))
+    return point
 
-    Canonical form: z == 1 (affine points), or z == 0 with the first nonzero
-    coordinate scaled to 1.  Equality is then plain field equality.
+
+@dataclass(frozen=True, init=False, repr=False)
+class ProjPoint:
+    """Projective point from rationals, held as a canonical primitive triple.
+
+    ``coords`` is that integer triple (see ``_point``), so equality is tuple
+    equality; ``x``, ``y`` and ``z`` are the point scaled to z == 1 (affine
+    points) or else to a first nonzero coordinate of 1.
     """
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    coords: Coords
 
-    def __post_init__(self) -> None:
-        x, y, z = Fraction(self.x), Fraction(self.y), Fraction(self.z)
-        if x == 0 and y == 0 and z == 0:
-            raise ValueError("[0:0:0] is not a projective point")
-        pivot = z if z != 0 else (x if x != 0 else y)
-        object.__setattr__(self, "x", x / pivot)
-        object.__setattr__(self, "y", y / pivot)
-        object.__setattr__(self, "z", z / pivot)
+    def __init__(self, x: Fraction, y: Fraction, z: Fraction) -> None:
+        x, y, z = Fraction(x), Fraction(y), Fraction(z)
+        den = lcm(x.denominator, y.denominator, z.denominator)
+        object.__setattr__(self, "coords", _point(*(int(v * den) for v in (x, y, z))).coords)
+
+    def _scaled(self, index: int) -> Fraction:
+        x, y, z = self.coords
+        return Fraction(self.coords[index], z or x or y)
+
+    x = property(lambda self: self._scaled(0))
+    y = property(lambda self: self._scaled(1))
+    z = property(lambda self: self._scaled(2))
 
     @property
     def is_infinite(self) -> bool:
-        return self.z == 0
+        return self.coords[2] == 0
 
     def affine(self) -> tuple[Fraction, Fraction]:
         if self.is_infinite:
@@ -93,24 +109,15 @@ def parse_proj_point(text: str) -> ProjPoint:
     raise ValueError(f"not a projective point: {text!r}")
 
 
-def _lincomb(s: Fraction, p: Triple, t: Fraction, q: Triple) -> Triple:
-    return tuple(s * p[i] + t * q[i] for i in range(3))  # type: ignore[return-value]
-
-
-def _cross(u: Triple, v: Triple) -> Triple:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 @dataclass(frozen=True)
 class PlaneCubic:
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
+    #: (L, A, C, E): L*F = L*x^3 - L*y^3 + A*x*z^2 - C*y*z^2 + E*z^3 has
+    #: integer coefficients, L being the lcm of the denominators of a, c, b - d
+    _scaled_form: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in "abcd":
@@ -120,35 +127,37 @@ class PlaneCubic:
                 "singular configuration: 108*a^3*c^3 - 27*(4a^3+4c^3+27(b-d)^2)^2/16 "
                 f"vanishes for (a, b, c, d) = ({self.a}, {self.b}, {self.c}, {self.d})"
             )
+        e = self.b - self.d
+        scale = lcm(self.a.denominator, self.c.denominator, e.denominator)
+        object.__setattr__(self, "_scaled_form", (
+            scale, int(self.a * scale), int(self.c * scale), int(e * scale)
+        ))
 
     # ------------------------------------------------------------------ form
 
-    def form_value(self, point: ProjPoint) -> Fraction:
-        return self._form(point.x, point.y, point.z)
-
-    def _form(self, x: Fraction, y: Fraction, z: Fraction) -> Fraction:
-        return (
-            x**3
-            - y**3
-            + self.a * x * z**2
-            - self.c * y * z**2
-            + (self.b - self.d) * z**3
-        )
-
-    def _gradient(self, point: ProjPoint) -> Triple:
-        x, y, z = point.x, point.y, point.z
-        return (
-            3 * x**2 + self.a * z**2,
-            -3 * y**2 - self.c * z**2,
-            2 * self.a * x * z - 2 * self.c * y * z + 3 * (self.b - self.d) * z**2,
-        )
+    def _value(self, x: int, y: int, z: int) -> int:
+        scale, a, c, e = self._scaled_form
+        return scale * (x * x * x - y * y * y) + (a * x - c * y + e * z) * z * z
 
     def contains(self, point: ProjPoint) -> bool:
-        return self.form_value(point) == 0
+        return self._value(*point.coords) == 0
 
     def _require(self, point: ProjPoint) -> None:
         if not self.contains(point):
             raise ValueError(f"{point} is not on {self}")
+
+    def _tangent_partner(self, p: Coords) -> Coords:
+        """A second point of the tangent line at P, from the integer gradient."""
+        scale, a, c, e = self._scaled_form
+        x, y, z = p
+        gx = 3 * scale * x * x + a * z * z
+        gy = -3 * scale * y * y - c * z * z
+        gz = (2 * a * x - 2 * c * y + 3 * e * z) * z
+        if not (gx or gy or gz):
+            raise ArithmeticError(f"singular point {_point(*p)} on {self}")
+        # the gradient crossed with each coordinate axis lies on the tangent
+        return next(r for r in ((0, gz, -gy), (-gz, 0, gx), (gy, -gx, 0))
+                    if any(r) and _point(*r).coords != p)
 
     # ---------------------------------------------------------- named points
 
@@ -160,9 +169,7 @@ class PlaneCubic:
         elsewhere.
         """
         if self.a == self.c:
-            raise ValueError(
-                "tangent point degenerates to the base point when a == c"
-            )
+            raise ValueError("tangent point degenerates to the base point when a == c")
         return ProjPoint(self.b - self.d, self.b - self.d, self.c - self.a)
 
     # ------------------------------------------------------------- group law
@@ -171,76 +178,60 @@ class PlaneCubic:
         """Remaining intersection of the line through the two points.
 
         The line is rational, so the parameter cubic splits off the two known
-        roots and leaves a rational third one; repeated roots (tangency,
-        flexes) come out of the same division with no special cases.
+        roots and leaves a rational third one.  For equal points the line is
+        the tangent, taken through a second point of it.
         """
         self._require(first)
         self._require(second)
-        p = (first.x, first.y, first.z)
-        if first == second:
-            return self._tangent_third(first)
-        q = (second.x, second.y, second.z)
-        # F(s*P + t*Q) = c2*s^2*t + c1*s*t^2 once the known roots are removed
-        plus = self._form(*_lincomb(Fraction(1), p, Fraction(1), q))
-        minus = self._form(*_lincomb(Fraction(1), p, Fraction(-1), q))
-        c2 = (plus - minus) / 2
-        c1 = (plus + minus) / 2
-        if c1 == 0 and c2 == 0:
+        chord = first != second
+        p = first.coords
+        q = second.coords if chord else self._tangent_partner(p)
+        # F(s*P + t*Q) = h*s^2*t + g*s*t^2 + k*t^3, as P is on the curve;
+        # plus and minus are its values at (1, 1) and (1, -1)
+        plus = self._value(p[0] + q[0], p[1] + q[1], p[2] + q[2])
+        minus = self._value(p[0] - q[0], p[1] - q[1], p[2] - q[2])
+        g, h_plus_k = (plus + minus) // 2, (plus - minus) // 2
+        if g == 0 and h_plus_k == 0:
             raise ArithmeticError("line lies on the cubic; the curve is singular")
-        x, y, z = _lincomb(c1, p, -c2, q)
-        return ProjPoint(x, y, z)
+        # a chord has k == 0 and the third root (g : -h); a tangent has
+        # h == 0, from contact of order 2 at P, and the third root (k : -g)
+        s, t = (g, -h_plus_k) if chord else (h_plus_k, -g)
+        return _point(s * p[0] + t * q[0], s * p[1] + t * q[1], s * p[2] + t * q[2])
 
-    def _tangent_third(self, point: ProjPoint) -> ProjPoint:
-        gradient = self._gradient(point)
-        if not any(gradient):
-            raise ArithmeticError(f"singular point {point} on {self}")
-        p = (point.x, point.y, point.z)
-        helper = None
-        basis = (
-            (Fraction(1), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(1)),
-        )
-        for axis in basis:
-            candidate = _cross(gradient, axis)
-            if any(candidate) and ProjPoint(*candidate) != point:
-                helper = candidate
-                break
-        assert helper is not None
-        # F(s*P + t*R) = c1*s*t^2 + c0*t^3: contact of order >= 2 at P
-        plus = self._form(*_lincomb(Fraction(1), p, Fraction(1), helper))
-        minus = self._form(*_lincomb(Fraction(1), p, Fraction(-1), helper))
-        c1 = (plus + minus) / 2
-        c0 = (plus - minus) / 2
-        if c1 == 0 and c0 == 0:
-            raise ArithmeticError("tangent line lies on the cubic")
-        x, y, z = _lincomb(c0, p, -c1, helper)
-        return ProjPoint(x, y, z)
+    def _through_base(self, r: Coords) -> ProjPoint:
+        """Third intersection of the line through R and the base point.
+
+        For R = (x : y : z), F(s*R + t*[1:1:0]) = s*t*(M*t + N*s), which
+        leaves (x*M - N : y*M - N : z*M); M == 0 gives the base point.  The
+        base point, the only point at infinity, goes to (E : E : C - A),
+        which is the base point again when a == c.
+        """
+        scale, a, c, e = self._scaled_form
+        x, y, z = r
+        if z == 0:
+            return _point(e, e, c - a)
+        m = 3 * scale * (x - y)
+        n = 3 * scale * (x * x - y * y) + (a - c) * z * z
+        return _point(x * m - n, y * m - n, z * m)
 
     def add(self, first: ProjPoint, second: ProjPoint) -> ProjPoint:
         """Chord-tangent sum with the base point as identity."""
-        return self.third_intersection(
-            BASE_POINT, self.third_intersection(first, second)
-        )
+        return self._through_base(self.third_intersection(first, second).coords)
 
     def negate(self, point: ProjPoint) -> ProjPoint:
         tangential = self.third_intersection(BASE_POINT, BASE_POINT)
         return self.third_intersection(tangential, point)
 
     def scalar_mul(self, k: int, point: ProjPoint) -> ProjPoint:
+        """Double-and-add from the base point, the identity."""
         self._require(point)
-        if k == 0:
-            return BASE_POINT
         if k < 0:
             return self.negate(self.scalar_mul(-k, point))
-        result = None
-        addend = point
-        while k:
-            if k & 1:
-                result = addend if result is None else self.add(result, addend)
-            k >>= 1
-            if k:
-                addend = self.add(addend, addend)
+        result = BASE_POINT
+        for bit in bin(k)[2:]:
+            result = self.add(result, result)
+            if bit == "1":
+                result = self.add(result, point)
         return result
 
     def certify_nontorsion(self, point: ProjPoint) -> Optional[tuple[tuple[int, ProjPoint], ...]]:
@@ -270,19 +261,11 @@ class PlaneCubic:
             raise ValueError("the change of variables is applied to affine points only")
         self._require(point)
         x, y = point.affine()
-        a, b, c, d = self.a, self.b, self.c, self.d
-        big_x = 3 * x**2 + a + 3 * y * x + 3 * y**2 + c
-        big_y = (
-            -3 * y * a
-            - 6 * a * x
-            - 3 * c * x
-            - Fraction(9, 2) * b
-            + 3 * c * y
-            + Fraction(9, 2) * d
-            - 9 * y * x**2
-            - 9 * y**2 * x
-            - 9 * x**3
-        )
+        a, c = self.a, self.c
+        square_sum = x * x + x * y + y * y
+        big_x = 3 * square_sum + a + c
+        big_y = (3 * c * (y - x) - 3 * a * (y + 2 * x) - 9 * x * square_sum
+                 - Fraction(9, 2) * (self.b - self.d))
         image = WPoint(big_x, big_y)
         if not self.to_weierstrass().contains(image):
             raise ArithmeticError(

@@ -2,8 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import twistpairs
 
 from twistpairs.cli import main
 
@@ -93,6 +99,37 @@ class TestErrors:
     def test_missing_verify_input(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--input", "/does/not/exist.json")
         assert code == 1
+
+
+class TestParserReuse:
+    def test_consecutive_calls_match_fresh_processes(self, capsys, tmp_path):
+        bundle = str(tmp_path / "bundle.json")
+        sequence = (
+            ["generate", "--curve1=1,1", "--curve2=2,2", "--count", "2",
+             "--effort", "2000", "--output", bundle],
+            ["verify", "--input", bundle],
+            ["generate", "--curve1", "1,1"],
+            ["elementary", "--curve", "-1,1", "--max-iterations", "2", "--count", "3"],
+            ["elementary", "--curve", "-1,1", "--count", "3"],
+            ["corollary", "--curve=1,1", "--delta=2", "--count", "1"],
+            ["no-such-command"],
+            ["identity-check"],
+        )
+        in_process = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, *capsys.readouterr()))
+        env = dict(os.environ, PYTHONPATH=str(Path(twistpairs.__file__).parents[1]))
+        fresh = []
+        for argv in sequence:
+            done = subprocess.run([sys.executable, "-m", "twistpairs.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert [result[0] for result in in_process] == [0, 0, 1, 2, 0, 0, 1, 0]
+        assert in_process == fresh
 
 
 class TestJZeroCommand:

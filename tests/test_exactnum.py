@@ -163,6 +163,27 @@ class TestFactorize:
         n = 2**4 * 3 * 10_000_019 * 10_000_079
         assert factorize(n) == factorize(n)
 
+    def test_trial_primes_match_odd_candidate_loop(self, monkeypatch):
+        # the reference divides by 2 and every odd number up to the trial
+        # bound; a composite never divides once its primes are removed, so
+        # dividing by the primes alone must give the same factorizations,
+        # including across the value <= bound**2 shortcut
+        primes = exactnum._trial_primes()
+        assert len(primes) == 1229 and primes[-1] == 9973
+        rng = random.Random(73)
+        values = [9973**2, 9973 * 10007, 10007**2, 10007 * 10009, 9973**3 * 2**7,
+                  99_999_989, 10**8 - 1, 10**8, 10**8 + 7, 3 * 9973 * 9967 * 10007]
+        values += [rng.randint(2, 10**8) for _ in range(300)]
+        values += [rng.getrandbits(rng.randint(30, 300)) for _ in range(60)]
+        values += [prod(rng.choices(primes, k=rng.randint(1, 6))) * rng.randint(1, 10**9)
+                   for _ in range(60)]
+        for effort in (1, 2000):
+            actual = [factorize(v, effort) for v in values]
+            with monkeypatch.context() as patch:
+                patch.setattr(exactnum, "_trial_primes",
+                              lambda: (2, *range(3, exactnum._TRIAL_BOUND + 1, 2)))
+                assert [factorize(v, effort) for v in values] == actual
+
     def test_ecm_splits_what_rho_cannot(self):
         assert not factorize(HARD_SEMIPRIME, effort=2000).complete
         result = factorize(HARD_SEMIPRIME)

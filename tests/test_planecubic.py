@@ -240,3 +240,115 @@ class TestInfinitySlice:
         candidates = [ProjPoint(Fraction(1), Fraction(t), Fraction(0)) for t in (1, -1, 2)]
         on_curve = [p for p in candidates if WORKED.contains(p)]
         assert on_curve == [BASE_POINT]
+
+
+def _general_cubics(seed, count):
+    """Glued cubics of random pairs, rescaled as the lambda search does."""
+    rng = random.Random(seed)
+    cubics = []
+    while len(cubics) < count:
+        a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
+        scale = rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+        c, d = scale**4 * c, scale**6 * d
+        if a != c and smoothness_quantity(a, b, c, d) != 0:
+            cubics.append(PlaneCubic(a, b, c, d))
+    return cubics
+
+
+def _jzero_cubics():
+    """Cubics of the jzero route (a == c == 0), each with its recipe seed."""
+    out = []
+    for prime, (b, d) in ((5, (1, 2)), (7, (1, -3)), (11, (-2, 5))):
+        scale = Fraction((prime + 1) ** 3 - 1, d - b)
+        out.append((PlaneCubic(0, scale * b, 0, scale * d), affine(prime + 1, 1)))
+    return out
+
+
+TWO_TORSION = PlaneCubic(1, 5, 2, 5)
+
+DIFFERENTIAL_CASES = (
+    [(cubic, cubic.tangent_point()) for cubic in _general_cubics(67, 8)]
+    + [(TWO_TORSION, TWO_TORSION.tangent_point())]
+    + _jzero_cubics()
+)
+
+
+class TestIntegerLawDifferential:
+    """The integer group law against the Weierstrass law and itself."""
+
+    @pytest.mark.parametrize("cubic, seed", DIFFERENTIAL_CASES)
+    def test_transform_is_a_homomorphism(self, cubic, seed):
+        model = cubic.to_weierstrass()
+        multiples = [seed]
+        for _ in range(5):
+            multiples.append(cubic.add(multiples[-1], seed))
+        for i, first in enumerate(multiples):
+            for second in multiples[i:]:
+                if first.is_infinite or second.is_infinite:
+                    continue
+                total = cubic.add(first, second)
+                expected = model.add(cubic.transform_point(first), cubic.transform_point(second))
+                if total.is_infinite:
+                    assert total == BASE_POINT and expected.is_infinity
+                else:
+                    assert cubic.transform_point(total) == expected
+            if not first.is_infinite:
+                negative = cubic.negate(first)
+                assert cubic.transform_point(negative) == model.negate(cubic.transform_point(first))
+
+    @pytest.mark.parametrize("cubic, seed", DIFFERENTIAL_CASES)
+    def test_witness_matches_repeated_addition(self, cubic, seed):
+        chain = {1: seed}
+        for n in range(2, 13):
+            chain[n] = cubic.add(chain[n - 1], seed)
+        witness = cubic.certify_nontorsion(seed)
+        orders = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+        if witness is None:
+            assert any(chain[n] == BASE_POINT for n in orders)
+        else:
+            assert witness == tuple((n, chain[n]) for n in orders)
+
+    def test_line_through_base_tangent_at_base(self):
+        # the tangent point is the only affine point with x == y; the line
+        # through it and [1:1:0] is x == y, tangent to the curve at [1:1:0]
+        seed = WORKED.tangent_point()
+        assert seed.x == seed.y
+        assert WORKED.third_intersection(BASE_POINT, seed) == BASE_POINT
+        assert WORKED.third_intersection(seed, BASE_POINT) == BASE_POINT
+        assert WORKED.add(seed, WORKED.negate(seed)) == BASE_POINT
+        double = WORKED.add(seed, seed)
+        assert WORKED.add(double, WORKED.negate(seed)) == seed
+
+    @pytest.mark.parametrize("cubic, seed", DIFFERENTIAL_CASES[:2] + DIFFERENTIAL_CASES[-2:])
+    def test_base_point_is_the_identity(self, cubic, seed):
+        assert cubic.add(seed, BASE_POINT) == seed
+        assert cubic.add(BASE_POINT, seed) == seed
+        assert cubic.add(BASE_POINT, BASE_POINT) == BASE_POINT
+        assert cubic.negate(BASE_POINT) == BASE_POINT
+
+    def test_tangent_at_base(self):
+        assert WORKED.third_intersection(BASE_POINT, BASE_POINT) == affine(-1, -1)
+        # a == c: [1:1:0] is a flex, so its tangent meets the curve nowhere else
+        cubic, seed = _jzero_cubics()[0]
+        assert cubic.third_intersection(BASE_POINT, BASE_POINT) == BASE_POINT
+        assert cubic.add(seed, cubic.negate(seed)) == BASE_POINT
+        assert cubic.negate(cubic.negate(seed)) == seed
+
+    def test_canonical_integer_triples(self):
+        point = ProjPoint(Fraction(-2, 3), Fraction(4, 9), Fraction(-1, 6))
+        assert point.coords == (12, -8, 3)
+        assert (point.x, point.y, point.z) == (Fraction(4), Fraction(-8, 3), Fraction(1))
+        assert ProjPoint(Fraction(-3), Fraction(-3), Fraction(0)).coords == (1, 1, 0)
+        assert ProjPoint(Fraction(0), Fraction(-2), Fraction(0)).coords == (0, 1, 0)
+        assert repr(WORKED.tangent_point()) == "[-1:-1:1]"
+
+    def test_off_curve_inputs_rejected(self):
+        seed = WORKED.tangent_point()
+        off = affine(1, 1)
+        for operation in (WORKED.add, WORKED.third_intersection):
+            with pytest.raises(ValueError, match="not on"):
+                operation(seed, off)
+            with pytest.raises(ValueError, match="not on"):
+                operation(off, off)
+        with pytest.raises(ValueError, match="not on"):
+            WORKED.certify_nontorsion(off)
