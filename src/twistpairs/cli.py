@@ -88,8 +88,8 @@ def _config(args: argparse.Namespace) -> Config:
 def _report_route(pp) -> None:
     _progress(f"route: {pp.route} (lambda = {format_rational(pp.scale)})")
     if pp.route == ROUTE_JZERO:
+        # the prime and the seed value t follow in the run report
         _progress(
-            f"prime: {pp.prime}, seed value t: {pp.t_value}",
             f"plane cubic: {pp.cubic}",
             f"seed point: ({format_rational(pp.seed.x)}, {format_rational(pp.seed.y)})",
         )

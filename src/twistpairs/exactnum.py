@@ -42,17 +42,17 @@ _ECM_FIRST_SIGMA = 6
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
-# Strong-pseudoprime witnesses.  The first set is a known deterministic
-# witness schedule for every n below the bound; above it we run the first 40
-# prime bases, which keeps the composite-acceptance probability below 2^-80
-# while staying fully deterministic.
+# Strong-pseudoprime witnesses: the first 40 prime bases.  The first 12 of
+# them are a known deterministic witness schedule for every n below the
+# bound; above it we run all 40, which keeps the composite-acceptance
+# probability below 2^-80 while staying fully deterministic.
 _DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _LARGE_WITNESSES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
     151, 157, 163, 167, 173,
 )
+_DETERMINISTIC_WITNESSES = _LARGE_WITNESSES[:12]
 
 
 def make_rational(num: int, den: int = 1) -> Fraction:
@@ -145,7 +145,7 @@ def is_probable_prime(n: int) -> bool:
     """Deterministic-schedule strong-pseudoprime test (error < 2^-80)."""
     if n < 2:
         raise ValueError(f"primality is tested for n >= 2 only, got {n}")
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _DETERMINISTIC_WITNESSES:
         if n == p:
             return True
         if n % p == 0:

@@ -10,6 +10,10 @@ with that base point makes the rational points an abelian group.  The group
 law lives here directly, on primitive integer triples (rationals appear only
 in ``affine``, ``common_value`` and ``transform_point``), and a closed-form
 change of variables carries the curve onto a short Weierstrass model.
+
+The closed forms are module-level functions written with ring operations
+and rational constants only, so ``polyident`` evaluates these same functions
+on polynomials and proves them symbolically.
 """
 
 from __future__ import annotations
@@ -24,16 +28,36 @@ from .weierstrass import Curve, WPoint, format_cubic, torsion_order_multiples
 Coords = tuple[int, int, int]
 
 
-def smoothness_quantity(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
+def smoothness_quantity(a, b, c, d):
     """108*a^3*c^3 - 27*(4a^3 + 4c^3 + 27(b-d)^2)^2 / 16.
 
     This is the discriminant of the cubic on the Weierstrass side; the plane
     cubic is an elliptic curve exactly when it is nonzero.
     """
-    a, b, c, d = (Fraction(v) for v in (a, b, c, d))
     return 108 * a**3 * c**3 - Fraction(27, 16) * (
         4 * a**3 + 4 * c**3 + 27 * (b - d) ** 2
     ) ** 2
+
+
+def weierstrass_coefficients(a, b, c, d):
+    """(A, B) of the model Y^2 = X^3 + A*X + B that the plane cubic maps onto."""
+    return -3 * a * c, -(a**3 + c**3 + Fraction(27, 4) * (b - d) ** 2)
+
+
+def change_of_variables(a, b, c, d, x, y):
+    """(X, Y) for a point (x, y) of the plane cubic, on the model above."""
+    square_sum = x * x + x * y + y * y
+    big_x = 3 * square_sum + a + c
+    big_y = (3 * c * (y - x) - 3 * a * (y + 2 * x) - 9 * x * square_sum
+             - Fraction(9, 2) * (b - d))
+    return big_x, big_y
+
+
+def tangent_image_numerators(a, b, c, d):
+    """(X*(a-c)^2, Y*(a-c)^3) for the image (X, Y) of the tangent point."""
+    shear = (a - c) ** 2 * (a + c)
+    return (9 * (b - d) ** 2 + shear,
+            Fraction(9, 2) * (b - d) * (6 * (b - d) ** 2 + shear))
 
 
 def _point(x: int, y: int, z: int) -> ProjPoint:
@@ -250,23 +274,14 @@ class PlaneCubic:
 
     def to_weierstrass(self) -> Curve:
         """The short Weierstrass model the change of variables lands on."""
-        return Curve(
-            -3 * self.a * self.c,
-            -(self.a**3 + self.c**3 + Fraction(27, 4) * (self.b - self.d) ** 2),
-        )
+        return Curve(*weierstrass_coefficients(self.a, self.b, self.c, self.d))
 
     def transform_point(self, point: ProjPoint) -> WPoint:
         """Image of an affine point under the change of variables, exactly."""
         if point.is_infinite:
             raise ValueError("the change of variables is applied to affine points only")
         self._require(point)
-        x, y = point.affine()
-        a, c = self.a, self.c
-        square_sum = x * x + x * y + y * y
-        big_x = 3 * square_sum + a + c
-        big_y = (3 * c * (y - x) - 3 * a * (y + 2 * x) - 9 * x * square_sum
-                 - Fraction(9, 2) * (self.b - self.d))
-        image = WPoint(big_x, big_y)
+        image = WPoint(*change_of_variables(self.a, self.b, self.c, self.d, *point.affine()))
         if not self.to_weierstrass().contains(image):
             raise ArithmeticError(
                 f"transformed point {image!r} left the Weierstrass model; "
@@ -278,11 +293,8 @@ class PlaneCubic:
         """Closed-form Weierstrass image of the tangent point (a != c)."""
         if self.a == self.c:
             raise ValueError("undefined when a == c")
-        a, b, c, d = self.a, self.b, self.c, self.d
-        shear = (a - c) ** 2 * (a + c)
-        big_x = (9 * (b - d) ** 2 + shear) / (a - c) ** 2
-        big_y = 9 * (b - d) * (6 * (b - d) ** 2 + shear) / (2 * (a - c) ** 3)
-        return WPoint(big_x, big_y)
+        x_num, y_num = tangent_image_numerators(self.a, self.b, self.c, self.d)
+        return WPoint(x_num / (self.a - self.c) ** 2, y_num / (self.a - self.c) ** 3)
 
     def common_value(self, point: ProjPoint) -> Fraction:
         """The shared cubic value at an affine point of the curve."""

@@ -2,10 +2,12 @@
 
 The change of variables from the plane cubic to its Weierstrass model, the
 closed form of the tangent point's image, and the discriminant formula are
-all machine-generated identities.  This module replays them exactly: the
-polynomial ring Q[a, b, c, d, x, y] is implemented directly (dict from
-exponent vectors to nonzero rational coefficients) and each identity is
-checked by exact expansion, with reduction modulo the curve relation
+all machine-generated identities.  This module proves them exactly, on the
+very functions of ``planecubic`` that the generator runs (looked up through
+that module and evaluated on polynomials): the polynomial ring
+Q[a, b, c, d, x, y] is implemented directly (dict from exponent vectors to
+nonzero rational coefficients) and each identity is checked by exact
+expansion, with reduction modulo the curve relation
 
     x^3 + a*x + b - y^3 - c*y - d
 
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping, Optional
+
+from . import planecubic
 
 VARIABLES = ("a", "b", "c", "d", "x", "y")
 _INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -187,26 +191,12 @@ def curve_relation() -> MPoly:
 
 def transform_polys() -> tuple[MPoly, MPoly]:
     """The change of variables onto the Weierstrass model, as polynomials."""
-    a, b, c, d, x, y = generators()
-    big_x = 3 * x**2 + a + 3 * y * x + 3 * y**2 + c
-    big_y = (
-        -3 * y * a
-        - 6 * a * x
-        - 3 * c * x
-        - b.scale(Fraction(9, 2))
-        + 3 * c * y
-        + d.scale(Fraction(9, 2))
-        - 9 * y * x**2
-        - 9 * y**2 * x
-        - 9 * x**3
-    )
-    return big_x, big_y
+    return planecubic.change_of_variables(*generators())
 
 
 def model_coeff_polys() -> tuple[MPoly, MPoly]:
     """Weierstrass coefficients of the target model: (-3ac, -(a^3+c^3+27(b-d)^2/4))."""
-    a, b, c, d, _, _ = generators()
-    return -3 * a * c, -(a**3 + c**3 + ((b - d) ** 2).scale(Fraction(27, 4)))
+    return planecubic.weierstrass_coefficients(*generators()[:4])
 
 
 def divmod_by_relation(poly: MPoly) -> tuple[MPoly, MPoly]:
@@ -274,30 +264,21 @@ def _diagonal_cleared(poly: MPoly, numerator: MPoly, denominator: MPoly, degree:
 def verify_point_identity() -> bool:
     """The tangent point lands on its closed-form Weierstrass image.
 
-    Substitutes x = y = (b-d)/(c-a) into the change of variables, clearing
-    (c-a)^2 for the first coordinate and (c-a)^3 for the second, and compares
-    against the cleared closed forms.
+    Substitutes x = y = (d-b)/(a-c), the tangent point, into the change of
+    variables, clearing (a-c)^2 for the first coordinate and (a-c)^3 for the
+    second, and compares against the closed form's numerators.
     """
     a, b, c, d, _, _ = generators()
     big_x, big_y = transform_polys()
-    num = b - d
-    den = c - a
-    shear = (a - c) ** 2 * (a + c)
-    x_target = 9 * num**2 + shear
-    # the closed form carries (a-c)^3 = -(c-a)^3, hence the sign flip
-    y_target = (num * (6 * num**2 + shear)).scale(Fraction(-9, 2))
+    x_target, y_target = planecubic.tangent_image_numerators(a, b, c, d)
     return (
-        _diagonal_cleared(big_x, num, den, 2) == x_target
-        and _diagonal_cleared(big_y, num, den, 3) == y_target
+        _diagonal_cleared(big_x, d - b, a - c, 2) == x_target
+        and _diagonal_cleared(big_y, d - b, a - c, 3) == y_target
     )
 
 
 def verify_disc_identity() -> bool:
     """The closed-form discriminant matches -4p^3 - 27q^2 for the model."""
-    a, b, c, d, _, _ = generators()
     coeff_a, coeff_b = model_coeff_polys()
     standard = -4 * coeff_a**3 - 27 * coeff_b**2
-    closed = 108 * a**3 * c**3 - (
-        (4 * a**3 + 4 * c**3 + 27 * (b - d) ** 2) ** 2
-    ).scale(Fraction(27, 16))
-    return standard == closed
+    return standard == planecubic.smoothness_quantity(*generators()[:4])

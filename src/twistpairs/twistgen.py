@@ -38,7 +38,7 @@ from .exactnum import (
     squarefree_part,
     valuation,
 )
-from .planecubic import PlaneCubic, ProjPoint, smoothness_quantity
+from .planecubic import PlaneCubic, ProjPoint
 from .weierstrass import (
     RATIONAL_TORSION_ORDERS,
     Curve,
@@ -47,6 +47,7 @@ from .weierstrass import (
     are_isomorphic_over_q,
     certify_nontorsion,
     quadratic_twist,
+    scale_model,
 )
 
 ROUTE_GENERAL = "general"
@@ -233,15 +234,15 @@ def lambda_search(
     a, b = curve1.a, curve1.b
     trials: list[LambdaTrial] = []
     for scale in enumerate_scales(bound):
-        c_scaled = scale**4 * curve2.a
-        d_scaled = scale**6 * curve2.b
-        if smoothness_quantity(a, b, c_scaled, d_scaled) == 0:
+        model2, _ = scale_model(curve2, scale)
+        try:
+            cubic = PlaneCubic(a, b, model2.a, model2.b)
+        except ValueError:
             trials.append(LambdaTrial(scale, REJECT_SINGULAR))
             continue
-        if a == c_scaled:
+        if a == cubic.c:
             trials.append(LambdaTrial(scale, REJECT_EQUAL_LEADING))
             continue
-        cubic = PlaneCubic(a, b, c_scaled, d_scaled)
         seed = cubic.tangent_point()
         witness = cubic.certify_nontorsion(seed)
         if witness is None:
@@ -322,13 +323,12 @@ def prepare_pair(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
     scale, cubic, seed, witness, trials = lambda_search(
         curve1, curve2, cfg.lambda_search_bound
     )
-    model2 = Curve(scale**4 * curve2.a, scale**6 * curve2.b)
     return PreparedPair(
         route=ROUTE_GENERAL,
         curve1=curve1,
         curve2=curve2,
         model1=curve1,
-        model2=model2,
+        model2=Curve(cubic.c, cubic.d),
         scale=scale,
         cubic=cubic,
         seed=seed,

@@ -75,6 +75,14 @@ class TestGenerate:
         assert "route: jzero" in err
         assert json.loads(out)["certificates"][0]["route"] == "jzero"
 
+    @pytest.mark.parametrize("command", ["generate", "jzero"])
+    def test_jzero_prime_reported_once(self, capsys, command):
+        code, _, err = run_cli(
+            capsys, command, "--curve1", "0,1", "--curve2", "0,2", "--count", "2",
+        )
+        assert code == 0
+        assert err.splitlines().count("prime: 5, seed value t: 215") == 1
+
 
 class TestErrors:
     def test_singular_curve(self, capsys):
@@ -250,6 +258,43 @@ class TestIdentityCheck:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert all(line.endswith("holds") for line in lines)
+
+    # one coefficient of a shared closed form is changed by adding a term to
+    # one of its outputs; the check proving that form must then fail
+    @pytest.mark.parametrize("name, index, term, failed", [
+        ("change_of_variables", 0, lambda a, b, c, d, x, y: x * y,
+         "weierstrass model identity"),
+        ("weierstrass_coefficients", 0, lambda a, b, c, d: a * c,
+         "weierstrass model identity"),
+        ("smoothness_quantity", None, lambda a, b, c, d: a**3 * c**3,
+         "discriminant identity"),
+        ("tangent_image_numerators", 1, lambda a, b, c, d: (b - d) ** 3,
+         "tangent point identity"),
+    ], ids=["change-of-variables", "model-coefficients", "smoothness", "tangent-image"])
+    def test_mutated_shared_formula_fails(self, capsys, monkeypatch, name, index, term, failed):
+        from twistpairs import planecubic, polyident
+
+        original = getattr(planecubic, name)
+
+        def mutated(*args):
+            value = original(*args)
+            if index is None:
+                return value + term(*args)
+            value = list(value)
+            value[index] = value[index] + term(*args)
+            return tuple(value)
+
+        check = {
+            "weierstrass model identity": polyident.verify_weierstrass_identity,
+            "tangent point identity": polyident.verify_point_identity,
+            "discriminant identity": polyident.verify_disc_identity,
+        }[failed]
+        assert check()
+        monkeypatch.setattr(planecubic, name, mutated)
+        assert not check()
+        code, out, _ = run_cli(capsys, "identity-check")
+        assert code == 1
+        assert f"{failed}: FAILED" in out
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from twistpairs.twistgen import (
     ACCEPTED,
     Config,
     REJECT_EQUAL_LEADING,
+    REJECT_SINGULAR,
     REJECT_TORSION_SEED,
     ROUTE_GENERAL,
     ROUTE_ISOMORPHIC,
@@ -147,6 +148,22 @@ class TestLambdaSearch:
         assert trials[0] == trials[0].__class__(Fraction(1), REJECT_TORSION_SEED)
         assert trials[1].outcome == REJECT_TORSION_SEED
         assert scale not in (1, -1)
+
+    @pytest.mark.parametrize("curve1, curve2", [
+        (Curve(-3, -6), Curve(0, -4)),
+        # at scales 1 and -1 the leading coefficients are also equal; the
+        # singular cubic is reported, as smoothness is checked first
+        (Curve(-3, -4), Curve(-3, 0)),
+    ], ids=["singular", "singular-and-equal-leading"])
+    def test_singular_cubic_rejection(self, curve1, curve2):
+        scale, cubic, _, _, trials = lambda_search(curve1, curve2, 40)
+        assert [(t.scale, t.outcome) for t in trials] == [
+            (Fraction(1), REJECT_SINGULAR),
+            (Fraction(-1), REJECT_SINGULAR),
+            (Fraction(2), ACCEPTED),
+        ]
+        assert scale == 2
+        assert (cubic.c, cubic.d) == (16 * curve2.a, 64 * curve2.b)
 
     def test_bound_exhaustion(self):
         with pytest.raises(SearchExhausted) as info:
