@@ -29,10 +29,7 @@ from .polyident import (
 )
 from .twistgen import (
     Config,
-    ROUTE_GENERAL,
-    ROUTE_JZERO,
     SearchExhausted,
-    TwistCertificate,
     bundle_from_dict,
     bundle_to_dict,
     corollary_mode,
@@ -42,7 +39,7 @@ from .twistgen import (
     prepare_pair,
     verify_bundle,
 )
-from .weierstrass import Curve, format_cubic
+from .weierstrass import Curve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,40 +82,18 @@ def _config(args: argparse.Namespace) -> Config:
     return Config(**{f.name: getattr(args, f.name) for f in fields(Config)})
 
 
-def _report_route(pp) -> None:
-    _progress(f"route: {pp.route} (lambda = {format_rational(pp.scale)})")
-    if pp.route == ROUTE_JZERO:
-        # the prime and the seed value t follow in the run report
-        _progress(
-            f"plane cubic: {pp.cubic}",
-            f"seed point: ({format_rational(pp.seed.x)}, {format_rational(pp.seed.y)})",
-        )
-    elif pp.route == ROUTE_GENERAL:
-        model = pp.cubic.to_weierstrass()
-        seed_x, seed_y = pp.seed.affine()
-        image = pp.cubic.transform_point(pp.seed)
-        _progress(
-            f"working models: {pp.model1}  |  {pp.model2}",
-            f"plane cubic: {pp.cubic}",
-            "weierstrass model: Y^2 = "
-            + format_cubic(model.a, model.b).replace("x", "X"),
-            f"seed point: ({format_rational(seed_x)}, {format_rational(seed_y)})"
-            f" maps to ({format_rational(image.x)}, {format_rational(image.y)})",
-        )
-
-
 def _finish(
-    pair: Sequence[Curve],
+    args: argparse.Namespace,
     cfg: Config,
-    certs: Sequence[TwistCertificate],
-    ledger,
-    report,
-    output: Optional[str],
+    curves: Sequence[Curve],
+    run: Sequence,
     extra_config: Optional[dict] = None,
 ) -> int:
+    """Print the report of a run (certificates, ledger, report); write its bundle."""
+    certs, ledger, report = run
     _progress(*report.lines())
-    bundle = bundle_to_dict(pair, cfg, certs, ledger.recheck(), extra_config)
-    _emit(bundle, output)
+    bundle = bundle_to_dict(curves, cfg, certs, ledger.recheck(), extra_config)
+    _emit(bundle, args.output)
     if report.budget_exhausted:
         _progress(
             f"partial result: {len(certs)} of {cfg.target_count} certificates"
@@ -131,48 +106,39 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     curve1 = _parse_curve(args.curve1)
     curve2 = _parse_curve(args.curve2)
     cfg = _config(args)
-    pp = prepare_pair(curve1, curve2, cfg)
-    _report_route(pp)
-    certs, ledger, report = generate(pp, cfg)
-    return _finish([curve1, curve2], cfg, certs, ledger, report, args.output)
+    run = generate(prepare_pair(curve1, curve2, cfg), cfg)
+    return _finish(args, cfg, [curve1, curve2], run)
 
 
 def _cmd_jzero(args: argparse.Namespace) -> int:
     curve1 = _parse_curve(args.curve1)
     curve2 = _parse_curve(args.curve2)
     cfg = _config(args)
-    scale, certs, ledger, report = jzero_generate(curve1, curve2, cfg)
-    _progress(f"route: jzero (lambda = {format_rational(scale)})")
-    return _finish([curve1, curve2], cfg, certs, ledger, report, args.output)
+    _, *run = jzero_generate(curve1, curve2, cfg)
+    return _finish(args, cfg, [curve1, curve2], run)
 
 
 def _cmd_corollary(args: argparse.Namespace) -> int:
     curve = _parse_curve(args.curve)
     delta = parse_rational(args.delta)
     cfg = _config(args)
-    pp, certs, ledger, report = corollary_mode(curve, delta, cfg)
-    _report_route(pp)
-    return _finish(
-        [pp.curve1, pp.curve2],
-        cfg,
-        certs,
-        ledger,
-        report,
-        args.output,
-        extra_config={"delta": format_rational(delta)},
-    )
+    pp, *run = corollary_mode(curve, delta, cfg)
+    extra_config = {"delta": format_rational(delta)}
+    return _finish(args, cfg, [pp.curve1, pp.curve2], run, extra_config)
 
 
 def _cmd_elementary(args: argparse.Namespace) -> int:
     curve = _parse_curve(args.curve)
     cfg = _config(args)
-    certs, ledger, report = elementary_generate(curve, cfg)
-    return _finish([curve], cfg, certs, ledger, report, args.output)
+    return _finish(args, cfg, [curve], elementary_generate(curve, cfg))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError as exc:
+            raise ValueError("the bundle nests too deeply to parse") from exc
     _, _, certs, recorded_ok = bundle_from_dict(data)
     overall, results, ledger_ok = verify_bundle(certs)
     for cert, (ok, reason) in zip(certs, results):

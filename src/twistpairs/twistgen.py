@@ -46,6 +46,7 @@ from .weierstrass import (
     WPoint,
     are_isomorphic_over_q,
     certify_nontorsion,
+    format_cubic,
     quadratic_twist,
     scale_model,
 )
@@ -170,21 +171,58 @@ class SquareClassLedger:
 
 @dataclass
 class RunReport:
-    """What happened during a generation run, k by k."""
+    """What happened during a generation run, k by k.
 
-    route: str
+    ``pair`` is the routed pair the run walked; the single-curve scan has
+    none and reports the isomorphic route.
+    """
+
+    pair: Optional[PreparedPair] = None
     accepted: list[tuple[int, Fraction]] = field(default_factory=list)
     skipped: list[tuple[int, str]] = field(default_factory=list)
     iterations_used: int = 0
     budget_exhausted: bool = False
     notes: list[str] = field(default_factory=list)
-    prime: Optional[int] = None
-    t_value: Optional[int] = None
+
+    @property
+    def route(self) -> str:
+        return ROUTE_ISOMORPHIC if self.pair is None else self.pair.route
+
+    @property
+    def prime(self) -> Optional[int]:
+        return None if self.pair is None else self.pair.prime
+
+    @property
+    def t_value(self) -> Optional[int]:
+        return None if self.pair is None else self.pair.t_value
+
+    def _route_lines(self) -> list[str]:
+        pp = self.pair
+        if pp is None:
+            return [f"route: {self.route}"]
+        out = [f"route: {pp.route} (lambda = {format_rational(pp.scale)})"]
+        if pp.cubic is not None:
+            model = pp.cubic.to_weierstrass()
+            seed_x, seed_y = pp.seed.affine()
+            image = pp.cubic.transform_point(pp.seed)
+            out += [
+                f"working models: {pp.model1}  |  {pp.model2}",
+                f"plane cubic: {pp.cubic}",
+                "weierstrass model: Y^2 = "
+                + format_cubic(model.a, model.b).replace("x", "X"),
+                f"seed point: ({format_rational(seed_x)}, {format_rational(seed_y)})"
+                f" maps to ({format_rational(image.x)}, {format_rational(image.y)})",
+            ]
+        if pp.prime is not None:
+            out += [
+                f"prime: {pp.prime}, seed value t: {pp.t_value}",
+                "sextic twist factor normalized as t/(d-b) so the recipe point "
+                "(p+1, 1) lies on the cubic directly",
+            ]
+        return out
 
     def lines(self) -> list[str]:
-        out = [f"route: {self.route}"]
-        if self.prime is not None:
-            out.append(f"prime: {self.prime}, seed value t: {self.t_value}")
+        out = self._route_lines()
         for k, value in self.accepted:
             out.append(f"  k={k}: accepted D = {format_rational(value)}")
         for k, reason in self.skipped:
@@ -455,26 +493,18 @@ def generate(
     pp: PreparedPair, cfg: Config
 ) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
     """Run the generation loop on the candidate stream of the prepared route."""
-    report = RunReport(route=pp.route, prime=pp.prime, t_value=pp.t_value)
     if pp.route == ROUTE_ISOMORPHIC:
         candidates = _integer_inputs(pp.model1, transport=(pp.scale, pp.model2))
     else:
         candidates = _seed_multiples(pp)
-    if pp.route == ROUTE_JZERO:
-        report.notes.append(
-            "sextic twist factor normalized as t/(d-b) so the recipe point "
-            "(p+1, 1) lies on the cubic directly"
-        )
-    return _run_generation(candidates, pp.scale, cfg, report)
+    return _run_generation(candidates, pp.scale, cfg, RunReport(pair=pp))
 
 
 def elementary_generate(
     curve: Curve, cfg: Config
 ) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
     """Single-curve mode: certificates with one entry each."""
-    return _run_generation(
-        _integer_inputs(curve), Fraction(1), cfg, RunReport(route=ROUTE_ISOMORPHIC)
-    )
+    return _run_generation(_integer_inputs(curve), Fraction(1), cfg, RunReport())
 
 
 def jzero_generate(
@@ -603,9 +633,16 @@ def _witness_to_dict(witness: NonTorsionWitness) -> dict:
     }
 
 
+def _json_value(value, kind: type):
+    """``value`` if its JSON type is exactly ``kind``: JSON true is no integer."""
+    if type(value) is not kind:
+        raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def _witness_from_dict(data: dict) -> NonTorsionWitness:
     return NonTorsionWitness(
-        checked_orders=tuple(int(n) for n in data["orders"]),
+        checked_orders=tuple(_json_value(n, int) for n in data["orders"]),
         multiples=tuple(
             (int(n), WPoint(parse_rational(x), parse_rational(y)))
             for n, x, y in data["multiples"]
@@ -678,19 +715,19 @@ def certificate_from_dict(data: dict) -> TwistCertificate:
         return TwistCertificate(
             route=data["route"],
             scale=parse_rational(data["lambda"]),
-            k=int(data["k"]),
+            k=_json_value(data["k"], int),
             value=value,
             squarefree_rep=(
                 None
                 if squarefree is None
-                else (int(squarefree["value"]), bool(squarefree["complete"]))
+                else (int(squarefree["value"]), _json_value(squarefree["complete"], bool))
             ),
             entries=tuple(entries),
             annotation=(
                 tuple(sorted(annotation.items())) if annotation is not None else None
             ),
         )
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, OverflowError) as exc:
         # a JSON value of the wrong kind, such as a number where a list belongs
         raise ValueError(f"malformed certificate: {exc}") from exc
 
@@ -718,6 +755,6 @@ def bundle_from_dict(data: dict) -> tuple[list[Curve], dict, list[TwistCertifica
     try:
         pair = [curve_from_dict(c) for c in data["pair"]]
         certs = [certificate_from_dict(c) for c in data["certificates"]]
-        return pair, dict(data["config"]), certs, bool(data["ledger_ok"])
-    except (TypeError, AttributeError) as exc:
+        return pair, dict(data["config"]), certs, _json_value(data["ledger_ok"], bool)
+    except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed bundle: {exc}") from exc

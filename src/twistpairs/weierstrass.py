@@ -49,10 +49,6 @@ class WPoint:
 INFINITY = WPoint(None, None)
 
 
-def affine(x: Fraction, y: Fraction) -> WPoint:
-    return WPoint(Fraction(x), Fraction(y))
-
-
 @dataclass(frozen=True)
 class NonTorsionWitness:
     """All candidate-order multiples of a point, each away from infinity."""

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, schema, determinism, round trips."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import twistpairs
 
+from twistpairs import cli
 from twistpairs.cli import main
 
 
@@ -82,6 +84,35 @@ class TestGenerate:
         )
         assert code == 0
         assert err.splitlines().count("prime: 5, seed value t: 215") == 1
+
+
+class TestRouteReport:
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--curve1=1,1", "--curve2=2,2"),
+        ("generate", "--curve1=1,1", "--curve2=16,64"),
+        ("generate", "--curve1=0,1", "--curve2=0,2"),
+        ("jzero", "--curve1=0,1", "--curve2=0,2"),
+        ("corollary", "--curve=1,1", "--delta=2"),
+        ("corollary", "--curve=1,1", "--delta=4"),
+        ("elementary", "--curve=1,1"),
+    ], ids=["general", "isomorphic", "generate-jzero", "jzero", "corollary",
+            "corollary-isomorphic", "elementary"])
+    def test_one_route_line(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--count", "2", "--effort", "2000")
+        assert code == 0
+        assert [line.startswith("route: ") for line in err.splitlines()].count(True) == 1
+
+    def test_jzero_and_generate_report_alike(self, capsys):
+        pair = ("--curve1=0,1", "--curve2=0,2", "--count", "2", "--effort", "2000")
+        jzero = run_cli(capsys, "jzero", *pair)
+        assert jzero == run_cli(capsys, "generate", *pair)
+        assert "weierstrass model: Y^2 = X^3 - 1248075/4" in jzero[2]
+
+    def test_cli_knows_no_routes(self):
+        source = inspect.getsource(cli)
+        assert not hasattr(cli, "_report_route")
+        assert "ROUTE_" not in source
+        assert ".route" not in source
 
 
 class TestErrors:
@@ -221,7 +252,15 @@ class TestVerifyCommand:
         (("certificates", 0, "curves"), 5),
         (("certificates", 0, "D"), 3),
         (("certificates", 0, "curves", 0, "witness", "orders"), None),
-    ], ids=["top-level-list", "curves-int", "D-number", "orders-null"])
+        (("certificates", 0, "k"), float("1e999")),
+        (("certificates", 0, "k"), 1.5),
+        (("certificates", 0, "k"), True),
+        (("certificates", 0, "curves", 0, "witness", "orders", 0), float("1e999")),
+        (("certificates", 0, "curves", 0, "witness", "multiples", 0, 0), float("1e999")),
+        (("certificates", 0, "squarefree_D", "complete"), "no"),
+    ], ids=["top-level-list", "curves-int", "D-number", "orders-null", "k-infinite",
+            "k-fraction", "k-boolean", "order-infinite", "multiple-order-infinite",
+            "complete-text"])
     def test_malformed_bundle_exits_one(self, capsys, tmp_path, path, value):
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
@@ -235,6 +274,13 @@ class TestVerifyCommand:
         else:
             bundle = value
         out_file.write_text(json.dumps(bundle))
+        code, _, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_deeply_nested_bundle_exits_one(self, capsys, tmp_path):
+        out_file = tmp_path / "nested.json"
+        out_file.write_text("[" * 100_000)
         code, _, err = run_cli(capsys, "verify", "--input", str(out_file))
         assert code == 1
         assert err.startswith("error: ")

@@ -1,7 +1,7 @@
 """Routing, searches, generation loops, certificates, verification."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +20,7 @@ from twistpairs.twistgen import (
     SKIP_CLASS_COLLISION,
     SKIP_TORSION_TWIST,
     SKIP_ZERO_VALUE,
+    RunReport,
     SearchExhausted,
     SquareClassLedger,
     bundle_from_dict,
@@ -299,6 +300,36 @@ class TestJZero:
         assert certs and verify_certificate(certs[0])[0]
         # lambda * (d - b) recovers the seed value t exactly
         assert scale * Fraction(-1, 6) == report.t_value
+
+
+class TestRunReport:
+    def test_reads_the_walked_pair(self):
+        cfg = Config(target_count=1)
+        pp = prepare_pair(Curve(0, 1), Curve(0, 2), cfg)
+        _, _, report = generate(pp, cfg)
+        assert report.pair is pp
+        assert (report.route, report.prime, report.t_value) == (ROUTE_JZERO, 5, 215)
+
+    def test_stores_no_copy_of_the_pair(self):
+        names = {f.name for f in fields(RunReport)}
+        assert not names & {"route", "prime", "t_value"}
+
+    def test_elementary_has_no_pair(self):
+        _, _, report = elementary_generate(Curve(1, 1), Config(target_count=1))
+        assert report.pair is None
+        assert (report.route, report.prime, report.t_value) == (ROUTE_ISOMORPHIC, None, None)
+        assert report.lines()[0] == "route: isomorphic"
+
+    def test_header_comes_from_the_pair(self):
+        cfg = Config(target_count=1)
+        _, _, report = generate(prepare_pair(Curve(1, 1), Curve(2, 2), cfg), cfg)
+        assert report.lines()[:5] == [
+            "route: general (lambda = 1)",
+            "working models: y^2 = x^3 + x + 1  |  y^2 = x^3 + 2*x + 2",
+            "plane cubic: x^3 + x + 1 = y^3 + 2*y + 2",
+            "weierstrass model: Y^2 = X^3 - 6*X - 63/4",
+            "seed point: (-1, -1) maps to (12, 81/2)",
+        ]
 
 
 class TestCorollary:

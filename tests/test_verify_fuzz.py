@@ -1,0 +1,80 @@
+"""Fuzz of ``verify``: one leaf of a small bundle replaced by any JSON value.
+
+Whatever the value, the verifier accepts or rejects the bundle (exit 0 or
+1) and raises nothing.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from twistpairs import Config, Curve, corollary_mode
+from twistpairs.cli import main
+from twistpairs.twistgen import bundle_to_dict
+
+
+def _small_bundle() -> dict:
+    # two curves, a label and an annotation: every kind of certificate field
+    cfg = Config(target_count=1, factor_effort=2000)
+    pp, certs, ledger, _ = corollary_mode(Curve(1, 1), Fraction(2), cfg)
+    bundle = bundle_to_dict(
+        [pp.curve1, pp.curve2], cfg, certs, ledger.recheck(), {"delta": "2"}
+    )
+    return json.loads(json.dumps(bundle))
+
+
+def _leaf_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield prefix
+        return
+    for key, child in items:
+        yield from _leaf_paths(child, prefix + (key,))
+
+
+BUNDLE = _small_bundle()
+LEAVES = tuple(_leaf_paths(BUNDLE))
+
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**300, max_value=10**301).map(lambda n: n * 10**300),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    st.floats(),
+    st.text(max_size=12),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+)
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=300,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(path=st.sampled_from(LEAVES), value=json_values)
+def test_verify_rejects_or_accepts_any_leaf(tmp_path, path, value):
+    bundle = json.loads(json.dumps(BUNDLE))
+    *parents, last = path
+    target = bundle
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    out_file = tmp_path / "bundle.json"
+    out_file.write_text(json.dumps(bundle))
+    assert main(["verify", "--input", str(out_file)]) in (0, 1)
+
+
+def test_leaves_cover_every_certificate_field():
+    names = {key for path in LEAVES for key in path if isinstance(key, str)}
+    assert {"k", "D", "lambda", "route", "version", "complete", "value",
+            "orders", "multiples", "annotation", "ledger_ok"} <= names
