@@ -21,7 +21,6 @@ from .exactnum import (
     format_rational,
     is_perfect_square,
     is_probable_prime,
-    make_rational,
     parse_rational,
     primes_avoiding,
     same_square_class,

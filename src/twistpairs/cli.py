@@ -114,15 +114,15 @@ def _cmd_jzero(args: argparse.Namespace) -> int:
     curve1 = _parse_curve(args.curve1)
     curve2 = _parse_curve(args.curve2)
     cfg = _config(args)
-    _, *run = jzero_generate(curve1, curve2, cfg)
-    return _finish(args, cfg, [curve1, curve2], run)
+    return _finish(args, cfg, [curve1, curve2], jzero_generate(curve1, curve2, cfg))
 
 
 def _cmd_corollary(args: argparse.Namespace) -> int:
     curve = _parse_curve(args.curve)
     delta = parse_rational(args.delta)
     cfg = _config(args)
-    pp, *run = corollary_mode(curve, delta, cfg)
+    run = corollary_mode(curve, delta, cfg)
+    pp = run[2].pair
     extra_config = {"delta": format_rational(delta)}
     return _finish(args, cfg, [pp.curve1, pp.curve2], run, extra_config)
 

@@ -40,7 +40,8 @@ _ECM_B2 = 50_000
 _ECM_WHEEL = 210
 _ECM_FIRST_SIGMA = 6
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+_INTEGER_RE = re.compile(r"-?\d+", re.ASCII)
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
 
 # Strong-pseudoprime witnesses: the first 40 prime bases.  The first 12 of
 # them are a known deterministic witness schedule for every n below the
@@ -55,13 +56,15 @@ _LARGE_WITNESSES = (
 _DETERMINISTIC_WITNESSES = _LARGE_WITNESSES[:12]
 
 
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Canonical rational num/den; raises ZeroDivisionError when den is 0."""
-    return Fraction(num, den)
+def parse_integer(text: str) -> int:
+    """Parse the text format ``n``: ASCII digits, optional leading minus."""
+    if not isinstance(text, str) or not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not an integer in n form: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the text format ``n`` or ``n/m`` (optional leading minus)."""
+    """Parse the text format ``n`` or ``n/m``: ASCII digits, optional leading minus."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational in n or n/m form: {text!r}")
     if "/" in text:

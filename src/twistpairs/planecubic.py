@@ -113,26 +113,6 @@ class ProjPoint:
 BASE_POINT = ProjPoint(Fraction(1), Fraction(1), Fraction(0))
 
 
-def parse_proj_point(text: str) -> ProjPoint:
-    """Parse ``[x:y:z]``, or the affine shorthand ``(x,y)`` meaning [x:y:1]."""
-    from .exactnum import parse_rational
-
-    stripped = text.strip()
-    if stripped.startswith("[") and stripped.endswith("]"):
-        parts = stripped[1:-1].split(":")
-        if len(parts) != 3:
-            raise ValueError(f"projective point needs three coordinates: {text!r}")
-        x, y, z = (parse_rational(p.strip()) for p in parts)
-        return ProjPoint(x, y, z)
-    if stripped.startswith("(") and stripped.endswith(")"):
-        parts = stripped[1:-1].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"affine shorthand needs two coordinates: {text!r}")
-        x, y = (parse_rational(p.strip()) for p in parts)
-        return ProjPoint(x, y, Fraction(1))
-    raise ValueError(f"not a projective point: {text!r}")
-
-
 @dataclass(frozen=True)
 class PlaneCubic:
     a: Fraction

@@ -139,24 +139,10 @@ class MPoly:
             exponent >>= 1
         return result
 
-    def scale(self, value) -> "MPoly":
-        return self * MPoly.constant(value)
-
-    def substitute(self, name: str, replacement: "MPoly") -> "MPoly":
-        """Ring substitution of one variable by a polynomial."""
-        replacement = _coerce(replacement)
-        result = MPoly()
-        for degree, coefficient in sorted(self.coefficients_in(name).items()):
-            result = result + coefficient * replacement**degree
-        return result
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, (MPoly, int, Fraction)):
             return NotImplemented
         return self._terms == _coerce(other)._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         if self.is_zero:

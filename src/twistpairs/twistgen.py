@@ -32,6 +32,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .exactnum import (
     DEFAULT_FACTOR_EFFORT,
     format_rational,
+    parse_integer,
     parse_rational,
     primes_avoiding,
     same_square_class,
@@ -108,7 +109,7 @@ class PreparedPair:
 
     ``model2`` is Q-isomorphic to ``curve2`` (rescaled on the general route,
     sextic-twisted on the jzero route).  On cubic-backed routes the seed
-    point lies on the cubic and carries a non-torsion witness.
+    point lies on the cubic and has been certified non-torsion.
     """
 
     route: str
@@ -119,7 +120,6 @@ class PreparedPair:
     scale: Fraction
     cubic: Optional[PlaneCubic] = None
     seed: Optional[ProjPoint] = None
-    seed_witness: Optional[tuple[tuple[int, ProjPoint], ...]] = None
     prime: Optional[int] = None
     t_value: Optional[int] = None
     trials: tuple[LambdaTrial, ...] = ()
@@ -148,6 +148,15 @@ class TwistCertificate:
     annotation: Optional[tuple[tuple[str, str], ...]] = None
 
 
+def _distinct_square_classes(values: Sequence[Fraction]) -> bool:
+    """No two nonzero values share a square class; zeros are left out."""
+    return all(
+        not same_square_class(v1, v2)
+        for v1, v2 in combinations(values, 2)
+        if v1 != 0 and v2 != 0
+    )
+
+
 class SquareClassLedger:
     """Accepted (k, D) pairs with pairwise distinct square classes."""
 
@@ -163,10 +172,7 @@ class SquareClassLedger:
         self.accepted.append((k, value))
 
     def recheck(self) -> bool:
-        return all(
-            not same_square_class(v1, v2)
-            for (_, v1), (_, v2) in combinations(self.accepted, 2)
-        )
+        return _distinct_square_classes([value for _, value in self.accepted])
 
 
 @dataclass
@@ -315,8 +321,7 @@ def _prepare_jzero(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
         seed = ProjPoint(Fraction(prime + 1), Fraction(1), Fraction(1))
         if not cubic.contains(seed):
             raise ArithmeticError(f"recipe seed {seed} missed the cubic {cubic}")
-        witness = cubic.certify_nontorsion(seed)
-        if witness is None:
+        if cubic.certify_nontorsion(seed) is None:
             attempts.append(LambdaTrial(Fraction(prime), REJECT_TORSION_SEED))
             continue
         return PreparedPair(
@@ -328,7 +333,6 @@ def _prepare_jzero(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
             scale=scale,
             cubic=cubic,
             seed=seed,
-            seed_witness=witness,
             prime=prime,
             t_value=t,
             trials=tuple(attempts),
@@ -358,7 +362,7 @@ def prepare_pair(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
             model2=curve2,
             scale=iso_scale,
         )
-    scale, cubic, seed, witness, trials = lambda_search(
+    scale, cubic, seed, _, trials = lambda_search(
         curve1, curve2, cfg.lambda_search_bound
     )
     return PreparedPair(
@@ -370,7 +374,6 @@ def prepare_pair(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
         scale=scale,
         cubic=cubic,
         seed=seed,
-        seed_witness=witness,
         trials=trials,
     )
 
@@ -509,23 +512,21 @@ def elementary_generate(
 
 def jzero_generate(
     curve1: Curve, curve2: Curve, cfg: Config
-) -> tuple[Fraction, list[TwistCertificate], SquareClassLedger, RunReport]:
-    """Direct j-invariant-zero mode; returns the sextic twist factor too."""
+) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
+    """Direct j-invariant-zero mode; report.pair.scale is the sextic twist factor."""
     if not (curve1.has_j_zero and curve2.has_j_zero):
         raise ValueError("jzero mode needs both curves with a == 0")
     if curve1.b == curve2.b:
         raise ValueError(
             "identical curves; use the elementary mode instead of jzero"
         )
-    pp = _prepare_jzero(curve1, curve2, cfg)
-    certificates, ledger, report = generate(pp, cfg)
-    return pp.scale, certificates, ledger, report
+    return generate(_prepare_jzero(curve1, curve2, cfg), cfg)
 
 
 def corollary_mode(
     curve: Curve, delta: Fraction, cfg: Config
-) -> tuple[PreparedPair, list[TwistCertificate], SquareClassLedger, RunReport]:
-    """Pair a curve with its own quadratic twist by delta.
+) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
+    """Pair a curve with its own quadratic twist by delta (``report.pair``).
 
     Each certificate is annotated with both D and D*delta: a positive-rank
     twist of the delta-twisted curve by D is a positive-rank twist of the
@@ -538,8 +539,7 @@ def corollary_mode(
     if delta == 0:
         raise ValueError("the twisting value must be nonzero")
     twisted, _ = quadratic_twist(curve, delta)
-    pp = prepare_pair(curve, twisted, cfg)
-    certificates, ledger, report = generate(pp, cfg)
+    certificates, ledger, report = generate(prepare_pair(curve, twisted, cfg), cfg)
     annotated = [
         replace(
             cert,
@@ -554,7 +554,7 @@ def corollary_mode(
         "each certified D for the twisted partner certifies D*delta for the "
         "original curve"
     )
-    return pp, annotated, ledger, report
+    return annotated, ledger, report
 
 
 # -------------------------------------------------------------- verification
@@ -603,11 +603,7 @@ def verify_bundle(
 ) -> tuple[bool, list[tuple[bool, Optional[str]]], bool]:
     """Per-certificate results plus a pairwise square-class recheck."""
     results = [verify_certificate(cert) for cert in certs]
-    ledger_ok = all(
-        not same_square_class(c1.value, c2.value)
-        for c1, c2 in combinations(certs, 2)
-        if c1.value != 0 and c2.value != 0
-    )
+    ledger_ok = _distinct_square_classes([cert.value for cert in certs])
     overall = all(ok for ok, _ in results) and ledger_ok
     return overall, results, ledger_ok
 
@@ -644,7 +640,7 @@ def _witness_from_dict(data: dict) -> NonTorsionWitness:
     return NonTorsionWitness(
         checked_orders=tuple(_json_value(n, int) for n in data["orders"]),
         multiples=tuple(
-            (int(n), WPoint(parse_rational(x), parse_rational(y)))
+            (parse_integer(n), WPoint(parse_rational(x), parse_rational(y)))
             for n, x, y in data["multiples"]
         ),
     )
@@ -706,28 +702,29 @@ def certificate_to_dict(cert: TwistCertificate) -> dict:
 def certificate_from_dict(data: dict) -> TwistCertificate:
     """Parse one certificate; a malformed one raises ValueError or KeyError."""
     try:
-        if data.get("version") != CERTIFICATE_VERSION:
-            raise ValueError(f"unsupported certificate version: {data.get('version')}")
+        if _json_value(data["version"], int) != CERTIFICATE_VERSION:
+            raise ValueError(f"unsupported certificate version: {data['version']}")
         value = parse_rational(data["D"])
         entries = [_entry_from_dict(raw, value) for raw in data["curves"]]
         squarefree = data.get("squarefree_D")
         annotation = data.get("annotation")
         return TwistCertificate(
-            route=data["route"],
+            route=_json_value(data["route"], str),
             scale=parse_rational(data["lambda"]),
             k=_json_value(data["k"], int),
             value=value,
             squarefree_rep=(
                 None
                 if squarefree is None
-                else (int(squarefree["value"]), _json_value(squarefree["complete"], bool))
+                else (parse_integer(squarefree["value"]), _json_value(squarefree["complete"], bool))
             ),
             entries=tuple(entries),
             annotation=(
-                tuple(sorted(annotation.items())) if annotation is not None else None
+                tuple(sorted((key, _json_value(text, str)) for key, text in annotation.items()))
+                if annotation is not None else None
             ),
         )
-    except (TypeError, AttributeError, OverflowError) as exc:
+    except (TypeError, AttributeError) as exc:
         # a JSON value of the wrong kind, such as a number where a list belongs
         raise ValueError(f"malformed certificate: {exc}") from exc
 
@@ -756,5 +753,5 @@ def bundle_from_dict(data: dict) -> tuple[list[Curve], dict, list[TwistCertifica
         pair = [curve_from_dict(c) for c in data["pair"]]
         certs = [certificate_from_dict(c) for c in data["certificates"]]
         return pair, dict(data["config"]), certs, _json_value(data["ledger_ok"], bool)
-    except (TypeError, AttributeError, OverflowError) as exc:
+    except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed bundle: {exc}") from exc

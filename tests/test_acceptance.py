@@ -177,13 +177,13 @@ def test_criterion_4_torsion_detector():
 def test_criterion_5_j_zero_path():
     with criterion(5, "j-invariant-zero path"):
         started = time.monotonic()
-        scale, certs, ledger, report = jzero_generate(
+        certs, ledger, report = jzero_generate(
             Curve(0, 1), Curve(0, 2), Config(target_count=3)
         )
         assert report.prime == 5
         assert report.t_value == 215
         assert valuation(215, 5) == 1
-        assert scale == 215
+        assert report.pair.scale == 215
         seed = ProjPoint(Fraction(6), Fraction(1), Fraction(1))
         cubic = PlaneCubic(0, 215, 0, 430)
         assert cubic.contains(seed)
@@ -198,15 +198,15 @@ def test_criterion_5_j_zero_path():
 
 def test_criterion_6_corollary_mode():
     with criterion(6, "corollary mode"):
-        pp, certs, _, _ = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
-        assert pp.curve2 == Curve(4, 8)
+        certs, _, report = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
+        assert report.pair.curve2 == Curve(4, 8)
         for cert in certs:
             annotation = dict(cert.annotation)
             assert annotation["D"] == str(cert.value)
             assert annotation["D_delta"] == str(cert.value * 2)
 
-        pp_square, _, _, _ = corollary_mode(Curve(1, 1), Fraction(4), Config(target_count=1))
-        assert pp_square.route == ROUTE_ISOMORPHIC
+        _, _, report_square = corollary_mode(Curve(1, 1), Fraction(4), Config(target_count=1))
+        assert report_square.pair.route == ROUTE_ISOMORPHIC
 
 
 def test_criterion_7_robustness():

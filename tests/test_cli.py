@@ -258,9 +258,22 @@ class TestVerifyCommand:
         (("certificates", 0, "curves", 0, "witness", "orders", 0), float("1e999")),
         (("certificates", 0, "curves", 0, "witness", "multiples", 0, 0), float("1e999")),
         (("certificates", 0, "squarefree_D", "complete"), "no"),
+        (("certificates", 0, "version"), True),
+        (("certificates", 0, "version"), 1.0),
+        (("certificates", 0, "curves", 0, "witness", "multiples", 0, 0), 2.0),
+        (("certificates", 0, "curves", 0, "witness", "multiples", 0, 0), " 2"),
+        # multiples[8] is the order-10 entry, and int("1_0") == 10
+        (("certificates", 0, "curves", 0, "witness", "multiples", 8, 0), "1_0"),
+        (("certificates", 0, "squarefree_D", "value"), 3.0),
+        (("certificates", 0, "squarefree_D", "value"), "+3"),
+        (("certificates", 0, "route"), 5),
+        # D = 3 in Arabic-Indic digits, which int() reads as 3
+        (("certificates", 0, "D"), "\u0663"),
     ], ids=["top-level-list", "curves-int", "D-number", "orders-null", "k-infinite",
             "k-fraction", "k-boolean", "order-infinite", "multiple-order-infinite",
-            "complete-text"])
+            "complete-text", "version-boolean", "version-float", "multiple-order-float",
+            "multiple-order-space", "multiple-order-underscore", "label-float",
+            "label-plus-sign", "route-number", "D-non-ascii-digit"])
     def test_malformed_bundle_exits_one(self, capsys, tmp_path, path, value):
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))

@@ -14,7 +14,6 @@ from twistpairs.exactnum import (
     integer_nth_root,
     is_perfect_square,
     is_probable_prime,
-    make_rational,
     parse_rational,
     primes_avoiding,
     rational_cube_root,
@@ -36,28 +35,6 @@ def next_prime(n):
 
 # two primes of about 40 bits: far beyond 2,000 rho iterations, found by ECM
 HARD_SEMIPRIME = next_prime(2**39 + 10**9) * next_prime(2**40 - 10**9)
-
-
-class TestMakeRational:
-    def test_gcd_reduction(self):
-        assert make_rational(6, -4) == Fraction(-3, 2)
-
-    def test_zero_canonical(self):
-        q = make_rational(0, 7)
-        assert (q.numerator, q.denominator) == (0, 1)
-
-    def test_identity(self):
-        assert make_rational(5, 1) == Fraction(5)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            make_rational(1, 0)
-
-    def test_normalization_idempotent(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            q = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-            assert make_rational(q.numerator, q.denominator) == q
 
 
 class TestTextFormat:

@@ -10,7 +10,6 @@ from twistpairs.planecubic import (
     BASE_POINT,
     PlaneCubic,
     ProjPoint,
-    parse_proj_point,
     smoothness_quantity,
 )
 from twistpairs.weierstrass import WPoint, certify_nontorsion
@@ -53,15 +52,6 @@ class TestProjPoint:
         assert affine(2, 3).affine() == (2, 3)
         with pytest.raises(ValueError):
             BASE_POINT.affine()
-
-    def test_text_format(self):
-        assert parse_proj_point("[1:1:0]") == BASE_POINT
-        assert parse_proj_point("[-2:4:2]") == affine(-1, 2)
-        assert parse_proj_point("(-1,-1)") == affine(-1, -1)
-        assert parse_proj_point("(1/2, -3/4)") == affine(Fraction(1, 2), Fraction(-3, 4))
-        for bad in ("[1:1]", "(1,2,3)", "1:1:0", "[1:x:0]"):
-            with pytest.raises(ValueError):
-                parse_proj_point(bad)
 
 
 class TestNamedPoints:

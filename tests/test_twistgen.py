@@ -87,7 +87,7 @@ class TestRouting:
         assert pp.route == ROUTE_GENERAL
         assert pp.scale == 1
         assert pp.seed.affine() == (-1, -1)
-        assert pp.seed_witness is not None
+        assert pp.cubic.certify_nontorsion(pp.seed) is not None
 
     def test_identical_j_zero_goes_isomorphic(self):
         pp = prepare_pair(Curve(0, 1), Curve(0, 1), CFG)
@@ -267,14 +267,14 @@ def jzero_run():
 
 class TestJZero:
     def test_recipe_values(self, jzero_run):
-        scale, certs, ledger, report = jzero_run
+        certs, ledger, report = jzero_run
         assert report.prime == 5
         assert report.t_value == 215
         assert valuation(215, 5) == 1
-        assert scale == 215
+        assert report.pair.scale == 215
 
     def test_seed_and_first_value(self, jzero_run):
-        scale, certs, _, report = jzero_run
+        certs, _, report = jzero_run
         # seed (6, 1): 216 + 215 = 431 = 1 + 430
         assert report.accepted[0] == (1, Fraction(431))
         first, second = certs[0].entries
@@ -282,7 +282,7 @@ class TestJZero:
         assert second.model == Curve(0, 430)
 
     def test_certificates_verify_distinct(self, jzero_run):
-        _, certs, ledger, _ = jzero_run
+        certs, ledger, _ = jzero_run
         assert len(certs) >= 3
         assert ledger.recheck()
         assert all(verify_certificate(c)[0] for c in certs)
@@ -294,12 +294,12 @@ class TestJZero:
             jzero_generate(Curve(0, 1), Curve(0, 1), Config())
 
     def test_rational_coefficients(self):
-        scale, certs, ledger, report = jzero_generate(
+        certs, ledger, report = jzero_generate(
             Curve(0, Fraction(1, 2)), Curve(0, Fraction(1, 3)), Config(target_count=1)
         )
         assert certs and verify_certificate(certs[0])[0]
         # lambda * (d - b) recovers the seed value t exactly
-        assert scale * Fraction(-1, 6) == report.t_value
+        assert report.pair.scale * Fraction(-1, 6) == report.t_value
 
 
 class TestRunReport:
@@ -334,16 +334,16 @@ class TestRunReport:
 
 class TestCorollary:
     def test_annotations(self):
-        pp, certs, _, _ = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
-        assert pp.curve2 == Curve(4, 8)
+        certs, _, report = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
+        assert report.pair.curve2 == Curve(4, 8)
         for cert in certs:
             annotation = dict(cert.annotation)
             assert annotation["D"] == str(cert.value)
             assert annotation["D_delta"] == str(cert.value * 2)
 
     def test_square_delta_routes_isomorphic(self):
-        pp, certs, _, _ = corollary_mode(Curve(1, 1), Fraction(4), Config(target_count=2))
-        assert pp.route == ROUTE_ISOMORPHIC
+        certs, _, report = corollary_mode(Curve(1, 1), Fraction(4), Config(target_count=2))
+        assert report.pair.route == ROUTE_ISOMORPHIC
         assert all(len(c.entries) == 2 for c in certs)
 
     def test_j_zero_rejected(self):
@@ -462,7 +462,7 @@ class TestSerialization:
             assert certificate_from_dict(data) == cert
 
     def test_annotation_round_trip(self):
-        _, certs, _, _ = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=1))
+        certs, _, _ = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=1))
         data = json.loads(json.dumps(certificate_to_dict(certs[0])))
         assert certificate_from_dict(data) == certs[0]
 

@@ -1,7 +1,8 @@
 """Fuzz of ``verify``: one leaf of a small bundle replaced by any JSON value.
 
 Whatever the value, the verifier accepts or rejects the bundle (exit 0 or
-1) and raises nothing.
+1) and raises nothing.  A certificate leaf replaced by a value of another
+JSON type is always rejected.
 """
 
 import json
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from twistpairs import Config, Curve, corollary_mode
 from twistpairs.cli import main
@@ -20,7 +21,8 @@ from twistpairs.twistgen import bundle_to_dict
 def _small_bundle() -> dict:
     # two curves, a label and an annotation: every kind of certificate field
     cfg = Config(target_count=1, factor_effort=2000)
-    pp, certs, ledger, _ = corollary_mode(Curve(1, 1), Fraction(2), cfg)
+    certs, ledger, report = corollary_mode(Curve(1, 1), Fraction(2), cfg)
+    pp = report.pair
     bundle = bundle_to_dict(
         [pp.curve1, pp.curve2], cfg, certs, ledger.recheck(), {"delta": "2"}
     )
@@ -39,8 +41,16 @@ def _leaf_paths(node, prefix=()):
         yield from _leaf_paths(child, prefix + (key,))
 
 
+def _leaf(bundle, path):
+    for key in path:
+        bundle = bundle[key]
+    return bundle
+
+
 BUNDLE = _small_bundle()
 LEAVES = tuple(_leaf_paths(BUNDLE))
+# the pair and the config are outside the certificates' claims
+CERTIFICATE_LEAVES = tuple(path for path in LEAVES if path[0] == "certificates")
 
 json_values = st.one_of(
     st.none(),
@@ -55,23 +65,36 @@ json_values = st.one_of(
 )
 
 
-@settings(
+def _verify_with_leaf(tmp_path, path, value) -> int:
+    bundle = json.loads(json.dumps(BUNDLE))
+    *parents, last = path
+    _leaf(bundle, parents)[last] = value
+    out_file = tmp_path / "bundle.json"
+    out_file.write_text(json.dumps(bundle))
+    return main(["verify", "--input", str(out_file)])
+
+
+fuzz_settings = settings(
     derandomize=True,
     deadline=None,
     max_examples=300,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+
+
+@fuzz_settings
 @given(path=st.sampled_from(LEAVES), value=json_values)
 def test_verify_rejects_or_accepts_any_leaf(tmp_path, path, value):
-    bundle = json.loads(json.dumps(BUNDLE))
-    *parents, last = path
-    target = bundle
-    for key in parents:
-        target = target[key]
-    target[last] = value
-    out_file = tmp_path / "bundle.json"
-    out_file.write_text(json.dumps(bundle))
-    assert main(["verify", "--input", str(out_file)]) in (0, 1)
+    assert _verify_with_leaf(tmp_path, path, value) in (0, 1)
+
+
+@fuzz_settings
+@given(path=st.sampled_from(CERTIFICATE_LEAVES), value=json_values)
+def test_certificate_leaf_of_another_type_is_rejected(tmp_path, path, value):
+    # json gives each JSON type one Python type; true is no integer, and a
+    # float such as 1.0 is no integer either
+    assume(type(value) is not type(_leaf(BUNDLE, path)))
+    assert _verify_with_leaf(tmp_path, path, value) == 1
 
 
 def test_leaves_cover_every_certificate_field():
