@@ -49,7 +49,6 @@ from .twistgen import (
 from .weierstrass import (
     INFINITY,
     Curve,
-    NonTorsionWitness,
     RATIONAL_TORSION_ORDERS,
     WPoint,
     are_isomorphic_over_q,

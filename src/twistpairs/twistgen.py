@@ -14,9 +14,10 @@ Given two smooth curve models, the pair is routed one of three ways:
   associated cubic, and generation proceeds as in the general route for the
   sextic-twisted models.
 
-Every emitted value D comes with a full certificate: per curve, the solution
-(x, t) of D*t^2 = x^3 + a*x + b, the standard twist model, the mapped point
-on it, and a non-torsion witness.  A ledger guarantees that accepted values
+Every emitted value D comes with a certificate that states the claim only:
+per curve, the model and a solution (x, t) of D*t^2 = x^3 + a*x + b.  The
+verifier derives the point (D*x, D^2*t) on the standard twist model and
+recomputes its non-torsion chain.  A ledger guarantees that accepted values
 have pairwise distinct square classes (checked by exact perfect-square tests
 on products, never by factorization).
 """
@@ -41,10 +42,7 @@ from .exactnum import (
 )
 from .planecubic import PlaneCubic, ProjPoint
 from .weierstrass import (
-    RATIONAL_TORSION_ORDERS,
     Curve,
-    NonTorsionWitness,
-    WPoint,
     are_isomorphic_over_q,
     certify_nontorsion,
     format_cubic,
@@ -66,7 +64,7 @@ REJECT_EQUAL_LEADING = "a-equals-scaled-c"
 REJECT_TORSION_SEED = "torsion-seed"
 ACCEPTED = "accepted"
 
-CERTIFICATE_VERSION = 1
+CERTIFICATE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -127,14 +125,11 @@ class PreparedPair:
 
 @dataclass(frozen=True)
 class CurveWitnessEntry:
-    """Everything one curve contributes to a certificate."""
+    """One curve's part of a certificate: a solution of D*t^2 = x^3 + a*x + b."""
 
     model: Curve
     solution_x: Fraction
     solution_t: Fraction
-    twist_model: Curve
-    twist_point: WPoint
-    witness: NonTorsionWitness
 
 
 @dataclass(frozen=True)
@@ -346,12 +341,10 @@ def _prepare_jzero(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
 def prepare_pair(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
     """Route a pair and build everything generation needs.
 
-    Both curves with a == 0 go the jzero way unless they are identical, in
-    which case (as for any Q-isomorphic pair) the isomorphic route applies.
-    Everything else gets a rescaling search and the general route.
+    A Q-isomorphic pair takes the isomorphic route; otherwise both curves
+    with a == 0 go the jzero way.  Everything else gets a rescaling search
+    and the general route.
     """
-    if curve1.has_j_zero and curve2.has_j_zero and curve1.b != curve2.b:
-        return _prepare_jzero(curve1, curve2, cfg)
     iso_scale = are_isomorphic_over_q(curve1, curve2)
     if iso_scale is not None:
         return PreparedPair(
@@ -362,6 +355,8 @@ def prepare_pair(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
             model2=curve2,
             scale=iso_scale,
         )
+    if curve1.has_j_zero and curve2.has_j_zero:
+        return _prepare_jzero(curve1, curve2, cfg)
     scale, cubic, seed, _, trials = lambda_search(
         curve1, curve2, cfg.lambda_search_bound
     )
@@ -381,23 +376,12 @@ def prepare_pair(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
 # ---------------------------------------------------------------- generation
 
 
-def _twist_entry(
+def _is_torsion_on_twist(
     model: Curve, solution_x: Fraction, solution_t: Fraction, value: Fraction
-) -> Optional[CurveWitnessEntry]:
-    """Certificate entry for one curve, or None when the point is torsion."""
+) -> bool:
+    """Whether (D*x, D^2*t) is torsion on the twist of ``model`` by D = value."""
     twisted, to_twist = quadratic_twist(model, value)
-    point = to_twist(solution_x, solution_t)
-    witness = certify_nontorsion(twisted, point)
-    if witness is None:
-        return None
-    return CurveWitnessEntry(
-        model=model,
-        solution_x=Fraction(solution_x),
-        solution_t=Fraction(solution_t),
-        twist_model=twisted,
-        twist_point=point,
-        witness=witness,
-    )
+    return certify_nontorsion(twisted, to_twist(solution_x, solution_t)) is None
 
 
 def _squarefree_rep(value: Fraction, effort: int) -> tuple[int, bool]:
@@ -470,8 +454,7 @@ def _run_generation(
         if not ledger.admits(value):
             report.skipped.append((k, SKIP_CLASS_COLLISION))
             continue
-        entries = tuple(_twist_entry(model, x, t, value) for model, x, t in solutions)
-        if any(entry is None for entry in entries):
+        if any(_is_torsion_on_twist(model, x, t, value) for model, x, t in solutions):
             report.skipped.append((k, SKIP_TORSION_TWIST))
             continue
         ledger.add(k, value)
@@ -483,7 +466,9 @@ def _run_generation(
                 k=k,
                 value=value,
                 squarefree_rep=_squarefree_rep(value, cfg.factor_effort),
-                entries=entries,
+                entries=tuple(
+                    CurveWitnessEntry(model, x, t) for model, x, t in solutions
+                ),
             )
         )
         if len(certificates) >= cfg.target_count:
@@ -579,22 +564,8 @@ def verify_certificate(cert: TwistCertificate) -> tuple[bool, Optional[str]]:
         model, x, t = entry.model, entry.solution_x, entry.solution_t
         if value * t * t != model.rhs(x):
             return False, "solution-mismatch"
-        expected_model = Curve(model.a * value**2, model.b * value**3)
-        if entry.twist_model != expected_model:
-            return False, "twist-model-mismatch"
-        expected_point = WPoint(value * x, value * value * t)
-        if entry.twist_point != expected_point:
-            return False, "mapped-point-mismatch"
-        if not entry.twist_model.contains(entry.twist_point):
-            return False, "point-not-on-curve"
-        if tuple(entry.witness.checked_orders) != RATIONAL_TORSION_ORDERS:
-            return False, "witness-orders-incomplete"
-        recorded = dict(entry.witness.multiples)
-        if set(recorded) != set(RATIONAL_TORSION_ORDERS):
-            return False, "witness-orders-incomplete"
-        recomputed = certify_nontorsion(entry.twist_model, entry.twist_point)
-        if recomputed is None or dict(recomputed.multiples) != recorded:
-            return False, "witness-recompute-mismatch"
+        if _is_torsion_on_twist(model, x, t, value):
+            return False, "torsion-point"
     return True, None
 
 
@@ -619,31 +590,11 @@ def curve_from_dict(data: dict) -> Curve:
     return Curve(parse_rational(data["a"]), parse_rational(data["b"]))
 
 
-def _witness_to_dict(witness: NonTorsionWitness) -> dict:
-    return {
-        "orders": list(witness.checked_orders),
-        "multiples": [
-            [str(order), format_rational(pt.x), format_rational(pt.y)]
-            for order, pt in witness.multiples
-        ],
-    }
-
-
 def _json_value(value, kind: type):
     """``value`` if its JSON type is exactly ``kind``: JSON true is no integer."""
     if type(value) is not kind:
         raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
     return value
-
-
-def _witness_from_dict(data: dict) -> NonTorsionWitness:
-    return NonTorsionWitness(
-        checked_orders=tuple(_json_value(n, int) for n in data["orders"]),
-        multiples=tuple(
-            (parse_integer(n), WPoint(parse_rational(x), parse_rational(y)))
-            for n, x, y in data["multiples"]
-        ),
-    )
 
 
 def _entry_to_dict(entry: CurveWitnessEntry) -> dict:
@@ -653,27 +604,14 @@ def _entry_to_dict(entry: CurveWitnessEntry) -> dict:
             "x": format_rational(entry.solution_x),
             "t": format_rational(entry.solution_t),
         },
-        "standard_point": {
-            "x": format_rational(entry.twist_point.x),
-            "y": format_rational(entry.twist_point.y),
-        },
-        "witness": _witness_to_dict(entry.witness),
     }
 
 
-def _entry_from_dict(data: dict, value: Fraction) -> CurveWitnessEntry:
-    # the twist model is not stored; it is derived from the model and D
-    model = curve_from_dict(data["model"])
+def _entry_from_dict(data: dict) -> CurveWitnessEntry:
     return CurveWitnessEntry(
-        model=model,
+        model=curve_from_dict(data["model"]),
         solution_x=parse_rational(data["solution"]["x"]),
         solution_t=parse_rational(data["solution"]["t"]),
-        twist_model=Curve(model.a * value**2, model.b * value**3),
-        twist_point=WPoint(
-            parse_rational(data["standard_point"]["x"]),
-            parse_rational(data["standard_point"]["y"]),
-        ),
-        witness=_witness_from_dict(data["witness"]),
     )
 
 
@@ -704,15 +642,14 @@ def certificate_from_dict(data: dict) -> TwistCertificate:
     try:
         if _json_value(data["version"], int) != CERTIFICATE_VERSION:
             raise ValueError(f"unsupported certificate version: {data['version']}")
-        value = parse_rational(data["D"])
-        entries = [_entry_from_dict(raw, value) for raw in data["curves"]]
+        entries = [_entry_from_dict(raw) for raw in data["curves"]]
         squarefree = data.get("squarefree_D")
         annotation = data.get("annotation")
         return TwistCertificate(
             route=_json_value(data["route"], str),
             scale=parse_rational(data["lambda"]),
             k=_json_value(data["k"], int),
-            value=value,
+            value=parse_rational(data["D"]),
             squarefree_rep=(
                 None
                 if squarefree is None

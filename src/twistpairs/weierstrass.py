@@ -50,14 +50,6 @@ INFINITY = WPoint(None, None)
 
 
 @dataclass(frozen=True)
-class NonTorsionWitness:
-    """All candidate-order multiples of a point, each away from infinity."""
-
-    checked_orders: tuple[int, ...]
-    multiples: tuple[tuple[int, WPoint], ...]
-
-
-@dataclass(frozen=True)
 class Curve:
     a: Fraction
     b: Fraction
@@ -203,8 +195,10 @@ def torsion_order_multiples(
     return tuple(multiples)
 
 
-def certify_nontorsion(curve: Curve, point: WPoint) -> Optional[NonTorsionWitness]:
-    """Witness that no candidate torsion order kills the point, or None.
+def certify_nontorsion(
+    curve: Curve, point: WPoint
+) -> Optional[tuple[tuple[int, WPoint], ...]]:
+    """The multiples (order, nP) for n in 2..10 and 12, or None.
 
     Returns None exactly when some multiple in the checked range is the
     point at infinity, i.e. when the point is rational torsion.
@@ -212,14 +206,7 @@ def certify_nontorsion(curve: Curve, point: WPoint) -> Optional[NonTorsionWitnes
     if point.is_infinity:
         raise ValueError("non-torsion certification needs an affine point")
     curve._require(point)
-    multiples = torsion_order_multiples(
-        curve._add_raw, lambda p: p.is_infinity, point
-    )
-    if multiples is None:
-        return None
-    return NonTorsionWitness(
-        checked_orders=RATIONAL_TORSION_ORDERS, multiples=multiples
-    )
+    return torsion_order_multiples(curve._add_raw, lambda p: p.is_infinity, point)
 
 
 def are_isomorphic_over_q(first: Curve, second: Curve) -> Optional[Fraction]:

@@ -39,6 +39,7 @@ from twistpairs.weierstrass import (
     Curve,
     WPoint,
     certify_nontorsion,
+    quadratic_twist,
 )
 
 import random
@@ -85,8 +86,10 @@ def test_criterion_1_worked_pair(tmp_path, capsys):
         assert len(certs) == 5
         first = certs[0]
         assert first.k == 1 and first.value == -1
-        assert first.entries[0].twist_model == Curve(1, -1)
-        assert first.entries[0].twist_point == WPoint(Fraction(1), Fraction(1))
+        entry = first.entries[0]
+        twist_model, to_twist = quadratic_twist(entry.model, first.value)
+        assert twist_model == Curve(1, -1)
+        assert to_twist(entry.solution_x, entry.solution_t) == WPoint(Fraction(1), Fraction(1))
         for cert in certs:
             ok, reason = verify_certificate(cert)
             assert ok, reason
@@ -170,8 +173,8 @@ def test_criterion_4_torsion_detector():
         model = Curve(Fraction(-6), Fraction(-63, 4))
         witness = certify_nontorsion(model, WPoint(Fraction(12), Fraction(81, 2)))
         assert witness is not None
-        assert witness.checked_orders == (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
-        assert all(not point.is_infinity for _, point in witness.multiples)
+        assert tuple(order for order, _ in witness) == (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+        assert all(not point.is_infinity for _, point in witness)
 
 
 def test_criterion_5_j_zero_path():

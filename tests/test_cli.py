@@ -251,29 +251,25 @@ class TestVerifyCommand:
         ((), [1, 2]),
         (("certificates", 0, "curves"), 5),
         (("certificates", 0, "D"), 3),
-        (("certificates", 0, "curves", 0, "witness", "orders"), None),
         (("certificates", 0, "k"), float("1e999")),
         (("certificates", 0, "k"), 1.5),
         (("certificates", 0, "k"), True),
-        (("certificates", 0, "curves", 0, "witness", "orders", 0), float("1e999")),
-        (("certificates", 0, "curves", 0, "witness", "multiples", 0, 0), float("1e999")),
         (("certificates", 0, "squarefree_D", "complete"), "no"),
         (("certificates", 0, "version"), True),
         (("certificates", 0, "version"), 1.0),
-        (("certificates", 0, "curves", 0, "witness", "multiples", 0, 0), 2.0),
-        (("certificates", 0, "curves", 0, "witness", "multiples", 0, 0), " 2"),
-        # multiples[8] is the order-10 entry, and int("1_0") == 10
-        (("certificates", 0, "curves", 0, "witness", "multiples", 8, 0), "1_0"),
+        (("certificates", 0, "version"), 1),
+        (("certificates", 0, "squarefree_D", "value"), " 2"),
+        # int("1_0") == 10
+        (("certificates", 0, "squarefree_D", "value"), "1_0"),
         (("certificates", 0, "squarefree_D", "value"), 3.0),
         (("certificates", 0, "squarefree_D", "value"), "+3"),
         (("certificates", 0, "route"), 5),
         # D = 3 in Arabic-Indic digits, which int() reads as 3
         (("certificates", 0, "D"), "\u0663"),
-    ], ids=["top-level-list", "curves-int", "D-number", "orders-null", "k-infinite",
-            "k-fraction", "k-boolean", "order-infinite", "multiple-order-infinite",
-            "complete-text", "version-boolean", "version-float", "multiple-order-float",
-            "multiple-order-space", "multiple-order-underscore", "label-float",
-            "label-plus-sign", "route-number", "D-non-ascii-digit"])
+    ], ids=["top-level-list", "curves-int", "D-number", "k-infinite", "k-fraction",
+            "k-boolean", "complete-text", "version-boolean", "version-float",
+            "version-one", "multiple-order-space", "multiple-order-underscore",
+            "label-float", "label-plus-sign", "route-number", "D-non-ascii-digit"])
     def test_malformed_bundle_exits_one(self, capsys, tmp_path, path, value):
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
@@ -299,15 +295,23 @@ class TestVerifyCommand:
         assert err.startswith("error: ")
 
     def test_tampered_bundle_fails(self, capsys, tmp_path):
+        # a true solution whose point (2, 3) has order 6 on y^2 = x^3 + 1
         out_file = tmp_path / "bundle.json"
-        run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
-                "--count", "1", "--output", str(out_file))
-        bundle = json.loads(out_file.read_text())
-        bundle["certificates"][0]["curves"][0]["witness"]["multiples"][0][1] = "99"
+        curve = {"a": "0", "b": "1"}
+        bundle = {
+            "pair": [curve],
+            "config": {},
+            "certificates": [{
+                "version": 2, "route": "isomorphic", "lambda": "1", "k": 1, "D": "1",
+                "squarefree_D": None,
+                "curves": [{"model": curve, "solution": {"x": "2", "t": "3"}}],
+            }],
+            "ledger_ok": True,
+        }
         out_file.write_text(json.dumps(bundle))
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
         assert code == 1
-        assert "witness-recompute-mismatch" in out
+        assert "certificate k=1 D=1: FAILED (torsion-point)" in out
 
 
 class TestIdentityCheck:
@@ -373,21 +377,21 @@ class TestDeterminism:
     # certificate format or the search order changes on purpose
     @pytest.mark.parametrize("argv, digest", [
         (("generate", "--curve1", "1,1", "--curve2", "2,2"),
-         "6d22b34e6b4664b08fd368dca24523f0f99c9fa5f1aaeff1dcbe9a29b7611a37"),
+         "ce4fc7b681508a5749608224ed9fcdd5915a4458b43ae011607b453a0816ae6c"),
         (("generate", "--curve1", "1,1", "--curve2", "16,64"),
-         "41b77dab34a145eef05e8e3ec419fccb8bfd933722e09372b0a37be5e40d0a1a"),
+         "e99fd2e125c23df0628a3ff9e2443a25470dd1b0a5aa9125117a6a0f4bde0d9d"),
         (("generate", "--curve1", "0,2", "--curve2", "0,2"),
-         "5fe73fde01f0155461ba1e55bf1cc9632102120532acdab4957ccc8dc3f95b61"),
+         "2b3a46a17470c14acbad2a3c138ee718869fb2e028647d2e7a93c13ad70f8fde"),
         (("jzero", "--curve1", "0,1", "--curve2", "0,2"),
-         "a08a3dd3a3f1d37b27e8b9ad6106c9b5ed32ea44b60c83cb39a5bdbafb28e871"),
+         "1dde6c890e7b1c8736038c4e4732cee0a97ed61dc63c70e1d3a8b719d8e1c401"),
         (("generate", "--curve1", "0,1", "--curve2", "0,2"),
-         "a08a3dd3a3f1d37b27e8b9ad6106c9b5ed32ea44b60c83cb39a5bdbafb28e871"),
+         "1dde6c890e7b1c8736038c4e4732cee0a97ed61dc63c70e1d3a8b719d8e1c401"),
         (("corollary", "--curve", "1,1", "--delta", "2"),
-         "882c8da6057a3bc9708d15fba2b3f995bc7cdd8e370495f92068a67d10ae921a"),
+         "02be5587d0eefb0bd55bc3792d48de34f067ab1df09556cb706b10d415ff2378"),
         (("corollary", "--curve", "1,1", "--delta", "4"),
-         "6536e78b027cb568c8430beec9ac7e7b0fd0216eb89c401b2c99e26ccb5ee62a"),
+         "425dbe6381e7c36b05feba14514e884675d03ebc7fa1c0f71f6134f2571e2032"),
         (("elementary", "--curve", "1,1"),
-         "a19b373e999366e1c2875db566d8f3959d2b0ce7cc7031caad3226c50f25e0e9"),
+         "cb82fa1d5e940c566608ccb595d930ed227fa92135017ade1a60b9e85fa101bb"),
     ], ids=["general", "isomorphic", "identical-jzero", "jzero", "generate-jzero",
             "corollary-delta2", "corollary-delta4", "elementary"])
     def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):

@@ -148,7 +148,7 @@ class TestNonTorsionOnCubic:
         image_witness = certify_nontorsion(
             WORKED.to_weierstrass(), WORKED.transform_point(seed)
         )
-        image_multiples = dict(image_witness.multiples)
+        image_multiples = dict(image_witness)
         for order, multiple in witness:
             assert WORKED.scalar_mul(order, seed) == multiple
             assert WORKED.transform_point(multiple) == image_multiples[order]

@@ -192,9 +192,9 @@ class TestNonTorsionCertificate:
 
         witness = certify_nontorsion(WORKED_MODEL, WORKED_POINT)
         assert witness is not None
-        assert witness.checked_orders == RATIONAL_TORSION_ORDERS
-        assert len(witness.multiples) == len(RATIONAL_TORSION_ORDERS)
-        assert all(not pt.is_infinity for _, pt in witness.multiples)
+        assert tuple(order for order, _ in witness) == RATIONAL_TORSION_ORDERS
+        assert len(witness) == len(RATIONAL_TORSION_ORDERS)
+        assert all(not pt.is_infinity for _, pt in witness)
 
     def test_matches_brute_force_on_known_torsion(self):
         # every small rational point of y^2 = x^3 + 1 is torsion
@@ -211,7 +211,7 @@ class TestNonTorsionCertificate:
 
     def test_witness_multiples_match_scalar_mul(self):
         witness = certify_nontorsion(WORKED_MODEL, WORKED_POINT)
-        for order, recorded in witness.multiples:
+        for order, recorded in witness:
             assert WORKED_MODEL.scalar_mul(order, WORKED_POINT) == recorded
 
 
