@@ -139,8 +139,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             data = json.load(handle)
         except RecursionError as exc:
             raise ValueError("the bundle nests too deeply to parse") from exc
-    _, _, certs, recorded_ok = bundle_from_dict(data)
-    overall, results, ledger_ok = verify_bundle(certs)
+    pair, _, certs, recorded_ok = bundle_from_dict(data)
+    overall, results, ledger_ok = verify_bundle(pair, certs)
     for cert, (ok, reason) in zip(certs, results):
         status = "OK" if ok else f"FAILED ({reason})"
         print(f"certificate k={cert.k} D={format_rational(cert.value)}: {status}")

@@ -15,11 +15,12 @@ Given two smooth curve models, the pair is routed one of three ways:
   sextic-twisted models.
 
 Every emitted value D comes with a certificate that states the claim only:
-per curve, the model and a solution (x, t) of D*t^2 = x^3 + a*x + b.  The
-verifier derives the point (D*x, D^2*t) on the standard twist model and
-recomputes its non-torsion chain.  A ledger guarantees that accepted values
-have pairwise distinct square classes (checked by exact perfect-square tests
-on products, never by factorization).
+per pair curve, a solution (x, t) of D*t^2 = x^3 + a*x + b on the model that
+``route_models`` derives from the pair, the route and lambda.  The verifier
+recomputes the non-torsion chain of (D*x, D^2*t) on the standard twist model.
+A ledger guarantees that accepted values have pairwise distinct square
+classes (checked by exact perfect-square tests on products, never by
+factorization).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ REJECT_EQUAL_LEADING = "a-equals-scaled-c"
 REJECT_TORSION_SEED = "torsion-seed"
 ACCEPTED = "accepted"
 
-CERTIFICATE_VERSION = 2
+CERTIFICATE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -105,16 +106,13 @@ class LambdaTrial:
 class PreparedPair:
     """A routed pair, ready for generation.
 
-    ``model2`` is Q-isomorphic to ``curve2`` (rescaled on the general route,
-    sextic-twisted on the jzero route).  On cubic-backed routes the seed
-    point lies on the cubic and has been certified non-torsion.
+    On cubic-backed routes the seed point lies on the cubic of ``models``
+    and has been certified non-torsion.
     """
 
     route: str
     curve1: Curve
     curve2: Curve
-    model1: Curve
-    model2: Curve
     scale: Fraction
     cubic: Optional[PlaneCubic] = None
     seed: Optional[ProjPoint] = None
@@ -122,24 +120,21 @@ class PreparedPair:
     t_value: Optional[int] = None
     trials: tuple[LambdaTrial, ...] = ()
 
-
-@dataclass(frozen=True)
-class CurveWitnessEntry:
-    """One curve's part of a certificate: a solution of D*t^2 = x^3 + a*x + b."""
-
-    model: Curve
-    solution_x: Fraction
-    solution_t: Fraction
+    @property
+    def models(self) -> tuple[Curve, ...]:
+        return route_models(self.route, self.scale, (self.curve1, self.curve2))
 
 
 @dataclass(frozen=True)
 class TwistCertificate:
+    """The claim for one D: a solution (x, t) per pair curve, in pair order."""
+
     route: str
     scale: Fraction
     k: int
     value: Fraction
     squarefree_rep: Optional[tuple[int, bool]]
-    entries: tuple[CurveWitnessEntry, ...]
+    solutions: tuple[tuple[Fraction, Fraction], ...]
     annotation: Optional[tuple[tuple[str, str], ...]] = None
 
 
@@ -162,8 +157,7 @@ class SquareClassLedger:
         return all(not same_square_class(value, seen) for _, seen in self.accepted)
 
     def add(self, k: int, value: Fraction) -> None:
-        if not self.admits(value):
-            raise ValueError(f"square class of {value} already present")
+        """Record a value that ``admits`` has just accepted."""
         self.accepted.append((k, value))
 
     def recheck(self) -> bool:
@@ -207,7 +201,7 @@ class RunReport:
             seed_x, seed_y = pp.seed.affine()
             image = pp.cubic.transform_point(pp.seed)
             out += [
-                f"working models: {pp.model1}  |  {pp.model2}",
+                "working models: " + "  |  ".join(map(str, pp.models)),
                 f"plane cubic: {pp.cubic}",
                 "weierstrass model: Y^2 = "
                 + format_cubic(model.a, model.b).replace("x", "X"),
@@ -237,6 +231,25 @@ class RunReport:
 
 
 # --------------------------------------------------------------- preparation
+
+
+def route_models(route: str, scale: Fraction, curves: Sequence[Curve]) -> tuple[Curve, ...]:
+    """One model per pair curve: the curve that certificate solutions lie on.
+
+    ``isomorphic`` keeps the curves, ``general`` rescales the second by lambda
+    and ``jzero`` takes the sextic twists (0, lambda*b); others raise ValueError.
+    """
+    if scale == 0:
+        raise ValueError("lambda must be nonzero")
+    if route == ROUTE_ISOMORPHIC:
+        return tuple(curves)
+    if len(curves) != 2:
+        raise ValueError(f"the {route} route needs two curves, got {len(curves)}")
+    if route == ROUTE_GENERAL:
+        return curves[0], scale_model(curves[1], scale)[0]
+    if route == ROUTE_JZERO and all(curve.has_j_zero for curve in curves):
+        return tuple(Curve(0, scale * curve.b) for curve in curves)
+    raise ValueError(f"route {route!r} does not apply to the pair")
 
 
 def enumerate_scales(bound: int) -> Iterator[Fraction]:
@@ -272,7 +285,8 @@ def lambda_search(
     """
     a, b = curve1.a, curve1.b
     trials: list[LambdaTrial] = []
-    for scale in enumerate_scales(bound):
+    # -L gives the same cubic as L, since only L^4 and L^6 enter it
+    for scale in (q for q in enumerate_scales(bound) if q > 0):
         model2, _ = scale_model(curve2, scale)
         try:
             cubic = PlaneCubic(a, b, model2.a, model2.b)
@@ -310,9 +324,7 @@ def _prepare_jzero(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
         if valuation(t, prime) != 1:
             raise ArithmeticError(f"seed value {t} is not exactly divisible by {prime}")
         scale = Fraction(t) / diff
-        model1 = Curve(0, scale * b)
-        model2 = Curve(0, scale * d)
-        cubic = PlaneCubic(0, model1.b, 0, model2.b)
+        cubic = PlaneCubic(0, scale * b, 0, scale * d)
         seed = ProjPoint(Fraction(prime + 1), Fraction(1), Fraction(1))
         if not cubic.contains(seed):
             raise ArithmeticError(f"recipe seed {seed} missed the cubic {cubic}")
@@ -323,8 +335,6 @@ def _prepare_jzero(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
             route=ROUTE_JZERO,
             curve1=curve1,
             curve2=curve2,
-            model1=model1,
-            model2=model2,
             scale=scale,
             cubic=cubic,
             seed=seed,
@@ -351,8 +361,6 @@ def prepare_pair(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
             route=ROUTE_ISOMORPHIC,
             curve1=curve1,
             curve2=curve2,
-            model1=curve1,
-            model2=curve2,
             scale=iso_scale,
         )
     if curve1.has_j_zero and curve2.has_j_zero:
@@ -364,8 +372,6 @@ def prepare_pair(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
         route=ROUTE_GENERAL,
         curve1=curve1,
         curve2=curve2,
-        model1=curve1,
-        model2=Curve(cubic.c, cubic.d),
         scale=scale,
         cubic=cubic,
         seed=seed,
@@ -394,8 +400,8 @@ def _squarefree_rep(value: Fraction, effort: int) -> tuple[int, bool]:
 
 
 #: One step of a generation stream: a skip reason, or a candidate twist
-#: value D with one (model, x, t) solution of D*t^2 = x^3 + a*x + b per curve.
-Candidate = Union[str, tuple[Fraction, tuple[tuple[Curve, Fraction, Fraction], ...]]]
+#: value D with one (x, t) solution of D*t^2 = x^3 + a*x + b per model.
+Candidate = Union[str, tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]]]
 
 
 def _seed_multiples(pp: PreparedPair) -> Iterator[Candidate]:
@@ -409,31 +415,31 @@ def _seed_multiples(pp: PreparedPair) -> Iterator[Candidate]:
         else:
             x_coord, y_coord = current.affine()
             yield cubic.common_value(current), (
-                (pp.model1, x_coord, Fraction(1)),
-                (pp.model2, y_coord, Fraction(1)),
+                (x_coord, Fraction(1)),
+                (y_coord, Fraction(1)),
             )
         current = cubic.add(current, seed)
 
 
 def _integer_inputs(
-    curve: Curve, transport: Optional[tuple[Fraction, Curve]] = None
+    curve: Curve, transport: Optional[Fraction] = None
 ) -> Iterator[Candidate]:
     """Inputs x = 1, 2, 3, ... of the cubic; D is its value at x.
 
-    With ``transport`` = (u, other), every solution is also carried to the
-    Q-isomorphic model ``other`` by (x, t) -> (u^2*x, u^3*t).
+    With ``transport`` = u, every solution is also carried to the
+    Q-isomorphic model (u^4*a, u^6*b) by (x, t) -> (u^2*x, u^3*t).
     """
     for n in count(1):
         x_input = Fraction(n)
-        solutions = ((curve, x_input, Fraction(1)),)
+        solutions = ((x_input, Fraction(1)),)
         if transport is not None:
-            u, other = transport
-            solutions += ((other, u**2 * x_input, u**3),)
+            solutions += ((transport**2 * x_input, transport**3),)
         yield curve.rhs(x_input), solutions
 
 
 def _run_generation(
     candidates: Iterator[Candidate],
+    models: tuple[Curve, ...],
     scale: Fraction,
     cfg: Config,
     report: RunReport,
@@ -454,7 +460,7 @@ def _run_generation(
         if not ledger.admits(value):
             report.skipped.append((k, SKIP_CLASS_COLLISION))
             continue
-        if any(_is_torsion_on_twist(model, x, t, value) for model, x, t in solutions):
+        if any(_is_torsion_on_twist(m, x, t, value) for m, (x, t) in zip(models, solutions)):
             report.skipped.append((k, SKIP_TORSION_TWIST))
             continue
         ledger.add(k, value)
@@ -466,9 +472,7 @@ def _run_generation(
                 k=k,
                 value=value,
                 squarefree_rep=_squarefree_rep(value, cfg.factor_effort),
-                entries=tuple(
-                    CurveWitnessEntry(model, x, t) for model, x, t in solutions
-                ),
+                solutions=solutions,
             )
         )
         if len(certificates) >= cfg.target_count:
@@ -482,17 +486,17 @@ def generate(
 ) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
     """Run the generation loop on the candidate stream of the prepared route."""
     if pp.route == ROUTE_ISOMORPHIC:
-        candidates = _integer_inputs(pp.model1, transport=(pp.scale, pp.model2))
+        candidates = _integer_inputs(pp.curve1, transport=pp.scale)
     else:
         candidates = _seed_multiples(pp)
-    return _run_generation(candidates, pp.scale, cfg, RunReport(pair=pp))
+    return _run_generation(candidates, pp.models, pp.scale, cfg, RunReport(pair=pp))
 
 
 def elementary_generate(
     curve: Curve, cfg: Config
 ) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
-    """Single-curve mode: certificates with one entry each."""
-    return _run_generation(_integer_inputs(curve), Fraction(1), cfg, RunReport())
+    """Single-curve mode: certificates with one solution each."""
+    return _run_generation(_integer_inputs(curve), (curve,), Fraction(1), cfg, RunReport())
 
 
 def jzero_generate(
@@ -501,10 +505,8 @@ def jzero_generate(
     """Direct j-invariant-zero mode; report.pair.scale is the sextic twist factor."""
     if not (curve1.has_j_zero and curve2.has_j_zero):
         raise ValueError("jzero mode needs both curves with a == 0")
-    if curve1.b == curve2.b:
-        raise ValueError(
-            "identical curves; use the elementary mode instead of jzero"
-        )
+    if are_isomorphic_over_q(curve1, curve2) is not None:
+        raise ValueError("Q-isomorphic curves; use generate or elementary instead of jzero")
     return generate(_prepare_jzero(curve1, curve2, cfg), cfg)
 
 
@@ -545,23 +547,30 @@ def corollary_mode(
 # -------------------------------------------------------------- verification
 
 
-def verify_certificate(cert: TwistCertificate) -> tuple[bool, Optional[str]]:
-    """Recompute every claim in a certificate from scratch.
+def verify_certificate(
+    cert: TwistCertificate, pair: Sequence[Curve]
+) -> tuple[bool, Optional[str]]:
+    """Recompute every claim in a certificate from scratch, on models of ``pair``.
 
     Returns (True, None) or (False, reason) with a stable reason code.
     """
     value = cert.value
     if value == 0:
         return False, "zero-twist-value"
-    if not cert.entries:
+    if not cert.solutions:
         return False, "no-curve-entries"
+    try:
+        models = route_models(cert.route, cert.scale, pair)
+    except ValueError:
+        return False, "route-not-pair"
+    if len(cert.solutions) != len(models):
+        return False, "entry-count-mismatch"
     if cert.squarefree_rep is not None:
         # a square test, not a refactorization: `complete` is not rechecked
         label = cert.squarefree_rep[0]
         if label == 0 or not same_square_class(Fraction(label), value):
             return False, "label-class-mismatch"
-    for entry in cert.entries:
-        model, x, t = entry.model, entry.solution_x, entry.solution_t
+    for model, (x, t) in zip(models, cert.solutions):
         if value * t * t != model.rhs(x):
             return False, "solution-mismatch"
         if _is_torsion_on_twist(model, x, t, value):
@@ -570,10 +579,10 @@ def verify_certificate(cert: TwistCertificate) -> tuple[bool, Optional[str]]:
 
 
 def verify_bundle(
-    certs: Sequence[TwistCertificate],
+    pair: Sequence[Curve], certs: Sequence[TwistCertificate]
 ) -> tuple[bool, list[tuple[bool, Optional[str]]], bool]:
     """Per-certificate results plus a pairwise square-class recheck."""
-    results = [verify_certificate(cert) for cert in certs]
+    results = [verify_certificate(cert, pair) for cert in certs]
     ledger_ok = _distinct_square_classes([cert.value for cert in certs])
     overall = all(ok for ok, _ in results) and ledger_ok
     return overall, results, ledger_ok
@@ -597,24 +606,6 @@ def _json_value(value, kind: type):
     return value
 
 
-def _entry_to_dict(entry: CurveWitnessEntry) -> dict:
-    return {
-        "model": curve_to_dict(entry.model),
-        "solution": {
-            "x": format_rational(entry.solution_x),
-            "t": format_rational(entry.solution_t),
-        },
-    }
-
-
-def _entry_from_dict(data: dict) -> CurveWitnessEntry:
-    return CurveWitnessEntry(
-        model=curve_from_dict(data["model"]),
-        solution_x=parse_rational(data["solution"]["x"]),
-        solution_t=parse_rational(data["solution"]["t"]),
-    )
-
-
 def certificate_to_dict(cert: TwistCertificate) -> dict:
     data = {
         "version": CERTIFICATE_VERSION,
@@ -630,7 +621,9 @@ def certificate_to_dict(cert: TwistCertificate) -> dict:
                 "complete": cert.squarefree_rep[1],
             }
         ),
-        "curves": [_entry_to_dict(entry) for entry in cert.entries],
+        "solutions": [
+            {"x": format_rational(x), "t": format_rational(t)} for x, t in cert.solutions
+        ],
     }
     if cert.annotation is not None:
         data["annotation"] = {key: text for key, text in cert.annotation}
@@ -642,7 +635,7 @@ def certificate_from_dict(data: dict) -> TwistCertificate:
     try:
         if _json_value(data["version"], int) != CERTIFICATE_VERSION:
             raise ValueError(f"unsupported certificate version: {data['version']}")
-        entries = [_entry_from_dict(raw) for raw in data["curves"]]
+        solutions = [(parse_rational(s["x"]), parse_rational(s["t"])) for s in data["solutions"]]
         squarefree = data.get("squarefree_D")
         annotation = data.get("annotation")
         return TwistCertificate(
@@ -655,7 +648,7 @@ def certificate_from_dict(data: dict) -> TwistCertificate:
                 if squarefree is None
                 else (parse_integer(squarefree["value"]), _json_value(squarefree["complete"], bool))
             ),
-            entries=tuple(entries),
+            solutions=tuple(solutions),
             annotation=(
                 tuple(sorted((key, _json_value(text, str)) for key, text in annotation.items()))
                 if annotation is not None else None

@@ -86,12 +86,11 @@ def test_criterion_1_worked_pair(tmp_path, capsys):
         assert len(certs) == 5
         first = certs[0]
         assert first.k == 1 and first.value == -1
-        entry = first.entries[0]
-        twist_model, to_twist = quadratic_twist(entry.model, first.value)
+        twist_model, to_twist = quadratic_twist(Curve(1, 1), first.value)
         assert twist_model == Curve(1, -1)
-        assert to_twist(entry.solution_x, entry.solution_t) == WPoint(Fraction(1), Fraction(1))
+        assert to_twist(*first.solutions[0]) == WPoint(Fraction(1), Fraction(1))
         for cert in certs:
-            ok, reason = verify_certificate(cert)
+            ok, reason = verify_certificate(cert, [Curve(1, 1), Curve(2, 2)])
             assert ok, reason
         pairs = list(combinations([c.value for c in certs], 2))
         assert len(pairs) == 10
@@ -192,7 +191,7 @@ def test_criterion_5_j_zero_path():
         assert cubic.contains(seed)
         assert len(certs) >= 3
         for cert in certs:
-            ok, reason = verify_certificate(cert)
+            ok, reason = verify_certificate(cert, [Curve(0, 1), Curve(0, 2)])
             assert ok, reason
         for v1, v2 in combinations([c.value for c in certs], 2):
             assert not same_square_class(v1, v2)

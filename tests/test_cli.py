@@ -193,6 +193,13 @@ class TestJZeroCommand:
         assert code == 1
         assert "elementary" in err
 
+    def test_rejects_q_isomorphic(self, capsys):
+        # 64 = 2^6: the curves are one curve over Q, and a sextic twist of
+        # the pair would certify other curves
+        code, _, err = run_cli(capsys, "jzero", "--curve1", "0,1", "--curve2", "0,64")
+        assert code == 1
+        assert err.startswith("error: ")
+
 
 class TestCorollaryCommand:
     def test_annotated_pair(self, capsys, tmp_path):
@@ -227,7 +234,32 @@ class TestElementaryCommand:
         assert code == 0
         bundle = json.loads(out)
         assert len(bundle["pair"]) == 1
-        assert all(len(c["curves"]) == 1 for c in bundle["certificates"])
+        assert all(len(c["solutions"]) == 1 for c in bundle["certificates"])
+
+
+# tampers of a two-certificate general bundle, each applied to every certificate
+def _replace_pair(bundle):
+    bundle["pair"] = [{"a": "3", "b": "5"}, {"a": "-2", "b": "7"}]
+
+
+def _drop_second_solution(bundle):
+    for cert in bundle["certificates"]:
+        del cert["solutions"][1]
+
+
+def _duplicate_first_solution(bundle):
+    for cert in bundle["certificates"]:
+        cert["solutions"][1] = cert["solutions"][0]
+
+
+def _set_lambda_two(bundle):
+    for cert in bundle["certificates"]:
+        cert["lambda"] = "2"
+
+
+def _set_route_jzero(bundle):
+    for cert in bundle["certificates"]:
+        cert["route"] = "jzero"
 
 
 class TestVerifyCommand:
@@ -249,7 +281,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("path, value", [
         ((), [1, 2]),
-        (("certificates", 0, "curves"), 5),
+        (("certificates", 0, "solutions"), 5),
         (("certificates", 0, "D"), 3),
         (("certificates", 0, "k"), float("1e999")),
         (("certificates", 0, "k"), 1.5),
@@ -258,6 +290,8 @@ class TestVerifyCommand:
         (("certificates", 0, "version"), True),
         (("certificates", 0, "version"), 1.0),
         (("certificates", 0, "version"), 1),
+        # version 2 stored a model per curve; no reader for it is kept
+        (("certificates", 0, "version"), 2),
         (("certificates", 0, "squarefree_D", "value"), " 2"),
         # int("1_0") == 10
         (("certificates", 0, "squarefree_D", "value"), "1_0"),
@@ -266,9 +300,9 @@ class TestVerifyCommand:
         (("certificates", 0, "route"), 5),
         # D = 3 in Arabic-Indic digits, which int() reads as 3
         (("certificates", 0, "D"), "\u0663"),
-    ], ids=["top-level-list", "curves-int", "D-number", "k-infinite", "k-fraction",
+    ], ids=["top-level-list", "solutions-int", "D-number", "k-infinite", "k-fraction",
             "k-boolean", "complete-text", "version-boolean", "version-float",
-            "version-one", "multiple-order-space", "multiple-order-underscore",
+            "version-one", "version-two", "multiple-order-space", "multiple-order-underscore",
             "label-float", "label-plus-sign", "route-number", "D-non-ascii-digit"])
     def test_malformed_bundle_exits_one(self, capsys, tmp_path, path, value):
         out_file = tmp_path / "bundle.json"
@@ -297,14 +331,13 @@ class TestVerifyCommand:
     def test_tampered_bundle_fails(self, capsys, tmp_path):
         # a true solution whose point (2, 3) has order 6 on y^2 = x^3 + 1
         out_file = tmp_path / "bundle.json"
-        curve = {"a": "0", "b": "1"}
         bundle = {
-            "pair": [curve],
+            "pair": [{"a": "0", "b": "1"}],
             "config": {},
             "certificates": [{
-                "version": 2, "route": "isomorphic", "lambda": "1", "k": 1, "D": "1",
+                "version": 3, "route": "isomorphic", "lambda": "1", "k": 1, "D": "1",
                 "squarefree_D": None,
-                "curves": [{"model": curve, "solution": {"x": "2", "t": "3"}}],
+                "solutions": [{"x": "2", "t": "3"}],
             }],
             "ledger_ok": True,
         }
@@ -312,6 +345,31 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
         assert code == 1
         assert "certificate k=1 D=1: FAILED (torsion-point)" in out
+
+    # each certificate is checked on the models that its route and lambda
+    # derive from the bundle's pair; at k=1 the seed (-1, -1) has equal
+    # coordinates, so a duplicated first solution still holds there
+    @pytest.mark.parametrize("tamper, statuses", [
+        (_replace_pair, ["FAILED (solution-mismatch)"] * 2),
+        (_drop_second_solution, ["FAILED (entry-count-mismatch)"] * 2),
+        (_duplicate_first_solution, ["OK", "FAILED (solution-mismatch)"]),
+        (_set_lambda_two, ["FAILED (solution-mismatch)"] * 2),
+        (_set_route_jzero, ["FAILED (route-not-pair)"] * 2),
+    ], ids=["pair-replaced", "second-solution-dropped", "first-solution-duplicated",
+            "lambda-two", "route-jzero"])
+    def test_certificates_are_bound_to_the_pair(self, capsys, tmp_path, tamper, statuses):
+        out_file = tmp_path / "bundle.json"
+        code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
+                             "--count", "2", "--effort", "2000", "--output", str(out_file))
+        assert code == 0
+        bundle = json.loads(out_file.read_text())
+        tamper(bundle)
+        out_file.write_text(json.dumps(bundle))
+        code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.rsplit(": ", 1)[1] for line in lines[:2]] == statuses
+        assert lines[2] == "pairwise square classes: OK"
 
 
 class TestIdentityCheck:
@@ -377,21 +435,21 @@ class TestDeterminism:
     # certificate format or the search order changes on purpose
     @pytest.mark.parametrize("argv, digest", [
         (("generate", "--curve1", "1,1", "--curve2", "2,2"),
-         "ce4fc7b681508a5749608224ed9fcdd5915a4458b43ae011607b453a0816ae6c"),
+         "143295c3533c6afaf4a7f19e9c54777407230a504423c14c206af265df5f2691"),
         (("generate", "--curve1", "1,1", "--curve2", "16,64"),
-         "e99fd2e125c23df0628a3ff9e2443a25470dd1b0a5aa9125117a6a0f4bde0d9d"),
+         "f7988fffe87d01f14f6143b1594250d21dbed5608fb539863d2a07aba7418b2f"),
         (("generate", "--curve1", "0,2", "--curve2", "0,2"),
-         "2b3a46a17470c14acbad2a3c138ee718869fb2e028647d2e7a93c13ad70f8fde"),
+         "fcc4931e708ce3476f0e6d89070e16e5f2d3cf18ae3e13400f14e666e7aa6c4b"),
         (("jzero", "--curve1", "0,1", "--curve2", "0,2"),
-         "1dde6c890e7b1c8736038c4e4732cee0a97ed61dc63c70e1d3a8b719d8e1c401"),
+         "4930e542031f61f11e5fc3d779a38c1a0fadb21500703ed27177d9e65fec7d3a"),
         (("generate", "--curve1", "0,1", "--curve2", "0,2"),
-         "1dde6c890e7b1c8736038c4e4732cee0a97ed61dc63c70e1d3a8b719d8e1c401"),
+         "4930e542031f61f11e5fc3d779a38c1a0fadb21500703ed27177d9e65fec7d3a"),
         (("corollary", "--curve", "1,1", "--delta", "2"),
-         "02be5587d0eefb0bd55bc3792d48de34f067ab1df09556cb706b10d415ff2378"),
+         "608cde2665805bfff6e055c69476b2e2bf6dee08df10784c33bf9e30b0e3a68d"),
         (("corollary", "--curve", "1,1", "--delta", "4"),
-         "425dbe6381e7c36b05feba14514e884675d03ebc7fa1c0f71f6134f2571e2032"),
+         "4a4c924965c094ea4b8b21bdf2f54ce9634b971befc33bd285e6c606ddae6043"),
         (("elementary", "--curve", "1,1"),
-         "cb82fa1d5e940c566608ccb595d930ed227fa92135017ade1a60b9e85fa101bb"),
+         "19b09c6582dea89d9514bc55954e7a693bedbe1dd49d7da0ae47930a7f07c588"),
     ], ids=["general", "isomorphic", "identical-jzero", "jzero", "generate-jzero",
             "corollary-delta2", "corollary-delta4", "elementary"])
     def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):

@@ -10,7 +10,6 @@ from twistpairs.exactnum import same_square_class, valuation
 from twistpairs.twistgen import (
     ACCEPTED,
     Config,
-    CurveWitnessEntry,
     REJECT_EQUAL_LEADING,
     REJECT_SINGULAR,
     REJECT_TORSION_SEED,
@@ -35,6 +34,7 @@ from twistpairs.twistgen import (
     jzero_generate,
     lambda_search,
     prepare_pair,
+    route_models,
     verify_bundle,
     verify_certificate,
 )
@@ -98,8 +98,8 @@ class TestRouting:
         assert pp.scale == 2
         certs, _, _ = generate(pp, cfg)
         assert len(certs) == 3
-        assert all(cert.entries[1].model == Curve(0, 64) for cert in certs)
-        overall, _, _ = verify_bundle(certs)
+        assert pp.models == (Curve(0, 1), Curve(0, 64))
+        overall, _, _ = verify_bundle([pp.curve1, pp.curve2], certs)
         assert overall
 
     def test_identical_j_zero_goes_isomorphic(self):
@@ -112,9 +112,11 @@ class TestRouting:
 
         pp = prepare_pair(Curve(2, 3), Curve(1, 1), CFG)
         assert pp.route == ROUTE_GENERAL
-        assert pp.model2.a == pp.scale**4 * 1
-        assert pp.model2.b == pp.scale**6 * 1
-        assert are_isomorphic_over_q(pp.curve2, pp.model2) is not None
+        model2 = pp.models[1]
+        assert model2.a == pp.scale**4 * 1
+        assert model2.b == pp.scale**6 * 1
+        assert are_isomorphic_over_q(pp.curve2, model2) is not None
+        assert (pp.cubic.c, pp.cubic.d) == (model2.a, model2.b)
 
     def test_route_totality_randomized(self):
         import random
@@ -149,31 +151,28 @@ class TestLambdaSearch:
 
     def test_equal_leading_rejection(self):
         scale, _, _, _, trials = lambda_search(Curve(1, 1), Curve(1, 2), 40)
-        assert [(t.scale, t.outcome) for t in trials[:2]] == [
+        assert [(t.scale, t.outcome) for t in trials[:1]] == [
             (Fraction(1), REJECT_EQUAL_LEADING),
-            (Fraction(-1), REJECT_EQUAL_LEADING),
         ]
         assert scale == 2
 
     def test_two_torsion_seed_rejection(self):
-        # b equals the rescaled d at scale 1 and -1, putting the seed at
-        # order two; the search must move past both
+        # b equals the rescaled d at scale 1 (and -1, which is never tried),
+        # putting the seed at order two; the search must move past it
         scale, _, _, _, trials = lambda_search(Curve(1, 5), Curve(2, 5), 40)
         assert trials[0] == trials[0].__class__(Fraction(1), REJECT_TORSION_SEED)
-        assert trials[1].outcome == REJECT_TORSION_SEED
         assert scale not in (1, -1)
 
     @pytest.mark.parametrize("curve1, curve2", [
         (Curve(-3, -6), Curve(0, -4)),
-        # at scales 1 and -1 the leading coefficients are also equal; the
-        # singular cubic is reported, as smoothness is checked first
+        # at scale 1 the leading coefficients are also equal; the singular
+        # cubic is reported, as smoothness is checked first
         (Curve(-3, -4), Curve(-3, 0)),
     ], ids=["singular", "singular-and-equal-leading"])
     def test_singular_cubic_rejection(self, curve1, curve2):
         scale, cubic, _, _, trials = lambda_search(curve1, curve2, 40)
         assert [(t.scale, t.outcome) for t in trials] == [
             (Fraction(1), REJECT_SINGULAR),
-            (Fraction(-1), REJECT_SINGULAR),
             (Fraction(2), ACCEPTED),
         ]
         assert scale == 2
@@ -182,7 +181,7 @@ class TestLambdaSearch:
     def test_bound_exhaustion(self):
         with pytest.raises(SearchExhausted) as info:
             lambda_search(Curve(1, 1), Curve(1, 2), 1)
-        assert len(info.value.trials) == 2
+        assert len(info.value.trials) == 1
 
 
 @pytest.fixture(scope="module")
@@ -194,15 +193,14 @@ def run(request):
 
 class TestGenerateWorkedPair:
     def test_first_certificate(self, run):
-        _, certs, _, _ = run
+        pp, certs, _, _ = run
         first = certs[0]
         assert first.k == 1
         assert first.value == -1
-        entry = first.entries[0]
-        assert (entry.solution_x, entry.solution_t) == (-1, 1)
-        twist_model, to_twist = quadratic_twist(entry.model, first.value)
+        assert first.solutions[0] == (-1, 1)
+        twist_model, to_twist = quadratic_twist(pp.models[0], first.value)
         assert (twist_model.a, twist_model.b) == (1, -1)
-        assert to_twist(entry.solution_x, entry.solution_t) == WPoint(Fraction(1), Fraction(1))
+        assert to_twist(*first.solutions[0]) == WPoint(Fraction(1), Fraction(1))
 
     def test_five_distinct_classes(self, run):
         _, certs, ledger, _ = run
@@ -214,9 +212,9 @@ class TestGenerateWorkedPair:
                 assert not same_square_class(v1, v2)
 
     def test_all_verify(self, run):
-        _, certs, _, _ = run
+        pp, certs, _, _ = run
         for cert in certs:
-            ok, reason = verify_certificate(cert)
+            ok, reason = verify_certificate(cert, [pp.curve1, pp.curve2])
             assert ok, reason
 
     def test_monotone_progress_and_reasons(self, run):
@@ -239,12 +237,11 @@ class TestElementary:
     def test_first_value(self):
         certs, ledger, report = elementary_generate(Curve(1, 1), Config(target_count=3))
         assert report.accepted[0] == (1, Fraction(3))
-        entry = certs[0].entries[0]
-        twist_model, to_twist = quadratic_twist(entry.model, certs[0].value)
+        twist_model, to_twist = quadratic_twist(Curve(1, 1), certs[0].value)
         assert (twist_model.a, twist_model.b) == (9, 27)
-        assert to_twist(entry.solution_x, entry.solution_t) == WPoint(Fraction(3), Fraction(9))
+        assert to_twist(*certs[0].solutions[0]) == WPoint(Fraction(3), Fraction(9))
         assert ledger.recheck()
-        assert all(verify_certificate(c)[0] for c in certs)
+        assert all(verify_certificate(c, [Curve(1, 1)])[0] for c in certs)
 
     def test_square_value_collides_with_earlier_square(self):
         # x^3 - x + 1 takes the square values 1 at x=1 and 25 at x=3
@@ -254,7 +251,7 @@ class TestElementary:
 
     def test_single_entry_certificates(self):
         certs, _, _ = elementary_generate(Curve(1, 1), Config(target_count=2))
-        assert all(len(c.entries) == 1 for c in certs)
+        assert all(len(c.solutions) == 1 for c in certs)
         assert all(c.route == ROUTE_ISOMORPHIC for c in certs)
 
 
@@ -264,13 +261,12 @@ class TestIsomorphicTransport:
         pp = prepare_pair(Curve(1, 1), Curve(16, 64), cfg)
         certs, ledger, _ = generate(pp, cfg)
         assert len(certs) == 3
+        assert pp.models == (Curve(1, 1), Curve(16, 64))
         for cert in certs:
-            first, second = cert.entries
-            assert second.model == Curve(16, 64)
+            first, second = cert.solutions
             # the scaling u=2 sends x to 4x and the unit t to 8
-            assert second.solution_x == 4 * first.solution_x
-            assert second.solution_t == 8
-            ok, reason = verify_certificate(cert)
+            assert second == (4 * first[0], 8)
+            ok, reason = verify_certificate(cert, [pp.curve1, pp.curve2])
             assert ok, reason
         assert ledger.recheck()
 
@@ -292,27 +288,28 @@ class TestJZero:
         certs, _, report = jzero_run
         # seed (6, 1): 216 + 215 = 431 = 1 + 430
         assert report.accepted[0] == (1, Fraction(431))
-        first, second = certs[0].entries
-        assert first.model == Curve(0, 215)
-        assert second.model == Curve(0, 430)
+        assert report.pair.models == (Curve(0, 215), Curve(0, 430))
 
     def test_certificates_verify_distinct(self, jzero_run):
         certs, ledger, _ = jzero_run
         assert len(certs) >= 3
         assert ledger.recheck()
-        assert all(verify_certificate(c)[0] for c in certs)
+        assert all(verify_certificate(c, [Curve(0, 1), Curve(0, 2)])[0] for c in certs)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
             jzero_generate(Curve(1, 1), Curve(0, 2), Config())
         with pytest.raises(ValueError):
             jzero_generate(Curve(0, 1), Curve(0, 1), Config())
+        # 64 = 2^6: Q-isomorphic, so no sextic twist stands in for the pair
+        with pytest.raises(ValueError, match="Q-isomorphic"):
+            jzero_generate(Curve(0, 1), Curve(0, 64), Config())
 
     def test_rational_coefficients(self):
         certs, ledger, report = jzero_generate(
             Curve(0, Fraction(1, 2)), Curve(0, Fraction(1, 3)), Config(target_count=1)
         )
-        assert certs and verify_certificate(certs[0])[0]
+        assert certs and verify_certificate(certs[0], [report.pair.curve1, report.pair.curve2])[0]
         # lambda * (d - b) recovers the seed value t exactly
         assert report.pair.scale * Fraction(-1, 6) == report.t_value
 
@@ -359,7 +356,7 @@ class TestCorollary:
     def test_square_delta_routes_isomorphic(self):
         certs, _, report = corollary_mode(Curve(1, 1), Fraction(4), Config(target_count=2))
         assert report.pair.route == ROUTE_ISOMORPHIC
-        assert all(len(c.entries) == 2 for c in certs)
+        assert all(len(c.solutions) == 2 for c in certs)
 
     def test_j_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -375,31 +372,63 @@ class TestLedger:
         ledger = SquareClassLedger()
         ledger.add(1, Fraction(3))
         assert not ledger.admits(Fraction(12))  # 3 * 12 = 36
-        with pytest.raises(ValueError):
-            ledger.add(2, Fraction(12))
         ledger.add(2, Fraction(5))
         assert ledger.recheck()
+
+    def test_each_candidate_is_tested_once(self, monkeypatch):
+        # add trusts the admits call just made, so each accepted D is compared
+        # with the ledger once: 0 + 1 + 2 + 3 + 4 calls for five acceptances
+        import twistpairs.twistgen as twistgen
+
+        calls = []
+
+        def counted(v1, v2):
+            calls.append((v1, v2))
+            return same_square_class(v1, v2)
+
+        monkeypatch.setattr(twistgen, "same_square_class", counted)
+        cfg = Config(target_count=5, factor_effort=1)
+        certs, _, report = generate(prepare_pair(Curve(1, 1), Curve(2, 2), cfg), cfg)
+        assert len(certs) == 5 and not report.skipped
+        assert len(calls) == 10
+
+
+PAIR = (Curve(1, 1), Curve(2, 2))
 
 
 @pytest.fixture(scope="module")
 def cert():
-    pp = prepare_pair(Curve(1, 1), Curve(2, 2), Config(target_count=1))
+    pp = prepare_pair(*PAIR, Config(target_count=1))
     certs, _, _ = generate(pp, Config(target_count=1))
     return certs[0]
 
 
+class TestRouteModels:
+    @pytest.mark.parametrize("route, scale, curves", [
+        ("sideways", Fraction(1), PAIR),
+        (ROUTE_GENERAL, Fraction(1), PAIR[:1]),
+        (ROUTE_JZERO, Fraction(1), (Curve(0, 1), Curve(0, 2), Curve(0, 3))),
+        (ROUTE_JZERO, Fraction(1), PAIR),
+        (ROUTE_GENERAL, Fraction(0), PAIR),
+        (ROUTE_ISOMORPHIC, Fraction(0), PAIR),
+    ], ids=["unknown-route", "general-one-curve", "jzero-three-curves", "jzero-nonzero-a",
+            "general-zero-lambda", "isomorphic-zero-lambda"])
+    def test_rejects(self, route, scale, curves):
+        with pytest.raises(ValueError):
+            route_models(route, scale, curves)
+
+
 class TestVerification:
     def test_round_trip(self, cert):
-        assert verify_certificate(cert) == (True, None)
+        assert verify_certificate(cert, PAIR) == (True, None)
 
     def test_rescaled_value_still_verifies(self, cert):
         # D -> 4D with t -> t/2 is the same square class and a consistent
         # certificate; the verifier accepts it, the ledger layer flags it
-        entry = cert.entries[0]
         new_value = 4 * cert.value
-        scaled_entry = replace(entry, solution_t=entry.solution_t / 2)
-        scaled_cert = replace(cert, value=new_value, entries=(scaled_entry,))
-        assert verify_certificate(scaled_cert) == (True, None)
+        scaled = tuple((x, t / 2) for x, t in cert.solutions)
+        scaled_cert = replace(cert, value=new_value, solutions=scaled)
+        assert verify_certificate(scaled_cert, PAIR) == (True, None)
         assert same_square_class(cert.value, new_value)
 
     @pytest.mark.parametrize("label", [7, 0])
@@ -407,22 +436,29 @@ class TestVerification:
         # the label must stay in the square class of D; `complete` is not rechecked
         assert cert.squarefree_rep is not None
         bad_cert = replace(cert, squarefree_rep=(label, cert.squarefree_rep[1]))
-        assert verify_certificate(bad_cert) == (False, "label-class-mismatch")
+        assert verify_certificate(bad_cert, PAIR) == (False, "label-class-mismatch")
 
     def test_corrupted_solution_detected(self, cert):
-        entry = cert.entries[0]
-        bad_cert = replace(cert, entries=(replace(entry, solution_x=entry.solution_x + 1),) + cert.entries[1:])
-        ok, reason = verify_certificate(bad_cert)
+        (x, t), rest = cert.solutions[0], cert.solutions[1:]
+        bad_cert = replace(cert, solutions=((x + 1, t),) + rest)
+        ok, reason = verify_certificate(bad_cert, PAIR)
         assert not ok and reason == "solution-mismatch"
 
     def test_torsion_point_detected(self, cert):
         # (2, 3) solves 1*t^2 = x^3 + 1 and has order 6 on y^2 = x^3 + 1
-        entry = CurveWitnessEntry(Curve(0, 1), Fraction(2), Fraction(3))
-        torsion_cert = replace(cert, value=Fraction(1), squarefree_rep=None, entries=(entry,))
-        assert verify_certificate(torsion_cert) == (False, "torsion-point")
+        torsion_cert = replace(
+            cert, route=ROUTE_ISOMORPHIC, scale=Fraction(1), value=Fraction(1),
+            squarefree_rep=None, solutions=((Fraction(2), Fraction(3)),),
+        )
+        assert verify_certificate(torsion_cert, [Curve(0, 1)]) == (False, "torsion-point")
+
+    def test_solution_beyond_the_pair_detected(self, cert):
+        # two solutions, but the isomorphic route on one curve derives one model
+        one_curve = replace(cert, route=ROUTE_ISOMORPHIC)
+        assert verify_certificate(one_curve, PAIR[:1]) == (False, "entry-count-mismatch")
 
     def test_bundle_level_class_collision(self, cert):
-        overall, results, ledger_ok = verify_bundle([cert, cert])
+        overall, results, ledger_ok = verify_bundle(PAIR, [cert, cert])
         assert all(ok for ok, _ in results)
         assert not ledger_ok
         assert not overall
@@ -456,11 +492,9 @@ class TestSerialization:
         pp = prepare_pair(Curve(1, 1), Curve(2, 2), Config(target_count=1))
         certs, _, _ = generate(pp, Config(target_count=1))
         data = certificate_to_dict(certs[0])
-        assert list(data) == ["version", "route", "lambda", "k", "D", "squarefree_D", "curves"]
-        assert data["version"] == 2
-        entry = data["curves"][0]
-        assert list(entry) == ["model", "solution"]
-        assert list(entry["model"]) == ["a", "b"]
-        assert list(entry["solution"]) == ["x", "t"]
+        assert list(data) == ["version", "route", "lambda", "k", "D", "squarefree_D", "solutions"]
+        assert data["version"] == 3
+        assert len(data["solutions"]) == 2
+        assert list(data["solutions"][0]) == ["x", "t"]
         assert isinstance(data["squarefree_D"], dict)
         assert list(data["squarefree_D"]) == ["value", "complete"]

@@ -1,8 +1,8 @@
 """Fuzz of ``verify``: one leaf of a small bundle replaced by any JSON value.
 
 Whatever the value, the verifier accepts or rejects the bundle (exit 0 or
-1) and raises nothing.  A certificate leaf replaced by a value of another
-JSON type is always rejected.
+1) and raises nothing.  A certificate or pair leaf replaced by a value of
+another JSON type is always rejected.
 """
 
 import json
@@ -49,8 +49,8 @@ def _leaf(bundle, path):
 
 BUNDLE = _small_bundle()
 LEAVES = tuple(_leaf_paths(BUNDLE))
-# the pair and the config are outside the certificates' claims
-CERTIFICATE_LEAVES = tuple(path for path in LEAVES if path[0] == "certificates")
+# the certificates' claims are about the pair; the config is outside them
+CERTIFICATE_LEAVES = tuple(path for path in LEAVES if path[0] in ("certificates", "pair"))
 
 json_values = st.one_of(
     st.none(),
@@ -100,4 +100,4 @@ def test_certificate_leaf_of_another_type_is_rejected(tmp_path, path, value):
 def test_leaves_cover_every_certificate_field():
     names = {key for path in LEAVES for key in path if isinstance(key, str)}
     assert {"k", "D", "lambda", "route", "version", "complete", "value",
-            "model", "solution", "annotation", "ledger_ok"} <= names
+            "x", "t", "annotation", "ledger_ok", "pair"} <= names
