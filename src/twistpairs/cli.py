@@ -34,6 +34,7 @@ from .twistgen import (
     bundle_to_dict,
     corollary_mode,
     elementary_generate,
+    format_pair,
     generate,
     jzero_generate,
     prepare_pair,
@@ -85,12 +86,14 @@ def _config(args: argparse.Namespace) -> Config:
 def _finish(
     args: argparse.Namespace,
     cfg: Config,
-    curves: Sequence[Curve],
     run: Sequence,
+    curves: Optional[Sequence[Curve]] = None,
     extra_config: Optional[dict] = None,
 ) -> int:
     """Print the report of a run (certificates, ledger, report); write its bundle."""
     certs, ledger, report = run
+    if curves is None:
+        curves = [report.pair.curve1, report.pair.curve2]
     _progress(*report.lines())
     bundle = bundle_to_dict(curves, cfg, certs, ledger.recheck(), extra_config)
     _emit(bundle, args.output)
@@ -106,31 +109,28 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     curve1 = _parse_curve(args.curve1)
     curve2 = _parse_curve(args.curve2)
     cfg = _config(args)
-    run = generate(prepare_pair(curve1, curve2, cfg), cfg)
-    return _finish(args, cfg, [curve1, curve2], run)
+    return _finish(args, cfg, generate(prepare_pair(curve1, curve2, cfg), cfg))
 
 
 def _cmd_jzero(args: argparse.Namespace) -> int:
     curve1 = _parse_curve(args.curve1)
     curve2 = _parse_curve(args.curve2)
     cfg = _config(args)
-    return _finish(args, cfg, [curve1, curve2], jzero_generate(curve1, curve2, cfg))
+    return _finish(args, cfg, jzero_generate(curve1, curve2, cfg))
 
 
 def _cmd_corollary(args: argparse.Namespace) -> int:
     curve = _parse_curve(args.curve)
     delta = parse_rational(args.delta)
     cfg = _config(args)
-    run = corollary_mode(curve, delta, cfg)
-    pp = run[2].pair
     extra_config = {"delta": format_rational(delta)}
-    return _finish(args, cfg, [pp.curve1, pp.curve2], run, extra_config)
+    return _finish(args, cfg, corollary_mode(curve, delta, cfg), extra_config=extra_config)
 
 
 def _cmd_elementary(args: argparse.Namespace) -> int:
     curve = _parse_curve(args.curve)
     cfg = _config(args)
-    return _finish(args, cfg, [curve], elementary_generate(curve, cfg))
+    return _finish(args, cfg, elementary_generate(curve, cfg), [curve])
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -141,6 +141,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("the bundle nests too deeply to parse") from exc
     pair, _, certs, recorded_ok = bundle_from_dict(data)
     overall, results, ledger_ok = verify_bundle(pair, certs)
+    print(format_pair(pair))
     for cert, (ok, reason) in zip(certs, results):
         status = "OK" if ok else f"FAILED ({reason})"
         print(f"certificate k={cert.k} D={format_rational(cert.value)}: {status}")

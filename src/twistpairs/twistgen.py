@@ -7,16 +7,16 @@ Given two smooth curve models, the pair is routed one of three ways:
   until every condition holds), and the common cubic value at each multiple
   of that point is a candidate twist value for both curves at once;
 * ``isomorphic`` - the curves are the same over Q, so scanning integer
-  inputs of the cubic itself already produces twist values, transported to
-  the second model through the explicit isomorphism;
+  inputs of the cubic itself already produces twist values;
 * ``jzero``    - both curves have j-invariant zero; a prime-driven recipe
-  picks a sextic twist factor that plants a rational seed point on the
-  associated cubic, and generation proceeds as in the general route for the
-  sextic-twisted models.
+  picks a sextic twist factor lambda that plants a rational seed point on the
+  cubic of (0, lambda*b) and (0, lambda*d), and these sextic twists replace
+  the given curves as the pair: every claim is about them.
 
-Every emitted value D comes with a certificate that states the claim only:
-per pair curve, a solution (x, t) of D*t^2 = x^3 + a*x + b on the model that
-``route_models`` derives from the pair, the route and lambda.  The verifier
+On the general and isomorphic routes the second solution is found on a model
+Q-isomorphic to curve 2 and carried onto curve 2 itself.  Every emitted value
+D comes with a certificate that states the claim only: per pair curve, a
+solution (x, t) of D*t^2 = x^3 + a*x + b on that curve.  The verifier
 recomputes the non-torsion chain of (D*x, D^2*t) on the standard twist model.
 A ledger guarantees that accepted values have pairwise distinct square
 classes (checked by exact perfect-square tests on products, never by
@@ -65,7 +65,7 @@ REJECT_EQUAL_LEADING = "a-equals-scaled-c"
 REJECT_TORSION_SEED = "torsion-seed"
 ACCEPTED = "accepted"
 
-CERTIFICATE_VERSION = 3
+CERTIFICATE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,9 @@ class LambdaTrial:
 class PreparedPair:
     """A routed pair, ready for generation.
 
-    On cubic-backed routes the seed point lies on the cubic of ``models``
-    and has been certified non-torsion.
+    On cubic-backed routes the seed point lies on the cubic and has been
+    certified non-torsion.  On the jzero route the curves are the sextic
+    twists by ``scale`` of the given curves.
     """
 
     route: str
@@ -120,22 +121,20 @@ class PreparedPair:
     t_value: Optional[int] = None
     trials: tuple[LambdaTrial, ...] = ()
 
-    @property
-    def models(self) -> tuple[Curve, ...]:
-        return route_models(self.route, self.scale, (self.curve1, self.curve2))
-
 
 @dataclass(frozen=True)
 class TwistCertificate:
     """The claim for one D: a solution (x, t) per pair curve, in pair order."""
 
-    route: str
-    scale: Fraction
     k: int
     value: Fraction
     squarefree_rep: Optional[tuple[int, bool]]
     solutions: tuple[tuple[Fraction, Fraction], ...]
     annotation: Optional[tuple[tuple[str, str], ...]] = None
+
+
+def format_pair(curves: Sequence[Curve]) -> str:
+    return "pair: " + "  |  ".join(map(str, curves))
 
 
 def _distinct_square_classes(values: Sequence[Fraction]) -> bool:
@@ -201,7 +200,7 @@ class RunReport:
             seed_x, seed_y = pp.seed.affine()
             image = pp.cubic.transform_point(pp.seed)
             out += [
-                "working models: " + "  |  ".join(map(str, pp.models)),
+                format_pair((pp.curve1, pp.curve2)),
                 f"plane cubic: {pp.cubic}",
                 "weierstrass model: Y^2 = "
                 + format_cubic(model.a, model.b).replace("x", "X"),
@@ -213,6 +212,8 @@ class RunReport:
                 f"prime: {pp.prime}, seed value t: {pp.t_value}",
                 "sextic twist factor normalized as t/(d-b) so the recipe point "
                 "(p+1, 1) lies on the cubic directly",
+                "the pair above is the sextic twists by lambda of the given curves: "
+                "the certificates are about it, not the given curves",
             ]
         return out
 
@@ -231,25 +232,6 @@ class RunReport:
 
 
 # --------------------------------------------------------------- preparation
-
-
-def route_models(route: str, scale: Fraction, curves: Sequence[Curve]) -> tuple[Curve, ...]:
-    """One model per pair curve: the curve that certificate solutions lie on.
-
-    ``isomorphic`` keeps the curves, ``general`` rescales the second by lambda
-    and ``jzero`` takes the sextic twists (0, lambda*b); others raise ValueError.
-    """
-    if scale == 0:
-        raise ValueError("lambda must be nonzero")
-    if route == ROUTE_ISOMORPHIC:
-        return tuple(curves)
-    if len(curves) != 2:
-        raise ValueError(f"the {route} route needs two curves, got {len(curves)}")
-    if route == ROUTE_GENERAL:
-        return curves[0], scale_model(curves[1], scale)[0]
-    if route == ROUTE_JZERO and all(curve.has_j_zero for curve in curves):
-        return tuple(Curve(0, scale * curve.b) for curve in curves)
-    raise ValueError(f"route {route!r} does not apply to the pair")
 
 
 def enumerate_scales(bound: int) -> Iterator[Fraction]:
@@ -333,8 +315,8 @@ def _prepare_jzero(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
             continue
         return PreparedPair(
             route=ROUTE_JZERO,
-            curve1=curve1,
-            curve2=curve2,
+            curve1=Curve(0, scale * b),
+            curve2=Curve(0, scale * d),
             scale=scale,
             cubic=cubic,
             seed=seed,
@@ -400,7 +382,7 @@ def _squarefree_rep(value: Fraction, effort: int) -> tuple[int, bool]:
 
 
 #: One step of a generation stream: a skip reason, or a candidate twist
-#: value D with one (x, t) solution of D*t^2 = x^3 + a*x + b per model.
+#: value D with one (x, t) solution of D*t^2 = x^3 + a*x + b per curve.
 Candidate = Union[str, tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]]]
 
 
@@ -421,26 +403,25 @@ def _seed_multiples(pp: PreparedPair) -> Iterator[Candidate]:
         current = cubic.add(current, seed)
 
 
-def _integer_inputs(
-    curve: Curve, transport: Optional[Fraction] = None
-) -> Iterator[Candidate]:
-    """Inputs x = 1, 2, 3, ... of the cubic; D is its value at x.
-
-    With ``transport`` = u, every solution is also carried to the
-    Q-isomorphic model (u^4*a, u^6*b) by (x, t) -> (u^2*x, u^3*t).
-    """
+def _integer_inputs(curve: Curve, copies: int = 1) -> Iterator[Candidate]:
+    """Inputs x = 1, 2, 3, ... of the cubic; D is its value at x, solved by (x, 1) per copy."""
     for n in count(1):
         x_input = Fraction(n)
-        solutions = ((x_input, Fraction(1)),)
-        if transport is not None:
-            solutions += ((transport**2 * x_input, transport**3),)
-        yield curve.rhs(x_input), solutions
+        yield curve.rhs(x_input), ((x_input, Fraction(1)),) * copies
+
+
+def _carried(candidates: Iterator[Candidate], u: Fraction) -> Iterator[Candidate]:
+    """Carry second solutions (x, t) on (a, b) to (u^2*x, u^3*t) on curve 2 = (u^4*a, u^6*b)."""
+    for candidate in candidates:
+        if not isinstance(candidate, str):
+            value, (first, (x, t)) = candidate
+            candidate = value, (first, (u**2 * x, u**3 * t))
+        yield candidate
 
 
 def _run_generation(
     candidates: Iterator[Candidate],
-    models: tuple[Curve, ...],
-    scale: Fraction,
+    curves: tuple[Curve, ...],
     cfg: Config,
     report: RunReport,
 ) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
@@ -460,15 +441,13 @@ def _run_generation(
         if not ledger.admits(value):
             report.skipped.append((k, SKIP_CLASS_COLLISION))
             continue
-        if any(_is_torsion_on_twist(m, x, t, value) for m, (x, t) in zip(models, solutions)):
+        if any(_is_torsion_on_twist(c, x, t, value) for c, (x, t) in zip(curves, solutions)):
             report.skipped.append((k, SKIP_TORSION_TWIST))
             continue
         ledger.add(k, value)
         report.accepted.append((k, value))
         certificates.append(
             TwistCertificate(
-                route=report.route,
-                scale=scale,
                 k=k,
                 value=value,
                 squarefree_rep=_squarefree_rep(value, cfg.factor_effort),
@@ -484,25 +463,31 @@ def _run_generation(
 def generate(
     pp: PreparedPair, cfg: Config
 ) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
-    """Run the generation loop on the candidate stream of the prepared route."""
+    """Run the generation loop on the candidate stream of the prepared route.
+
+    Only the jzero cubic glues the pair's own curves; the other streams carry
+    their second solution onto curve 2.
+    """
     if pp.route == ROUTE_ISOMORPHIC:
-        candidates = _integer_inputs(pp.curve1, transport=pp.scale)
+        candidates = _carried(_integer_inputs(pp.curve1, copies=2), pp.scale)
+    elif pp.route == ROUTE_GENERAL:
+        candidates = _carried(_seed_multiples(pp), 1 / pp.scale)
     else:
         candidates = _seed_multiples(pp)
-    return _run_generation(candidates, pp.models, pp.scale, cfg, RunReport(pair=pp))
+    return _run_generation(candidates, (pp.curve1, pp.curve2), cfg, RunReport(pair=pp))
 
 
 def elementary_generate(
     curve: Curve, cfg: Config
 ) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
     """Single-curve mode: certificates with one solution each."""
-    return _run_generation(_integer_inputs(curve), (curve,), Fraction(1), cfg, RunReport())
+    return _run_generation(_integer_inputs(curve), (curve,), cfg, RunReport())
 
 
 def jzero_generate(
     curve1: Curve, curve2: Curve, cfg: Config
 ) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
-    """Direct j-invariant-zero mode; report.pair.scale is the sextic twist factor."""
+    """Direct j-invariant-zero mode on the sextic twists by report.pair.scale."""
     if not (curve1.has_j_zero and curve2.has_j_zero):
         raise ValueError("jzero mode needs both curves with a == 0")
     if are_isomorphic_over_q(curve1, curve2) is not None:
@@ -550,7 +535,7 @@ def corollary_mode(
 def verify_certificate(
     cert: TwistCertificate, pair: Sequence[Curve]
 ) -> tuple[bool, Optional[str]]:
-    """Recompute every claim in a certificate from scratch, on models of ``pair``.
+    """Recompute every claim in a certificate from scratch, on the curves of ``pair``.
 
     Returns (True, None) or (False, reason) with a stable reason code.
     """
@@ -559,21 +544,17 @@ def verify_certificate(
         return False, "zero-twist-value"
     if not cert.solutions:
         return False, "no-curve-entries"
-    try:
-        models = route_models(cert.route, cert.scale, pair)
-    except ValueError:
-        return False, "route-not-pair"
-    if len(cert.solutions) != len(models):
+    if len(cert.solutions) != len(pair):
         return False, "entry-count-mismatch"
     if cert.squarefree_rep is not None:
         # a square test, not a refactorization: `complete` is not rechecked
         label = cert.squarefree_rep[0]
         if label == 0 or not same_square_class(Fraction(label), value):
             return False, "label-class-mismatch"
-    for model, (x, t) in zip(models, cert.solutions):
-        if value * t * t != model.rhs(x):
+    for curve, (x, t) in zip(pair, cert.solutions):
+        if value * t * t != curve.rhs(x):
             return False, "solution-mismatch"
-        if _is_torsion_on_twist(model, x, t, value):
+        if _is_torsion_on_twist(curve, x, t, value):
             return False, "torsion-point"
     return True, None
 
@@ -609,8 +590,6 @@ def _json_value(value, kind: type):
 def certificate_to_dict(cert: TwistCertificate) -> dict:
     data = {
         "version": CERTIFICATE_VERSION,
-        "route": cert.route,
-        "lambda": format_rational(cert.scale),
         "k": cert.k,
         "D": format_rational(cert.value),
         "squarefree_D": (
@@ -639,8 +618,6 @@ def certificate_from_dict(data: dict) -> TwistCertificate:
         squarefree = data.get("squarefree_D")
         annotation = data.get("annotation")
         return TwistCertificate(
-            route=_json_value(data["route"], str),
-            scale=parse_rational(data["lambda"]),
             k=_json_value(data["k"], int),
             value=parse_rational(data["D"]),
             squarefree_rep=(

@@ -190,9 +190,16 @@ def test_criterion_5_j_zero_path():
         cubic = PlaneCubic(0, 215, 0, 430)
         assert cubic.contains(seed)
         assert len(certs) >= 3
+        # the certificates are about the sextic twists by 215, which are no
+        # quadratic twists of the given curves: 215 is no rational cube
+        twists = [report.pair.curve1, report.pair.curve2]
+        assert twists == [Curve(0, 215), Curve(0, 430)]
         for cert in certs:
-            ok, reason = verify_certificate(cert, [Curve(0, 1), Curve(0, 2)])
+            ok, reason = verify_certificate(cert, twists)
             assert ok, reason
+            assert verify_certificate(cert, [Curve(0, 1), Curve(0, 2)]) == (
+                False, "solution-mismatch"
+            )
         for v1, v2 in combinations([c.value for c in certs], 2):
             assert not same_square_class(v1, v2)
         assert time.monotonic() - started < 60

@@ -16,6 +16,10 @@ from twistpairs import cli
 from twistpairs.cli import main
 
 
+# the sextic twists by lambda = 215 of y^2 = x^3 + 1 and y^2 = x^3 + 2
+JZERO_PAIR = [{"a": "0", "b": "215"}, {"a": "0", "b": "430"}]
+
+
 def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -75,7 +79,7 @@ class TestGenerate:
         )
         assert code == 0
         assert "route: jzero" in err
-        assert json.loads(out)["certificates"][0]["route"] == "jzero"
+        assert json.loads(out)["pair"] == JZERO_PAIR
 
     @pytest.mark.parametrize("command", ["generate", "jzero"])
     def test_jzero_prime_reported_once(self, capsys, command):
@@ -182,7 +186,21 @@ class TestJZeroCommand:
         assert "lambda = 215" in err
         bundle = json.loads(out_file.read_text())
         assert len(bundle["certificates"]) == 3
-        assert bundle["certificates"][0]["lambda"] == "215"
+        assert bundle["pair"] == JZERO_PAIR
+        code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 0
+        assert out.splitlines()[0] == "pair: y^2 = x^3 + 215  |  y^2 = x^3 + 430"
+        assert out.count(": OK") == 4
+        # the certificates are about the sextic twists, not the given curves
+        bundle["pair"] = [{"a": "0", "b": "1"}, {"a": "0", "b": "2"}]
+        out_file.write_text(json.dumps(bundle))
+        code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 1
+        assert out.splitlines()[:2] == [
+            "pair: y^2 = x^3 + 1  |  y^2 = x^3 + 2",
+            "certificate k=1 D=431: FAILED (solution-mismatch)",
+        ]
+        assert out.count("FAILED (solution-mismatch)") == 3
 
     def test_rejects_nonzero_j(self, capsys):
         code, _, err = run_cli(capsys, "jzero", "--curve1", "1,1", "--curve2", "0,2")
@@ -252,16 +270,6 @@ def _duplicate_first_solution(bundle):
         cert["solutions"][1] = cert["solutions"][0]
 
 
-def _set_lambda_two(bundle):
-    for cert in bundle["certificates"]:
-        cert["lambda"] = "2"
-
-
-def _set_route_jzero(bundle):
-    for cert in bundle["certificates"]:
-        cert["route"] = "jzero"
-
-
 class TestVerifyCommand:
     def test_round_trip_every_mode(self, capsys, tmp_path):
         invocations = [
@@ -290,20 +298,21 @@ class TestVerifyCommand:
         (("certificates", 0, "version"), True),
         (("certificates", 0, "version"), 1.0),
         (("certificates", 0, "version"), 1),
-        # version 2 stored a model per curve; no reader for it is kept
+        # version 2 stored a model per curve, version 3 a route and lambda
+        # to derive one from the pair; no reader for either is kept
         (("certificates", 0, "version"), 2),
+        (("certificates", 0, "version"), 3),
         (("certificates", 0, "squarefree_D", "value"), " 2"),
         # int("1_0") == 10
         (("certificates", 0, "squarefree_D", "value"), "1_0"),
         (("certificates", 0, "squarefree_D", "value"), 3.0),
         (("certificates", 0, "squarefree_D", "value"), "+3"),
-        (("certificates", 0, "route"), 5),
         # D = 3 in Arabic-Indic digits, which int() reads as 3
         (("certificates", 0, "D"), "\u0663"),
     ], ids=["top-level-list", "solutions-int", "D-number", "k-infinite", "k-fraction",
             "k-boolean", "complete-text", "version-boolean", "version-float",
-            "version-one", "version-two", "multiple-order-space", "multiple-order-underscore",
-            "label-float", "label-plus-sign", "route-number", "D-non-ascii-digit"])
+            "version-one", "version-two", "version-three", "multiple-order-space",
+            "multiple-order-underscore", "label-float", "label-plus-sign", "D-non-ascii-digit"])
     def test_malformed_bundle_exits_one(self, capsys, tmp_path, path, value):
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
@@ -335,7 +344,7 @@ class TestVerifyCommand:
             "pair": [{"a": "0", "b": "1"}],
             "config": {},
             "certificates": [{
-                "version": 3, "route": "isomorphic", "lambda": "1", "k": 1, "D": "1",
+                "version": 4, "k": 1, "D": "1",
                 "squarefree_D": None,
                 "solutions": [{"x": "2", "t": "3"}],
             }],
@@ -346,17 +355,14 @@ class TestVerifyCommand:
         assert code == 1
         assert "certificate k=1 D=1: FAILED (torsion-point)" in out
 
-    # each certificate is checked on the models that its route and lambda
-    # derive from the bundle's pair; at k=1 the seed (-1, -1) has equal
-    # coordinates, so a duplicated first solution still holds there
+    # each solution is checked on its own curve of the bundle's pair; at k=1
+    # the seed (-1, -1) has equal coordinates, so a duplicated first solution
+    # still holds there
     @pytest.mark.parametrize("tamper, statuses", [
         (_replace_pair, ["FAILED (solution-mismatch)"] * 2),
         (_drop_second_solution, ["FAILED (entry-count-mismatch)"] * 2),
         (_duplicate_first_solution, ["OK", "FAILED (solution-mismatch)"]),
-        (_set_lambda_two, ["FAILED (solution-mismatch)"] * 2),
-        (_set_route_jzero, ["FAILED (route-not-pair)"] * 2),
-    ], ids=["pair-replaced", "second-solution-dropped", "first-solution-duplicated",
-            "lambda-two", "route-jzero"])
+    ], ids=["pair-replaced", "second-solution-dropped", "first-solution-duplicated"])
     def test_certificates_are_bound_to_the_pair(self, capsys, tmp_path, tamper, statuses):
         out_file = tmp_path / "bundle.json"
         code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
@@ -368,8 +374,9 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
         assert code == 1
         lines = out.splitlines()
-        assert [line.rsplit(": ", 1)[1] for line in lines[:2]] == statuses
-        assert lines[2] == "pairwise square classes: OK"
+        assert lines[0].startswith("pair: ")
+        assert [line.rsplit(": ", 1)[1] for line in lines[1:3]] == statuses
+        assert lines[3] == "pairwise square classes: OK"
 
 
 class TestIdentityCheck:
@@ -435,21 +442,21 @@ class TestDeterminism:
     # certificate format or the search order changes on purpose
     @pytest.mark.parametrize("argv, digest", [
         (("generate", "--curve1", "1,1", "--curve2", "2,2"),
-         "143295c3533c6afaf4a7f19e9c54777407230a504423c14c206af265df5f2691"),
+         "469ef0af8215b1062619284a59e310184320b13b34a4be4836f056c91c0a3651"),
         (("generate", "--curve1", "1,1", "--curve2", "16,64"),
-         "f7988fffe87d01f14f6143b1594250d21dbed5608fb539863d2a07aba7418b2f"),
+         "21cb660b3a5d0fda7c075771aebbfdf9876784a885cba5a616470600bd3930ad"),
         (("generate", "--curve1", "0,2", "--curve2", "0,2"),
-         "fcc4931e708ce3476f0e6d89070e16e5f2d3cf18ae3e13400f14e666e7aa6c4b"),
+         "74c64e8667102503f24eeddc256f01b67c0b552eb867b41cd1da7a58fa773257"),
         (("jzero", "--curve1", "0,1", "--curve2", "0,2"),
-         "4930e542031f61f11e5fc3d779a38c1a0fadb21500703ed27177d9e65fec7d3a"),
+         "4f2d4a8ef40f5bf258b675f4edecb061faf8dadd177754a31f66c9eab3e30617"),
         (("generate", "--curve1", "0,1", "--curve2", "0,2"),
-         "4930e542031f61f11e5fc3d779a38c1a0fadb21500703ed27177d9e65fec7d3a"),
+         "4f2d4a8ef40f5bf258b675f4edecb061faf8dadd177754a31f66c9eab3e30617"),
         (("corollary", "--curve", "1,1", "--delta", "2"),
-         "608cde2665805bfff6e055c69476b2e2bf6dee08df10784c33bf9e30b0e3a68d"),
+         "efe5112a8cc1a6a3fee5a1f3777a76cb83296059ec37700a425095870f9806a3"),
         (("corollary", "--curve", "1,1", "--delta", "4"),
-         "4a4c924965c094ea4b8b21bdf2f54ce9634b971befc33bd285e6c606ddae6043"),
+         "7161c6023d04a9620b652ab8901920008ceb6ae0d78bd3b151f961449d524628"),
         (("elementary", "--curve", "1,1"),
-         "19b09c6582dea89d9514bc55954e7a693bedbe1dd49d7da0ae47930a7f07c588"),
+         "fd114f99715e0dea1b0802fe158d24d066d1e1414c5db0da0c3a06ae9f5b96d0"),
     ], ids=["general", "isomorphic", "identical-jzero", "jzero", "generate-jzero",
             "corollary-delta2", "corollary-delta4", "elementary"])
     def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):

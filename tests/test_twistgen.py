@@ -34,11 +34,10 @@ from twistpairs.twistgen import (
     jzero_generate,
     lambda_search,
     prepare_pair,
-    route_models,
     verify_bundle,
     verify_certificate,
 )
-from twistpairs.weierstrass import Curve, WPoint, quadratic_twist
+from twistpairs.weierstrass import Curve, WPoint, quadratic_twist, scale_model
 
 CFG = Config(target_count=5, max_iterations=64)
 
@@ -98,7 +97,7 @@ class TestRouting:
         assert pp.scale == 2
         certs, _, _ = generate(pp, cfg)
         assert len(certs) == 3
-        assert pp.models == (Curve(0, 1), Curve(0, 64))
+        assert (pp.curve1, pp.curve2) == (Curve(0, 1), Curve(0, 64))
         overall, _, _ = verify_bundle([pp.curve1, pp.curve2], certs)
         assert overall
 
@@ -112,7 +111,7 @@ class TestRouting:
 
         pp = prepare_pair(Curve(2, 3), Curve(1, 1), CFG)
         assert pp.route == ROUTE_GENERAL
-        model2 = pp.models[1]
+        model2, _ = scale_model(pp.curve2, pp.scale)
         assert model2.a == pp.scale**4 * 1
         assert model2.b == pp.scale**6 * 1
         assert are_isomorphic_over_q(pp.curve2, model2) is not None
@@ -198,7 +197,7 @@ class TestGenerateWorkedPair:
         assert first.k == 1
         assert first.value == -1
         assert first.solutions[0] == (-1, 1)
-        twist_model, to_twist = quadratic_twist(pp.models[0], first.value)
+        twist_model, to_twist = quadratic_twist(pp.curve1, first.value)
         assert (twist_model.a, twist_model.b) == (1, -1)
         assert to_twist(*first.solutions[0]) == WPoint(Fraction(1), Fraction(1))
 
@@ -233,6 +232,22 @@ class TestGenerateWorkedPair:
         assert 0 < len(certs) < 50
 
 
+class TestGeneralTransport:
+    def test_second_solution_lies_on_curve_two(self):
+        # lambda = 2: the cubic glues y^2 = x^3 + 16*x + 128, and its input
+        # -127/15 is carried to curve 2 by (x, t) -> (x/4, t/8)
+        cfg = Config(target_count=1)
+        pp = prepare_pair(Curve(1, 1), Curve(1, 2), cfg)
+        assert (pp.route, pp.scale) == (ROUTE_GENERAL, 2)
+        certs, _, _ = generate(pp, cfg)
+        assert certs[0].solutions == (
+            (Fraction(-127, 15), Fraction(1)), (Fraction(-127, 60), Fraction(1, 8)),
+        )
+        x, t = certs[0].solutions[1]
+        assert certs[0].value * t * t == Curve(1, 2).rhs(x)
+        assert verify_certificate(certs[0], [Curve(1, 1), Curve(1, 2)]) == (True, None)
+
+
 class TestElementary:
     def test_first_value(self):
         certs, ledger, report = elementary_generate(Curve(1, 1), Config(target_count=3))
@@ -252,7 +267,6 @@ class TestElementary:
     def test_single_entry_certificates(self):
         certs, _, _ = elementary_generate(Curve(1, 1), Config(target_count=2))
         assert all(len(c.solutions) == 1 for c in certs)
-        assert all(c.route == ROUTE_ISOMORPHIC for c in certs)
 
 
 class TestIsomorphicTransport:
@@ -261,7 +275,6 @@ class TestIsomorphicTransport:
         pp = prepare_pair(Curve(1, 1), Curve(16, 64), cfg)
         certs, ledger, _ = generate(pp, cfg)
         assert len(certs) == 3
-        assert pp.models == (Curve(1, 1), Curve(16, 64))
         for cert in certs:
             first, second = cert.solutions
             # the scaling u=2 sends x to 4x and the unit t to 8
@@ -288,13 +301,18 @@ class TestJZero:
         certs, _, report = jzero_run
         # seed (6, 1): 216 + 215 = 431 = 1 + 430
         assert report.accepted[0] == (1, Fraction(431))
-        assert report.pair.models == (Curve(0, 215), Curve(0, 430))
+        assert (report.pair.curve1, report.pair.curve2) == (Curve(0, 215), Curve(0, 430))
 
     def test_certificates_verify_distinct(self, jzero_run):
-        certs, ledger, _ = jzero_run
+        certs, ledger, report = jzero_run
         assert len(certs) >= 3
         assert ledger.recheck()
-        assert all(verify_certificate(c, [Curve(0, 1), Curve(0, 2)])[0] for c in certs)
+        pair = [report.pair.curve1, report.pair.curve2]
+        assert all(verify_certificate(c, pair)[0] for c in certs)
+        # 215 is no rational cube, so y^2 = x^3 + 215 is no quadratic twist
+        # of y^2 = x^3 + 1; (6, 1) solves 431*t^2 = x^3 + 215 only
+        given = [Curve(0, 1), Curve(0, 2)]
+        assert verify_certificate(certs[0], given) == (False, "solution-mismatch")
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -337,11 +355,20 @@ class TestRunReport:
         _, _, report = generate(prepare_pair(Curve(1, 1), Curve(2, 2), cfg), cfg)
         assert report.lines()[:5] == [
             "route: general (lambda = 1)",
-            "working models: y^2 = x^3 + x + 1  |  y^2 = x^3 + 2*x + 2",
+            "pair: y^2 = x^3 + x + 1  |  y^2 = x^3 + 2*x + 2",
             "plane cubic: x^3 + x + 1 = y^3 + 2*y + 2",
             "weierstrass model: Y^2 = X^3 - 6*X - 63/4",
             "seed point: (-1, -1) maps to (12, 81/2)",
         ]
+        assert not any("sextic twists" in line for line in report.lines())
+
+    def test_jzero_names_the_sextic_twists(self, jzero_run):
+        lines = jzero_run[2].lines()
+        assert lines[1] == "pair: y^2 = x^3 + 215  |  y^2 = x^3 + 430"
+        assert lines[7] == (
+            "the pair above is the sextic twists by lambda of the given curves: "
+            "the certificates are about it, not the given curves"
+        )
 
 
 class TestCorollary:
@@ -403,21 +430,6 @@ def cert():
     return certs[0]
 
 
-class TestRouteModels:
-    @pytest.mark.parametrize("route, scale, curves", [
-        ("sideways", Fraction(1), PAIR),
-        (ROUTE_GENERAL, Fraction(1), PAIR[:1]),
-        (ROUTE_JZERO, Fraction(1), (Curve(0, 1), Curve(0, 2), Curve(0, 3))),
-        (ROUTE_JZERO, Fraction(1), PAIR),
-        (ROUTE_GENERAL, Fraction(0), PAIR),
-        (ROUTE_ISOMORPHIC, Fraction(0), PAIR),
-    ], ids=["unknown-route", "general-one-curve", "jzero-three-curves", "jzero-nonzero-a",
-            "general-zero-lambda", "isomorphic-zero-lambda"])
-    def test_rejects(self, route, scale, curves):
-        with pytest.raises(ValueError):
-            route_models(route, scale, curves)
-
-
 class TestVerification:
     def test_round_trip(self, cert):
         assert verify_certificate(cert, PAIR) == (True, None)
@@ -447,15 +459,14 @@ class TestVerification:
     def test_torsion_point_detected(self, cert):
         # (2, 3) solves 1*t^2 = x^3 + 1 and has order 6 on y^2 = x^3 + 1
         torsion_cert = replace(
-            cert, route=ROUTE_ISOMORPHIC, scale=Fraction(1), value=Fraction(1),
-            squarefree_rep=None, solutions=((Fraction(2), Fraction(3)),),
+            cert, value=Fraction(1), squarefree_rep=None,
+            solutions=((Fraction(2), Fraction(3)),),
         )
         assert verify_certificate(torsion_cert, [Curve(0, 1)]) == (False, "torsion-point")
 
     def test_solution_beyond_the_pair_detected(self, cert):
-        # two solutions, but the isomorphic route on one curve derives one model
-        one_curve = replace(cert, route=ROUTE_ISOMORPHIC)
-        assert verify_certificate(one_curve, PAIR[:1]) == (False, "entry-count-mismatch")
+        # two solutions, but a pair of one curve
+        assert verify_certificate(cert, PAIR[:1]) == (False, "entry-count-mismatch")
 
     def test_bundle_level_class_collision(self, cert):
         overall, results, ledger_ok = verify_bundle(PAIR, [cert, cert])
@@ -492,8 +503,8 @@ class TestSerialization:
         pp = prepare_pair(Curve(1, 1), Curve(2, 2), Config(target_count=1))
         certs, _, _ = generate(pp, Config(target_count=1))
         data = certificate_to_dict(certs[0])
-        assert list(data) == ["version", "route", "lambda", "k", "D", "squarefree_D", "solutions"]
-        assert data["version"] == 3
+        assert list(data) == ["version", "k", "D", "squarefree_D", "solutions"]
+        assert data["version"] == 4
         assert len(data["solutions"]) == 2
         assert list(data["solutions"][0]) == ["x", "t"]
         assert isinstance(data["squarefree_D"], dict)

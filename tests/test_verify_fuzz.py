@@ -99,5 +99,5 @@ def test_certificate_leaf_of_another_type_is_rejected(tmp_path, path, value):
 
 def test_leaves_cover_every_certificate_field():
     names = {key for path in LEAVES for key in path if isinstance(key, str)}
-    assert {"k", "D", "lambda", "route", "version", "complete", "value",
+    assert {"k", "D", "version", "complete", "value",
             "x", "t", "annotation", "ledger_ok", "pair"} <= names
