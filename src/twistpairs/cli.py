@@ -7,13 +7,15 @@ Subcommands: generate (curve pair), jzero (both j-invariant zero), corollary
 Human-readable progress goes to stderr; certificate JSON goes to stdout or
 the --output file.  Exit codes: 0 full success, 1 usage or validation
 errors, 2 partial results (a search or iteration budget ran out while the
-underlying statements guarantee more exist).
+underlying statements guarantee more exist), 141 stdout closed by its reader
+(128 + SIGPIPE, as a shell reports a process the signal ended).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import fields
@@ -234,12 +236,20 @@ _parser = cache(build_parser)
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout must show here, not in the flush at exit
+        sys.stdout.flush()
+        return code
     except SearchExhausted as exc:
         _progress(f"bounded search failed: {exc}")
         for trial in exc.trials:
             _progress(f"  tried {format_rational(trial.scale)}: {trial.outcome}")
         return 2
+    except BrokenPipeError:
+        # the reader has gone, so there is no one to report to; output still
+        # buffered goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         _progress(f"error: {exc}")
         return 1

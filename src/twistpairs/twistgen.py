@@ -25,11 +25,11 @@ factorization).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations, count, islice
 from math import gcd
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .exactnum import (
     DEFAULT_FACTOR_EFFORT,
@@ -55,7 +55,6 @@ ROUTE_GENERAL = "general"
 ROUTE_ISOMORPHIC = "isomorphic"
 ROUTE_JZERO = "jzero"
 
-SKIP_AT_INFINITY = "at-infinity"
 SKIP_ZERO_VALUE = "zero-value"
 SKIP_TORSION_TWIST = "torsion-twist-point"
 SKIP_CLASS_COLLISION = "class-collision"
@@ -65,7 +64,7 @@ REJECT_EQUAL_LEADING = "a-equals-scaled-c"
 REJECT_TORSION_SEED = "torsion-seed"
 ACCEPTED = "accepted"
 
-CERTIFICATE_VERSION = 4
+CERTIFICATE_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -128,9 +127,8 @@ class TwistCertificate:
 
     k: int
     value: Fraction
-    squarefree_rep: Optional[tuple[int, bool]]
+    squarefree_rep: tuple[int, bool]
     solutions: tuple[tuple[Fraction, Fraction], ...]
-    annotation: Optional[tuple[tuple[str, str], ...]] = None
 
 
 def format_pair(curves: Sequence[Curve]) -> str:
@@ -235,24 +233,23 @@ class RunReport:
 
 
 def enumerate_scales(bound: int) -> Iterator[Fraction]:
-    """Candidate scaling factors by increasing height, positives first.
+    """Positive candidate scaling factors by increasing height.
 
     Height h contributes h/1, h/2, ..., then 1/h, 2/h, ... (reduced forms
-    only), followed by their negatives: 1, -1, 2, 1/2, -2, -1/2, 3, ...
+    only): 1, 2, 1/2, 3, 3/2, 1/3, 2/3, ...  A negative scale would give the
+    same cubic as its absolute value, since only L^4 and L^6 enter it.
     """
     for height in range(1, bound + 1):
-        positives = [
+        yield from (
             Fraction(height, den)
             for den in range(1, height + 1)
             if gcd(height, den) == 1
-        ]
-        positives += [
+        )
+        yield from (
             Fraction(num, height)
             for num in range(1, height)
             if gcd(num, height) == 1
-        ]
-        yield from positives
-        yield from (-q for q in positives)
+        )
 
 
 def lambda_search(
@@ -267,8 +264,7 @@ def lambda_search(
     """
     a, b = curve1.a, curve1.b
     trials: list[LambdaTrial] = []
-    # -L gives the same cubic as L, since only L^4 and L^6 enter it
-    for scale in (q for q in enumerate_scales(bound) if q > 0):
+    for scale in enumerate_scales(bound):
         model2, _ = scale_model(curve2, scale)
         try:
             cubic = PlaneCubic(a, b, model2.a, model2.b)
@@ -381,25 +377,26 @@ def _squarefree_rep(value: Fraction, effort: int) -> tuple[int, bool]:
     return num_part * den_part, num_complete and den_complete
 
 
-#: One step of a generation stream: a skip reason, or a candidate twist
-#: value D with one (x, t) solution of D*t^2 = x^3 + a*x + b per curve.
-Candidate = Union[str, tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]]]
+#: One step of a generation stream: a candidate twist value D with one
+#: (x, t) solution of D*t^2 = x^3 + a*x + b per curve.
+Candidate = tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]]
 
 
 def _seed_multiples(pp: PreparedPair) -> Iterator[Candidate]:
-    """kP for k = 1, 2, 3, ... of the seed P; D is the common cubic value."""
+    """kP for k = 1, 2, 3, ... of the seed P; D is the common cubic value.
+
+    No kP is at infinity: P is certified non-torsion, so kP is never the base
+    point, and the base point is the cubic's only rational point at infinity.
+    """
     cubic, seed = pp.cubic, pp.seed
     assert cubic is not None and seed is not None
     current = seed
     while True:
-        if current.is_infinite:
-            yield SKIP_AT_INFINITY
-        else:
-            x_coord, y_coord = current.affine()
-            yield cubic.common_value(current), (
-                (x_coord, Fraction(1)),
-                (y_coord, Fraction(1)),
-            )
+        x_coord, y_coord = current.affine()
+        yield cubic.common_value(current), (
+            (x_coord, Fraction(1)),
+            (y_coord, Fraction(1)),
+        )
         current = cubic.add(current, seed)
 
 
@@ -412,11 +409,8 @@ def _integer_inputs(curve: Curve, copies: int = 1) -> Iterator[Candidate]:
 
 def _carried(candidates: Iterator[Candidate], u: Fraction) -> Iterator[Candidate]:
     """Carry second solutions (x, t) on (a, b) to (u^2*x, u^3*t) on curve 2 = (u^4*a, u^6*b)."""
-    for candidate in candidates:
-        if not isinstance(candidate, str):
-            value, (first, (x, t)) = candidate
-            candidate = value, (first, (u**2 * x, u**3 * t))
-        yield candidate
+    for value, (first, (x, t)) in candidates:
+        yield value, (first, (u**2 * x, u**3 * t))
 
 
 def _run_generation(
@@ -429,12 +423,8 @@ def _run_generation(
     ledger = SquareClassLedger()
     certificates: list[TwistCertificate] = []
     steps = islice(candidates, cfg.max_iterations)
-    for k, candidate in enumerate(steps, start=1):
+    for k, (value, solutions) in enumerate(steps, start=1):
         report.iterations_used = k
-        if isinstance(candidate, str):
-            report.skipped.append((k, candidate))
-            continue
-        value, solutions = candidate
         if value == 0:
             report.skipped.append((k, SKIP_ZERO_VALUE))
             continue
@@ -500,10 +490,10 @@ def corollary_mode(
 ) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
     """Pair a curve with its own quadratic twist by delta (``report.pair``).
 
-    Each certificate is annotated with both D and D*delta: a positive-rank
-    twist of the delta-twisted curve by D is a positive-rank twist of the
-    original curve by D*delta.  A square delta makes the two curves
-    Q-isomorphic, so the pair routes through the isomorphic path.
+    A certificate for D claims positive rank for the twists by D of both
+    curves of the pair; the twist by D of the delta-twisted curve is the
+    twist by D*delta of the original curve.  A square delta makes the two
+    curves Q-isomorphic, so the pair routes through the isomorphic path.
     """
     delta = Fraction(delta)
     if curve.has_j_zero:
@@ -512,21 +502,11 @@ def corollary_mode(
         raise ValueError("the twisting value must be nonzero")
     twisted, _ = quadratic_twist(curve, delta)
     certificates, ledger, report = generate(prepare_pair(curve, twisted, cfg), cfg)
-    annotated = [
-        replace(
-            cert,
-            annotation=(
-                ("D", format_rational(cert.value)),
-                ("D_delta", format_rational(cert.value * delta)),
-            ),
-        )
-        for cert in certificates
-    ]
     report.notes.append(
         "each certified D for the twisted partner certifies D*delta for the "
         "original curve"
     )
-    return annotated, ledger, report
+    return certificates, ledger, report
 
 
 # -------------------------------------------------------------- verification
@@ -546,11 +526,10 @@ def verify_certificate(
         return False, "no-curve-entries"
     if len(cert.solutions) != len(pair):
         return False, "entry-count-mismatch"
-    if cert.squarefree_rep is not None:
-        # a square test, not a refactorization: `complete` is not rechecked
-        label = cert.squarefree_rep[0]
-        if label == 0 or not same_square_class(Fraction(label), value):
-            return False, "label-class-mismatch"
+    # a square test, not a refactorization: `complete` is not rechecked
+    label = cert.squarefree_rep[0]
+    if label == 0 or not same_square_class(Fraction(label), value):
+        return False, "label-class-mismatch"
     for curve, (x, t) in zip(pair, cert.solutions):
         if value * t * t != curve.rhs(x):
             return False, "solution-mismatch"
@@ -577,6 +556,7 @@ def curve_to_dict(curve: Curve) -> dict:
 
 
 def curve_from_dict(data: dict) -> Curve:
+    data = _fixed_fields(data, ("a", "b"), "pair curve")
     return Curve(parse_rational(data["a"]), parse_rational(data["b"]))
 
 
@@ -587,49 +567,46 @@ def _json_value(value, kind: type):
     return value
 
 
+def _fixed_fields(data: dict, names: tuple[str, ...], what: str) -> dict:
+    """``data`` if it is a JSON object with no key outside ``names``."""
+    for key in _json_value(data, dict):
+        if key not in names:
+            raise ValueError(f"malformed {what}: unexpected field {key!r}")
+    return data
+
+
 def certificate_to_dict(cert: TwistCertificate) -> dict:
-    data = {
+    return {
         "version": CERTIFICATE_VERSION,
         "k": cert.k,
         "D": format_rational(cert.value),
-        "squarefree_D": (
-            None
-            if cert.squarefree_rep is None
-            else {
-                "value": str(cert.squarefree_rep[0]),
-                "complete": cert.squarefree_rep[1],
-            }
-        ),
+        "squarefree_D": {
+            "value": str(cert.squarefree_rep[0]),
+            "complete": cert.squarefree_rep[1],
+        },
         "solutions": [
             {"x": format_rational(x), "t": format_rational(t)} for x, t in cert.solutions
         ],
     }
-    if cert.annotation is not None:
-        data["annotation"] = {key: text for key, text in cert.annotation}
-    return data
 
 
 def certificate_from_dict(data: dict) -> TwistCertificate:
-    """Parse one certificate; a malformed one raises ValueError or KeyError."""
+    """Parse one certificate; a malformed one raises ValueError or KeyError.
+
+    Every object has a fixed set of keys: one outside it is rejected, so no
+    claim the verifier does not check can ride along.
+    """
     try:
         if _json_value(data["version"], int) != CERTIFICATE_VERSION:
             raise ValueError(f"unsupported certificate version: {data['version']}")
-        solutions = [(parse_rational(s["x"]), parse_rational(s["t"])) for s in data["solutions"]]
-        squarefree = data.get("squarefree_D")
-        annotation = data.get("annotation")
+        _fixed_fields(data, ("version", "k", "D", "squarefree_D", "solutions"), "certificate")
+        label = _fixed_fields(data["squarefree_D"], ("value", "complete"), "certificate")
+        solutions = [_fixed_fields(s, ("x", "t"), "certificate") for s in data["solutions"]]
         return TwistCertificate(
             k=_json_value(data["k"], int),
             value=parse_rational(data["D"]),
-            squarefree_rep=(
-                None
-                if squarefree is None
-                else (parse_integer(squarefree["value"]), _json_value(squarefree["complete"], bool))
-            ),
-            solutions=tuple(solutions),
-            annotation=(
-                tuple(sorted((key, _json_value(text, str)) for key, text in annotation.items()))
-                if annotation is not None else None
-            ),
+            squarefree_rep=(parse_integer(label["value"]), _json_value(label["complete"], bool)),
+            solutions=tuple((parse_rational(s["x"]), parse_rational(s["t"])) for s in solutions),
         )
     except (TypeError, AttributeError) as exc:
         # a JSON value of the wrong kind, such as a number where a list belongs

@@ -38,6 +38,7 @@ from twistpairs.weierstrass import (
     INFINITY,
     Curve,
     WPoint,
+    are_isomorphic_over_q,
     certify_nontorsion,
     quadratic_twist,
 )
@@ -208,11 +209,16 @@ def test_criterion_5_j_zero_path():
 def test_criterion_6_corollary_mode():
     with criterion(6, "corollary mode"):
         certs, _, report = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
-        assert report.pair.curve2 == Curve(4, 8)
+        pair = [report.pair.curve1, report.pair.curve2]
+        assert pair == [Curve(1, 1), Curve(4, 8)]
         for cert in certs:
-            annotation = dict(cert.annotation)
-            assert annotation["D"] == str(cert.value)
-            assert annotation["D_delta"] == str(cert.value * 2)
+            D = cert.value
+            assert verify_certificate(cert, pair) == (True, None)
+            # the twist by D of the partner is the twist by D*delta of the curve
+            assert are_isomorphic_over_q(
+                quadratic_twist(report.pair.curve2, D)[0],
+                quadratic_twist(Curve(1, 1), 2 * D)[0],
+            ) is not None
 
         _, _, report_square = corollary_mode(Curve(1, 1), Fraction(4), Config(target_count=1))
         assert report_square.pair.route == ROUTE_ISOMORPHIC

@@ -220,7 +220,9 @@ class TestJZeroCommand:
 
 
 class TestCorollaryCommand:
-    def test_annotated_pair(self, capsys, tmp_path):
+    def test_pair_and_delta(self, capsys, tmp_path):
+        # config.delta records delta, so D*delta can be recomputed; each
+        # certificate is a plain claim about the pair
         out_file = tmp_path / "cor.json"
         code, _, _ = run_cli(
             capsys, "corollary", "--curve", "1,1", "--delta", "2",
@@ -229,10 +231,9 @@ class TestCorollaryCommand:
         assert code == 0
         bundle = json.loads(out_file.read_text())
         assert bundle["config"]["delta"] == "2"
-        assert bundle["pair"][1] == {"a": "4", "b": "8"}
+        assert bundle["pair"] == [{"a": "1", "b": "1"}, {"a": "4", "b": "8"}]
         for cert in bundle["certificates"]:
-            annotation = cert["annotation"]
-            assert set(annotation) == {"D", "D_delta"}
+            assert list(cert) == ["version", "k", "D", "squarefree_D", "solutions"]
 
     def test_square_delta(self, capsys):
         code, out, err = run_cli(
@@ -253,6 +254,13 @@ class TestElementaryCommand:
         bundle = json.loads(out)
         assert len(bundle["pair"]) == 1
         assert all(len(c["solutions"]) == 1 for c in bundle["certificates"])
+
+
+def _set_leaf(bundle, path, value):
+    *parents, last = path
+    for key in parents:
+        bundle = bundle[key]
+    bundle[last] = value
 
 
 # tampers of a two-certificate general bundle, each applied to every certificate
@@ -302,6 +310,10 @@ class TestVerifyCommand:
         # to derive one from the pair; no reader for either is kept
         (("certificates", 0, "version"), 2),
         (("certificates", 0, "version"), 3),
+        # version 4 allowed a null label and an unchecked annotation
+        (("certificates", 0, "version"), 4),
+        (("certificates", 0, "squarefree_D"), None),
+        (("certificates", 0, "squarefree_D"), "1"),
         (("certificates", 0, "squarefree_D", "value"), " 2"),
         # int("1_0") == 10
         (("certificates", 0, "squarefree_D", "value"), "1_0"),
@@ -311,18 +323,15 @@ class TestVerifyCommand:
         (("certificates", 0, "D"), "\u0663"),
     ], ids=["top-level-list", "solutions-int", "D-number", "k-infinite", "k-fraction",
             "k-boolean", "complete-text", "version-boolean", "version-float",
-            "version-one", "version-two", "version-three", "multiple-order-space",
+            "version-one", "version-two", "version-three", "version-four", "label-null",
+            "label-text", "multiple-order-space",
             "multiple-order-underscore", "label-float", "label-plus-sign", "D-non-ascii-digit"])
     def test_malformed_bundle_exits_one(self, capsys, tmp_path, path, value):
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
         bundle = json.loads(out_file.read_text())
         if path:
-            *parents, last = path
-            target = bundle
-            for key in parents:
-                target = target[key]
-            target[last] = value
+            _set_leaf(bundle, path, value)
         else:
             bundle = value
         out_file.write_text(json.dumps(bundle))
@@ -344,8 +353,8 @@ class TestVerifyCommand:
             "pair": [{"a": "0", "b": "1"}],
             "config": {},
             "certificates": [{
-                "version": 4, "k": 1, "D": "1",
-                "squarefree_D": None,
+                "version": 5, "k": 1, "D": "1",
+                "squarefree_D": {"value": "1", "complete": True},
                 "solutions": [{"x": "2", "t": "3"}],
             }],
             "ledger_ok": True,
@@ -377,6 +386,88 @@ class TestVerifyCommand:
         assert lines[0].startswith("pair: ")
         assert [line.rsplit(": ", 1)[1] for line in lines[1:3]] == statuses
         assert lines[3] == "pairwise square classes: OK"
+
+    # one tamper per certificate field, on the first certificate of a general
+    # bundle: at k=1, D = -1, its label is -1 and both solutions are (-1, 1);
+    # k and complete are no claims, so the verifier accepts any value of them
+    @pytest.mark.parametrize("path, value, status", [
+        (("certificates", 0, "D"), "0", "FAILED (zero-twist-value)"),
+        (("certificates", 0, "D"), "-2", "FAILED (label-class-mismatch)"),
+        # -4 shares the square class of the label, so the solutions catch it
+        (("certificates", 0, "D"), "-4", "FAILED (solution-mismatch)"),
+        (("certificates", 0, "squarefree_D", "value"), "-7", "FAILED (label-class-mismatch)"),
+        (("certificates", 0, "squarefree_D", "value"), "0", "FAILED (label-class-mismatch)"),
+        (("certificates", 0, "solutions", 0, "x"), "0", "FAILED (solution-mismatch)"),
+        (("certificates", 0, "solutions", 1, "x"), "0", "FAILED (solution-mismatch)"),
+        (("certificates", 0, "solutions", 0, "t"), "2", "FAILED (solution-mismatch)"),
+        (("certificates", 0, "solutions", 1, "t"), "2", "FAILED (solution-mismatch)"),
+        (("pair", 0, "a"), "2", "FAILED (solution-mismatch)"),
+        (("pair", 1, "b"), "3", "FAILED (solution-mismatch)"),
+        (("certificates", 0, "k"), 7, "OK"),
+        (("certificates", 0, "squarefree_D", "complete"), False, "OK"),
+    ], ids=["D-zero", "D-other-class", "D-same-class", "label-other-class", "label-zero",
+            "x-first", "x-second", "t-first", "t-second", "pair-first-a", "pair-second-b",
+            "k", "complete"])
+    def test_every_field_is_checked(self, capsys, tmp_path, path, value, status):
+        out_file = tmp_path / "bundle.json"
+        code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
+                             "--count", "2", "--effort", "2000", "--output", str(out_file))
+        assert code == 0
+        bundle = json.loads(out_file.read_text())
+        _set_leaf(bundle, path, value)
+        out_file.write_text(json.dumps(bundle))
+        code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == (0 if status == "OK" else 1)
+        assert out.splitlines()[1].rsplit(": ", 1)[1] == status
+
+    def test_unchecked_claims_are_rejected(self, capsys, tmp_path):
+        # a version 4 corollary bundle carried an annotation the verifier never
+        # read, so a false D*delta still verified
+        out_file = tmp_path / "bundle.json"
+        code, _, _ = run_cli(capsys, "corollary", "--curve=1,1", "--delta=2", "--count", "2",
+                             "--effort", "2000", "--output", str(out_file))
+        assert code == 0
+        bundle = json.loads(out_file.read_text())
+        bundle["certificates"][0]["annotation"] = {"D": "-1", "D_delta": "7"}
+        bundle["certificates"][1]["annotation"] = {"claim": "E has rank 5"}
+        out_file.write_text(json.dumps(bundle))
+        code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert (code, out) == (1, "")
+        assert err == "error: malformed certificate: unexpected field 'annotation'\n"
+        for cert in bundle["certificates"]:
+            cert["version"] = 4
+        out_file.write_text(json.dumps(bundle))
+        code, _, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 1
+        assert err == "error: unsupported certificate version: 4\n"
+
+
+class TestClosedStdout:
+    # the read end of the child's stdout is closed before the child starts, so
+    # its first write to stdout fails; the verify output is small enough to
+    # sit in the buffer until the end, the generate bundle is written at once
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--input", "{bundle}"),
+        ("generate", "--curve1=1,1", "--curve2=2,2", "--count", "1"),
+    ], ids=["verify", "generate"])
+    def test_exits_141_quietly(self, tmp_path, argv):
+        bundle = tmp_path / "bundle.json"
+        assert main(["elementary", "--curve=1,1", "--output", str(bundle)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(twistpairs.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "twistpairs.cli",
+                 *(arg.format(bundle=bundle) for arg in argv)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert "error" not in done.stderr and "Broken pipe" not in done.stderr
+        if argv[0] == "verify":
+            assert done.stderr == ""
 
 
 class TestIdentityCheck:
@@ -442,21 +533,21 @@ class TestDeterminism:
     # certificate format or the search order changes on purpose
     @pytest.mark.parametrize("argv, digest", [
         (("generate", "--curve1", "1,1", "--curve2", "2,2"),
-         "469ef0af8215b1062619284a59e310184320b13b34a4be4836f056c91c0a3651"),
+         "6279e78e48821df418c52392a6c8ed9cb22f3ca008bdd7ea2ae2aaa80706949d"),
         (("generate", "--curve1", "1,1", "--curve2", "16,64"),
-         "21cb660b3a5d0fda7c075771aebbfdf9876784a885cba5a616470600bd3930ad"),
+         "4547f9be46915e57938ce105cec5ccb31b88376da59ea3cd00d12d64163a8045"),
         (("generate", "--curve1", "0,2", "--curve2", "0,2"),
-         "74c64e8667102503f24eeddc256f01b67c0b552eb867b41cd1da7a58fa773257"),
+         "333efa1364d0e9fe1e5627949b71e4b35edd709f1c7a80257eab70f5e886cd0b"),
         (("jzero", "--curve1", "0,1", "--curve2", "0,2"),
-         "4f2d4a8ef40f5bf258b675f4edecb061faf8dadd177754a31f66c9eab3e30617"),
+         "4bf52c5b2e610cb0821ada556440d90fb35bd57bb71e5646f0abf96969ff7058"),
         (("generate", "--curve1", "0,1", "--curve2", "0,2"),
-         "4f2d4a8ef40f5bf258b675f4edecb061faf8dadd177754a31f66c9eab3e30617"),
+         "4bf52c5b2e610cb0821ada556440d90fb35bd57bb71e5646f0abf96969ff7058"),
         (("corollary", "--curve", "1,1", "--delta", "2"),
-         "efe5112a8cc1a6a3fee5a1f3777a76cb83296059ec37700a425095870f9806a3"),
+         "1a78bd7d22d05f3d81c571d52aaa3fa292e0cd69bad30c3bc39ad82ea27f523e"),
         (("corollary", "--curve", "1,1", "--delta", "4"),
-         "7161c6023d04a9620b652ab8901920008ceb6ae0d78bd3b151f961449d524628"),
+         "568312223947baa259cbb9207fb38dcd59591c6d581f6229780f4fe0b5e70a60"),
         (("elementary", "--curve", "1,1"),
-         "fd114f99715e0dea1b0802fe158d24d066d1e1414c5db0da0c3a06ae9f5b96d0"),
+         "9506382e3a100e269b321e99c1497d530539863b7512528cf5d4a5229b525515"),
     ], ids=["general", "isomorphic", "identical-jzero", "jzero", "generate-jzero",
             "corollary-delta2", "corollary-delta4", "elementary"])
     def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):

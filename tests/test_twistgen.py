@@ -16,13 +16,13 @@ from twistpairs.twistgen import (
     ROUTE_GENERAL,
     ROUTE_ISOMORPHIC,
     ROUTE_JZERO,
-    SKIP_AT_INFINITY,
     SKIP_CLASS_COLLISION,
     SKIP_TORSION_TWIST,
     SKIP_ZERO_VALUE,
     RunReport,
     SearchExhausted,
     SquareClassLedger,
+    TwistCertificate,
     bundle_from_dict,
     bundle_to_dict,
     certificate_from_dict,
@@ -55,21 +55,16 @@ class TestConfig:
 
 class TestScaleEnumeration:
     def test_order(self):
-        scales = []
-        gen = enumerate_scales(3)
-        for _ in range(12):
-            scales.append(next(gen))
-        assert scales == [
-            Fraction(1), Fraction(-1),
-            Fraction(2), Fraction(1, 2), Fraction(-2), Fraction(-1, 2),
+        assert list(enumerate_scales(3)) == [
+            Fraction(1),
+            Fraction(2), Fraction(1, 2),
             Fraction(3), Fraction(3, 2), Fraction(1, 3), Fraction(2, 3),
-            Fraction(-3), Fraction(-3, 2),
         ]
 
     def test_reduced_and_distinct(self):
         scales = list(enumerate_scales(12))
         assert len(scales) == len(set(scales))
-        assert all(q != 0 for q in scales)
+        assert all(q > 0 for q in scales)
 
 
 class TestRouting:
@@ -220,7 +215,7 @@ class TestGenerateWorkedPair:
         _, _, _, report = run
         ks = [k for k, _ in report.accepted]
         assert ks == sorted(ks)
-        valid = {SKIP_AT_INFINITY, SKIP_ZERO_VALUE, SKIP_TORSION_TWIST, SKIP_CLASS_COLLISION}
+        valid = {SKIP_ZERO_VALUE, SKIP_TORSION_TWIST, SKIP_CLASS_COLLISION}
         assert all(reason in valid for _, reason in report.skipped)
         assert not report.budget_exhausted
 
@@ -372,13 +367,23 @@ class TestRunReport:
 
 
 class TestCorollary:
-    def test_annotations(self):
+    def test_certificates_are_about_the_pair(self):
+        from twistpairs.weierstrass import are_isomorphic_over_q
+
+        # the twist by D of (4, 8) is the twist by 2*D of (1, 1), so the pair's
+        # claim already covers D*delta and the certificate states nothing more
         certs, _, report = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
-        assert report.pair.curve2 == Curve(4, 8)
+        pair = [report.pair.curve1, report.pair.curve2]
+        assert pair == [Curve(1, 1), Curve(4, 8)]
+        assert [f.name for f in fields(TwistCertificate)] == [
+            "k", "value", "squarefree_rep", "solutions",
+        ]
         for cert in certs:
-            annotation = dict(cert.annotation)
-            assert annotation["D"] == str(cert.value)
-            assert annotation["D_delta"] == str(cert.value * 2)
+            assert verify_certificate(cert, pair) == (True, None)
+            assert are_isomorphic_over_q(
+                quadratic_twist(pair[1], cert.value)[0],
+                quadratic_twist(pair[0], 2 * cert.value)[0],
+            ) is not None
 
     def test_square_delta_routes_isomorphic(self):
         certs, _, report = corollary_mode(Curve(1, 1), Fraction(4), Config(target_count=2))
@@ -459,7 +464,7 @@ class TestVerification:
     def test_torsion_point_detected(self, cert):
         # (2, 3) solves 1*t^2 = x^3 + 1 and has order 6 on y^2 = x^3 + 1
         torsion_cert = replace(
-            cert, value=Fraction(1), squarefree_rep=None,
+            cert, value=Fraction(1), squarefree_rep=(1, True),
             solutions=((Fraction(2), Fraction(3)),),
         )
         assert verify_certificate(torsion_cert, [Curve(0, 1)]) == (False, "torsion-point")
@@ -483,11 +488,6 @@ class TestSerialization:
             data = json.loads(json.dumps(certificate_to_dict(cert)))
             assert certificate_from_dict(data) == cert
 
-    def test_annotation_round_trip(self):
-        certs, _, _ = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=1))
-        data = json.loads(json.dumps(certificate_to_dict(certs[0])))
-        assert certificate_from_dict(data) == certs[0]
-
     def test_bundle_round_trip(self):
         cfg = Config(target_count=2)
         pp = prepare_pair(Curve(1, 1), Curve(2, 2), cfg)
@@ -504,7 +504,7 @@ class TestSerialization:
         certs, _, _ = generate(pp, Config(target_count=1))
         data = certificate_to_dict(certs[0])
         assert list(data) == ["version", "k", "D", "squarefree_D", "solutions"]
-        assert data["version"] == 4
+        assert data["version"] == 5
         assert len(data["solutions"]) == 2
         assert list(data["solutions"][0]) == ["x", "t"]
         assert isinstance(data["squarefree_D"], dict)

@@ -2,7 +2,8 @@
 
 Whatever the value, the verifier accepts or rejects the bundle (exit 0 or
 1) and raises nothing.  A certificate or pair leaf replaced by a value of
-another JSON type is always rejected.
+another JSON type is always rejected, and so is a key added to any object of
+a certificate or the pair.
 """
 
 import json
@@ -19,7 +20,7 @@ from twistpairs.twistgen import bundle_to_dict
 
 
 def _small_bundle() -> dict:
-    # two curves, a label and an annotation: every kind of certificate field
+    # two curves and a label: every kind of certificate field
     cfg = Config(target_count=1, factor_effort=2000)
     certs, ledger, report = corollary_mode(Curve(1, 1), Fraction(2), cfg)
     pp = report.pair
@@ -65,6 +66,23 @@ json_values = st.one_of(
 )
 
 
+def _object_paths(node, prefix=()):
+    if isinstance(node, dict):
+        yield prefix
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _object_paths(child, prefix + (key,))
+
+
+# every certificate, label, solution and pair curve, where no key may be added
+CLAIM_OBJECTS = tuple(
+    path for path in _object_paths(BUNDLE) if path and path[0] in ("certificates", "pair")
+)
+
 def _verify_with_leaf(tmp_path, path, value) -> int:
     bundle = json.loads(json.dumps(BUNDLE))
     *parents, last = path
@@ -97,7 +115,17 @@ def test_certificate_leaf_of_another_type_is_rejected(tmp_path, path, value):
     assert _verify_with_leaf(tmp_path, path, value) == 1
 
 
+@fuzz_settings
+@given(path=st.sampled_from(CLAIM_OBJECTS), key=st.text(max_size=12), value=json_values)
+def test_added_key_is_rejected(tmp_path, path, key, value):
+    # a key the verifier does not read would be a claim it never checks
+    assume(key not in _leaf(BUNDLE, path))
+    assert _verify_with_leaf(tmp_path, path + (key,), value) == 1
+
+
 def test_leaves_cover_every_certificate_field():
     names = {key for path in LEAVES for key in path if isinstance(key, str)}
     assert {"k", "D", "version", "complete", "value",
-            "x", "t", "annotation", "ledger_ok", "pair"} <= names
+            "x", "t", "ledger_ok", "pair"} <= names
+    # the certificate, its label, its two solutions and the two pair curves
+    assert len(CLAIM_OBJECTS) == 6
