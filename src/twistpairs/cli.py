@@ -90,15 +90,13 @@ def _finish(
     cfg: Config,
     run: Sequence,
     curves: Optional[Sequence[Curve]] = None,
-    extra_config: Optional[dict] = None,
 ) -> int:
     """Print the report of a run (certificates, ledger, report); write its bundle."""
-    certs, ledger, report = run
+    certs, _, report = run
     if curves is None:
         curves = [report.pair.curve1, report.pair.curve2]
     _progress(*report.lines())
-    bundle = bundle_to_dict(curves, cfg, certs, ledger.recheck(), extra_config)
-    _emit(bundle, args.output)
+    _emit(bundle_to_dict(curves, certs), args.output)
     if report.budget_exhausted:
         _progress(
             f"partial result: {len(certs)} of {cfg.target_count} certificates"
@@ -125,8 +123,7 @@ def _cmd_corollary(args: argparse.Namespace) -> int:
     curve = _parse_curve(args.curve)
     delta = parse_rational(args.delta)
     cfg = _config(args)
-    extra_config = {"delta": format_rational(delta)}
-    return _finish(args, cfg, corollary_mode(curve, delta, cfg), extra_config=extra_config)
+    return _finish(args, cfg, corollary_mode(curve, delta, cfg))
 
 
 def _cmd_elementary(args: argparse.Namespace) -> int:
@@ -141,15 +138,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             data = json.load(handle)
         except RecursionError as exc:
             raise ValueError("the bundle nests too deeply to parse") from exc
-    pair, _, certs, recorded_ok = bundle_from_dict(data)
+    pair, certs = bundle_from_dict(data)
     overall, results, ledger_ok = verify_bundle(pair, certs)
     print(format_pair(pair))
     for cert, (ok, reason) in zip(certs, results):
         status = "OK" if ok else f"FAILED ({reason})"
         print(f"certificate k={cert.k} D={format_rational(cert.value)}: {status}")
     print(f"pairwise square classes: {'OK' if ledger_ok else 'FAILED'}")
-    if not recorded_ok:
-        _progress("note: the bundle itself recorded ledger_ok = false")
     return 0 if overall else 1
 
 
@@ -181,7 +176,6 @@ def _add_search_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--effort", dest="factor_effort", type=int,
                      default=defaults.factor_effort,
                      help="factorization budget for squarefree labels")
-    sub.add_argument("--prime-start", type=int, default=defaults.prime_start)
     sub.add_argument("--output", help="write the JSON bundle here instead of stdout")
 
 
@@ -250,7 +244,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # buffered goes to devnull, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         _progress(f"error: {exc}")
         return 1
 

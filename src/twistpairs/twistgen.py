@@ -25,7 +25,7 @@ factorization).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count, islice
 from math import gcd
@@ -64,7 +64,7 @@ REJECT_EQUAL_LEADING = "a-equals-scaled-c"
 REJECT_TORSION_SEED = "torsion-seed"
 ACCEPTED = "accepted"
 
-CERTIFICATE_VERSION = 5
+BUNDLE_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,6 @@ class Config:
     max_iterations: int = 64
     lambda_search_bound: int = 40
     factor_effort: int = DEFAULT_FACTOR_EFFORT
-    prime_start: int = 2
 
     def __post_init__(self) -> None:
         if self.target_count < 1:
@@ -83,8 +82,6 @@ class Config:
         for name in ("max_iterations", "lambda_search_bound", "factor_effort"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.prime_start < 2:
-            object.__setattr__(self, "prime_start", 2)
 
 
 class SearchExhausted(Exception):
@@ -157,9 +154,6 @@ class SquareClassLedger:
         """Record a value that ``admits`` has just accepted."""
         self.accepted.append((k, value))
 
-    def recheck(self) -> bool:
-        return _distinct_square_classes([value for _, value in self.accepted])
-
 
 @dataclass
 class RunReport:
@@ -179,14 +173,6 @@ class RunReport:
     @property
     def route(self) -> str:
         return ROUTE_ISOMORPHIC if self.pair is None else self.pair.route
-
-    @property
-    def prime(self) -> Optional[int]:
-        return None if self.pair is None else self.pair.prime
-
-    @property
-    def t_value(self) -> Optional[int]:
-        return None if self.pair is None else self.pair.t_value
 
     def _route_lines(self) -> list[str]:
         pp = self.pair
@@ -295,7 +281,7 @@ def _prepare_jzero(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
     # divisible by p exactly once and fresh with respect to the pair
     exclusions = [6, diff.numerator, diff.denominator]
     attempts: list[LambdaTrial] = []
-    prime_stream = primes_avoiding(exclusions, cfg.prime_start)
+    prime_stream = primes_avoiding(exclusions)
     for _ in range(cfg.lambda_search_bound):
         prime = next(prime_stream)
         t = (prime + 1) ** 3 - 1
@@ -494,6 +480,8 @@ def corollary_mode(
     curves of the pair; the twist by D of the delta-twisted curve is the
     twist by D*delta of the original curve.  A square delta makes the two
     curves Q-isomorphic, so the pair routes through the isomorphic path.
+    The pair ((a, b), (a*delta^2, b*delta^3)) gives delta back: a*b'/(b*a')
+    if b != 0, else +-sqrt(a'/a), and either sign gives the same twists.
     """
     delta = Fraction(delta)
     if curve.has_j_zero:
@@ -568,8 +556,12 @@ def _json_value(value, kind: type):
 
 
 def _fixed_fields(data: dict, names: tuple[str, ...], what: str) -> dict:
-    """``data`` if it is a JSON object with no key outside ``names``."""
-    for key in _json_value(data, dict):
+    """``data`` if it is a JSON object with exactly the keys ``names``."""
+    _json_value(data, dict)
+    for name in names:
+        if name not in data:
+            raise ValueError(f"malformed {what}: missing field {name!r}")
+    for key in data:
         if key not in names:
             raise ValueError(f"malformed {what}: unexpected field {key!r}")
     return data
@@ -577,7 +569,6 @@ def _fixed_fields(data: dict, names: tuple[str, ...], what: str) -> dict:
 
 def certificate_to_dict(cert: TwistCertificate) -> dict:
     return {
-        "version": CERTIFICATE_VERSION,
         "k": cert.k,
         "D": format_rational(cert.value),
         "squarefree_D": {
@@ -591,15 +582,14 @@ def certificate_to_dict(cert: TwistCertificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> TwistCertificate:
-    """Parse one certificate; a malformed one raises ValueError or KeyError.
+    """Parse one certificate; a malformed one raises ValueError.
 
-    Every object has a fixed set of keys: one outside it is rejected, so no
-    claim the verifier does not check can ride along.
+    Every object has a fixed set of keys: a missing one is named, and one
+    outside the set is rejected, so no claim the verifier does not check can
+    ride along.
     """
     try:
-        if _json_value(data["version"], int) != CERTIFICATE_VERSION:
-            raise ValueError(f"unsupported certificate version: {data['version']}")
-        _fixed_fields(data, ("version", "k", "D", "squarefree_D", "solutions"), "certificate")
+        _fixed_fields(data, ("k", "D", "squarefree_D", "solutions"), "certificate")
         label = _fixed_fields(data["squarefree_D"], ("value", "complete"), "certificate")
         solutions = [_fixed_fields(s, ("x", "t"), "certificate") for s in data["solutions"]]
         return TwistCertificate(
@@ -613,29 +603,21 @@ def certificate_from_dict(data: dict) -> TwistCertificate:
         raise ValueError(f"malformed certificate: {exc}") from exc
 
 
-def bundle_to_dict(
-    pair: Sequence[Curve],
-    cfg: Config,
-    certs: Sequence[TwistCertificate],
-    ledger_ok: bool,
-    extra_config: Optional[dict] = None,
-) -> dict:
-    config = asdict(cfg)
-    if extra_config:
-        config.update(extra_config)
+def bundle_to_dict(pair: Sequence[Curve], certs: Sequence[TwistCertificate]) -> dict:
     return {
+        "version": BUNDLE_VERSION,
         "pair": [curve_to_dict(curve) for curve in pair],
-        "config": config,
         "certificates": [certificate_to_dict(cert) for cert in certs],
-        "ledger_ok": ledger_ok,
     }
 
 
-def bundle_from_dict(data: dict) -> tuple[list[Curve], dict, list[TwistCertificate], bool]:
-    """Parse a bundle; a malformed one raises ValueError or KeyError."""
+def bundle_from_dict(data: dict) -> tuple[list[Curve], list[TwistCertificate]]:
+    """Parse a bundle into its pair and certificates; a malformed one raises ValueError."""
     try:
+        _fixed_fields(data, ("version", "pair", "certificates"), "bundle")
+        if _json_value(data["version"], int) != BUNDLE_VERSION:
+            raise ValueError(f"unsupported bundle version: {data['version']}")
         pair = [curve_from_dict(c) for c in data["pair"]]
-        certs = [certificate_from_dict(c) for c in data["certificates"]]
-        return pair, dict(data["config"]), certs, _json_value(data["ledger_ok"], bool)
+        return pair, [certificate_from_dict(c) for c in data["certificates"]]
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed bundle: {exc}") from exc

@@ -183,8 +183,8 @@ def test_criterion_5_j_zero_path():
         certs, ledger, report = jzero_generate(
             Curve(0, 1), Curve(0, 2), Config(target_count=3)
         )
-        assert report.prime == 5
-        assert report.t_value == 215
+        assert report.pair.prime == 5
+        assert report.pair.t_value == 215
         assert valuation(215, 5) == 1
         assert report.pair.scale == 215
         seed = ProjPoint(Fraction(6), Fraction(1), Fraction(1))

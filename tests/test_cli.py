@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,9 +36,9 @@ class TestGenerate:
         )
         assert code == 0
         bundle = json.loads(out_file.read_text())
-        assert list(bundle) == ["pair", "config", "certificates", "ledger_ok"]
+        assert list(bundle) == ["version", "pair", "certificates"]
+        assert bundle["version"] == 6
         assert len(bundle["certificates"]) == 5
-        assert bundle["ledger_ok"] is True
         assert bundle["certificates"][0]["D"] == "-1"
         assert "route: general" in err
         assert "weierstrass model: Y^2 = X^3 - 6*X - 63/4" in err
@@ -221,8 +222,8 @@ class TestJZeroCommand:
 
 class TestCorollaryCommand:
     def test_pair_and_delta(self, capsys, tmp_path):
-        # config.delta records delta, so D*delta can be recomputed; each
-        # certificate is a plain claim about the pair
+        # the pair (E, E^delta) gives delta = a*b'/(b*a'), so D*delta can be
+        # recomputed; each certificate is a plain claim about the pair
         out_file = tmp_path / "cor.json"
         code, _, _ = run_cli(
             capsys, "corollary", "--curve", "1,1", "--delta", "2",
@@ -230,10 +231,12 @@ class TestCorollaryCommand:
         )
         assert code == 0
         bundle = json.loads(out_file.read_text())
-        assert bundle["config"]["delta"] == "2"
+        assert list(bundle) == ["version", "pair", "certificates"]
         assert bundle["pair"] == [{"a": "1", "b": "1"}, {"a": "4", "b": "8"}]
+        (a, b), (a2, b2) = ([Fraction(v) for v in curve.values()] for curve in bundle["pair"])
+        assert a * b2 / (b * a2) == 2
         for cert in bundle["certificates"]:
-            assert list(cert) == ["version", "k", "D", "squarefree_D", "solutions"]
+            assert list(cert) == ["k", "D", "squarefree_D", "solutions"]
 
     def test_square_delta(self, capsys):
         code, out, err = run_cli(
@@ -256,11 +259,16 @@ class TestElementaryCommand:
         assert all(len(c["solutions"]) == 1 for c in bundle["certificates"])
 
 
-def _set_leaf(bundle, path, value):
+def _parent(bundle, path):
     *parents, last = path
     for key in parents:
         bundle = bundle[key]
-    bundle[last] = value
+    return bundle, last
+
+
+def _set_leaf(bundle, path, value):
+    node, last = _parent(bundle, path)
+    node[last] = value
 
 
 # tampers of a two-certificate general bundle, each applied to every certificate
@@ -303,15 +311,17 @@ class TestVerifyCommand:
         (("certificates", 0, "k"), 1.5),
         (("certificates", 0, "k"), True),
         (("certificates", 0, "squarefree_D", "complete"), "no"),
-        (("certificates", 0, "version"), True),
-        (("certificates", 0, "version"), 1.0),
-        (("certificates", 0, "version"), 1),
+        (("version",), True),
+        (("version",), 6.0),
+        (("version",), 1),
         # version 2 stored a model per curve, version 3 a route and lambda
         # to derive one from the pair; no reader for either is kept
-        (("certificates", 0, "version"), 2),
-        (("certificates", 0, "version"), 3),
-        # version 4 allowed a null label and an unchecked annotation
-        (("certificates", 0, "version"), 4),
+        (("version",), 2),
+        (("version",), 3),
+        # version 4 allowed a null label and an unchecked annotation,
+        # version 5 an unchecked config and ledger_ok
+        (("version",), 4),
+        (("version",), 5),
         (("certificates", 0, "squarefree_D"), None),
         (("certificates", 0, "squarefree_D"), "1"),
         (("certificates", 0, "squarefree_D", "value"), " 2"),
@@ -323,7 +333,8 @@ class TestVerifyCommand:
         (("certificates", 0, "D"), "\u0663"),
     ], ids=["top-level-list", "solutions-int", "D-number", "k-infinite", "k-fraction",
             "k-boolean", "complete-text", "version-boolean", "version-float",
-            "version-one", "version-two", "version-three", "version-four", "label-null",
+            "version-one", "version-two", "version-three", "version-four", "version-five",
+            "label-null",
             "label-text", "multiple-order-space",
             "multiple-order-underscore", "label-float", "label-plus-sign", "D-non-ascii-digit"])
     def test_malformed_bundle_exits_one(self, capsys, tmp_path, path, value):
@@ -350,14 +361,13 @@ class TestVerifyCommand:
         # a true solution whose point (2, 3) has order 6 on y^2 = x^3 + 1
         out_file = tmp_path / "bundle.json"
         bundle = {
+            "version": 6,
             "pair": [{"a": "0", "b": "1"}],
-            "config": {},
             "certificates": [{
-                "version": 5, "k": 1, "D": "1",
+                "k": 1, "D": "1",
                 "squarefree_D": {"value": "1", "complete": True},
                 "solutions": [{"x": "2", "t": "3"}],
             }],
-            "ledger_ok": True,
         }
         out_file.write_text(json.dumps(bundle))
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
@@ -422,25 +432,59 @@ class TestVerifyCommand:
 
     def test_unchecked_claims_are_rejected(self, capsys, tmp_path):
         # a version 4 corollary bundle carried an annotation the verifier never
-        # read, so a false D*delta still verified
+        # read, and a version 5 bundle a config and a ledger_ok; a false
+        # D*delta, delta or ledger_ok still verified
         out_file = tmp_path / "bundle.json"
         code, _, _ = run_cli(capsys, "corollary", "--curve=1,1", "--delta=2", "--count", "2",
                              "--effort", "2000", "--output", str(out_file))
         assert code == 0
+        generated = json.loads(out_file.read_text())
+        for path, value, error in [
+            (("certificates", 0, "annotation"), {"D": "-1", "D_delta": "7"},
+             "malformed certificate: unexpected field 'annotation'"),
+            (("certificates", 1, "version"), 6, "malformed certificate: unexpected field 'version'"),
+            (("config",), {"delta": "7"}, "malformed bundle: unexpected field 'config'"),
+            (("claim",), "E^7 has rank 5", "malformed bundle: unexpected field 'claim'"),
+            (("ledger_ok",), False, "malformed bundle: unexpected field 'ledger_ok'"),
+        ]:
+            bundle = json.loads(json.dumps(generated))
+            _set_leaf(bundle, path, value)
+            out_file.write_text(json.dumps(bundle))
+            code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
+            assert (code, out, err) == (1, "", f"error: {error}\n")
+        # the same bundle as version 5 wrote it
+        del generated["version"]
+        generated["config"] = {"delta": "7"}
+        generated["ledger_ok"] = False
+        for cert in generated["certificates"]:
+            cert["version"] = 5
+        out_file.write_text(json.dumps(generated))
+        code, _, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert (code, err) == (1, "error: malformed bundle: missing field 'version'\n")
+
+    @pytest.mark.parametrize("path, error", [
+        (("version",), "malformed bundle: missing field 'version'"),
+        (("pair",), "malformed bundle: missing field 'pair'"),
+        (("certificates",), "malformed bundle: missing field 'certificates'"),
+        (("pair", 1, "b"), "malformed pair curve: missing field 'b'"),
+        (("certificates", 0, "k"), "malformed certificate: missing field 'k'"),
+        (("certificates", 0, "squarefree_D"),
+         "malformed certificate: missing field 'squarefree_D'"),
+        (("certificates", 0, "squarefree_D", "complete"),
+         "malformed certificate: missing field 'complete'"),
+        (("certificates", 0, "solutions", 1, "t"), "malformed certificate: missing field 't'"),
+    ], ids=["version", "pair", "certificates", "pair-b", "k", "label", "complete", "t"])
+    def test_missing_field_is_named(self, capsys, tmp_path, path, error):
+        out_file = tmp_path / "bundle.json"
+        code, _, _ = run_cli(capsys, "corollary", "--curve=1,1", "--delta=2",
+                             "--effort", "2000", "--output", str(out_file))
+        assert code == 0
         bundle = json.loads(out_file.read_text())
-        bundle["certificates"][0]["annotation"] = {"D": "-1", "D_delta": "7"}
-        bundle["certificates"][1]["annotation"] = {"claim": "E has rank 5"}
+        node, last = _parent(bundle, path)
+        del node[last]
         out_file.write_text(json.dumps(bundle))
         code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
-        assert (code, out) == (1, "")
-        assert err == "error: malformed certificate: unexpected field 'annotation'\n"
-        for cert in bundle["certificates"]:
-            cert["version"] = 4
-        out_file.write_text(json.dumps(bundle))
-        code, _, err = run_cli(capsys, "verify", "--input", str(out_file))
-        assert code == 1
-        assert err == "error: unsupported certificate version: 4\n"
-
+        assert (code, out, err) == (1, "", f"error: {error}\n")
 
 class TestClosedStdout:
     # the read end of the child's stdout is closed before the child starts, so
@@ -530,24 +574,26 @@ class TestDeterminism:
         assert first.read_bytes() == second.read_bytes()
 
     # pinned SHA-256 per route: the bundle bytes may move only when the
-    # certificate format or the search order changes on purpose
+    # certificate format or the search order changes on purpose; a bundle
+    # holds only its pair and certificates, so corollary --delta 4, whose pair
+    # is (1, 1), (16, 64), writes the isomorphic route's bytes
     @pytest.mark.parametrize("argv, digest", [
         (("generate", "--curve1", "1,1", "--curve2", "2,2"),
-         "6279e78e48821df418c52392a6c8ed9cb22f3ca008bdd7ea2ae2aaa80706949d"),
+         "a7e0e8f00b55a3f07a8a15bc9beaf3d9fac285827adcdf0ee9be80595b3ca116"),
         (("generate", "--curve1", "1,1", "--curve2", "16,64"),
-         "4547f9be46915e57938ce105cec5ccb31b88376da59ea3cd00d12d64163a8045"),
+         "0e996a00d9323ec445e715c9e6f226d886c74199804e771fcf295d15c9f12911"),
         (("generate", "--curve1", "0,2", "--curve2", "0,2"),
-         "333efa1364d0e9fe1e5627949b71e4b35edd709f1c7a80257eab70f5e886cd0b"),
+         "50c208354d7136ea8a475ab538e4f7260b506569d13adb0aaf52cdb565edbb35"),
         (("jzero", "--curve1", "0,1", "--curve2", "0,2"),
-         "4bf52c5b2e610cb0821ada556440d90fb35bd57bb71e5646f0abf96969ff7058"),
+         "e07ad29bd3a7e6c142d6829ebdd0c1a8f25020d096b9451e9f6bde26a7f8cf78"),
         (("generate", "--curve1", "0,1", "--curve2", "0,2"),
-         "4bf52c5b2e610cb0821ada556440d90fb35bd57bb71e5646f0abf96969ff7058"),
+         "e07ad29bd3a7e6c142d6829ebdd0c1a8f25020d096b9451e9f6bde26a7f8cf78"),
         (("corollary", "--curve", "1,1", "--delta", "2"),
-         "1a78bd7d22d05f3d81c571d52aaa3fa292e0cd69bad30c3bc39ad82ea27f523e"),
+         "f985fb5b9356c427aef0e181bf64c1a8a99d3686b200f29bbc63fb7004266639"),
         (("corollary", "--curve", "1,1", "--delta", "4"),
-         "568312223947baa259cbb9207fb38dcd59591c6d581f6229780f4fe0b5e70a60"),
+         "0e996a00d9323ec445e715c9e6f226d886c74199804e771fcf295d15c9f12911"),
         (("elementary", "--curve", "1,1"),
-         "9506382e3a100e269b321e99c1497d530539863b7512528cf5d4a5229b525515"),
+         "6edc064a2d5fc9c8e504fca9d4840a124831e8ebb7f06decb1485274e1f79b48"),
     ], ids=["general", "isomorphic", "identical-jzero", "jzero", "generate-jzero",
             "corollary-delta2", "corollary-delta4", "elementary"])
     def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):

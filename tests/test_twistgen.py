@@ -49,9 +49,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(max_iterations=0)
 
-    def test_prime_start_floor(self):
-        assert Config(prime_start=0).prime_start == 2
-
 
 class TestScaleEnumeration:
     def test_order(self):
@@ -197,9 +194,8 @@ class TestGenerateWorkedPair:
         assert to_twist(*first.solutions[0]) == WPoint(Fraction(1), Fraction(1))
 
     def test_five_distinct_classes(self, run):
-        _, certs, ledger, _ = run
+        _, certs, _, _ = run
         assert len(certs) == 5
-        assert ledger.recheck()
         values = [c.value for c in certs]
         for i, v1 in enumerate(values):
             for v2 in values[i + 1:]:
@@ -245,13 +241,12 @@ class TestGeneralTransport:
 
 class TestElementary:
     def test_first_value(self):
-        certs, ledger, report = elementary_generate(Curve(1, 1), Config(target_count=3))
+        certs, _, report = elementary_generate(Curve(1, 1), Config(target_count=3))
         assert report.accepted[0] == (1, Fraction(3))
         twist_model, to_twist = quadratic_twist(Curve(1, 1), certs[0].value)
         assert (twist_model.a, twist_model.b) == (9, 27)
         assert to_twist(*certs[0].solutions[0]) == WPoint(Fraction(3), Fraction(9))
-        assert ledger.recheck()
-        assert all(verify_certificate(c, [Curve(1, 1)])[0] for c in certs)
+        assert verify_bundle([Curve(1, 1)], certs)[0]
 
     def test_square_value_collides_with_earlier_square(self):
         # x^3 - x + 1 takes the square values 1 at x=1 and 25 at x=3
@@ -268,7 +263,7 @@ class TestIsomorphicTransport:
     def test_two_entries_with_scaled_solution(self):
         cfg = Config(target_count=3)
         pp = prepare_pair(Curve(1, 1), Curve(16, 64), cfg)
-        certs, ledger, _ = generate(pp, cfg)
+        certs, _, _ = generate(pp, cfg)
         assert len(certs) == 3
         for cert in certs:
             first, second = cert.solutions
@@ -276,7 +271,7 @@ class TestIsomorphicTransport:
             assert second == (4 * first[0], 8)
             ok, reason = verify_certificate(cert, [pp.curve1, pp.curve2])
             assert ok, reason
-        assert ledger.recheck()
+        assert verify_bundle([pp.curve1, pp.curve2], certs)[0]
 
 
 @pytest.fixture(scope="module")
@@ -287,8 +282,8 @@ def jzero_run():
 class TestJZero:
     def test_recipe_values(self, jzero_run):
         certs, ledger, report = jzero_run
-        assert report.prime == 5
-        assert report.t_value == 215
+        assert report.pair.prime == 5
+        assert report.pair.t_value == 215
         assert valuation(215, 5) == 1
         assert report.pair.scale == 215
 
@@ -299,11 +294,10 @@ class TestJZero:
         assert (report.pair.curve1, report.pair.curve2) == (Curve(0, 215), Curve(0, 430))
 
     def test_certificates_verify_distinct(self, jzero_run):
-        certs, ledger, report = jzero_run
+        certs, _, report = jzero_run
         assert len(certs) >= 3
-        assert ledger.recheck()
         pair = [report.pair.curve1, report.pair.curve2]
-        assert all(verify_certificate(c, pair)[0] for c in certs)
+        assert verify_bundle(pair, certs)[0]
         # 215 is no rational cube, so y^2 = x^3 + 215 is no quadratic twist
         # of y^2 = x^3 + 1; (6, 1) solves 431*t^2 = x^3 + 215 only
         given = [Curve(0, 1), Curve(0, 2)]
@@ -324,7 +318,7 @@ class TestJZero:
         )
         assert certs and verify_certificate(certs[0], [report.pair.curve1, report.pair.curve2])[0]
         # lambda * (d - b) recovers the seed value t exactly
-        assert report.pair.scale * Fraction(-1, 6) == report.t_value
+        assert report.pair.scale * Fraction(-1, 6) == report.pair.t_value
 
 
 class TestRunReport:
@@ -333,7 +327,7 @@ class TestRunReport:
         pp = prepare_pair(Curve(0, 1), Curve(0, 2), cfg)
         _, _, report = generate(pp, cfg)
         assert report.pair is pp
-        assert (report.route, report.prime, report.t_value) == (ROUTE_JZERO, 5, 215)
+        assert (report.route, report.pair.prime, report.pair.t_value) == (ROUTE_JZERO, 5, 215)
 
     def test_stores_no_copy_of_the_pair(self):
         names = {f.name for f in fields(RunReport)}
@@ -342,7 +336,7 @@ class TestRunReport:
     def test_elementary_has_no_pair(self):
         _, _, report = elementary_generate(Curve(1, 1), Config(target_count=1))
         assert report.pair is None
-        assert (report.route, report.prime, report.t_value) == (ROUTE_ISOMORPHIC, None, None)
+        assert (report.route, report.pair) == (ROUTE_ISOMORPHIC, None)
         assert report.lines()[0] == "route: isomorphic"
 
     def test_header_comes_from_the_pair(self):
@@ -405,7 +399,8 @@ class TestLedger:
         ledger.add(1, Fraction(3))
         assert not ledger.admits(Fraction(12))  # 3 * 12 = 36
         ledger.add(2, Fraction(5))
-        assert ledger.recheck()
+        assert not ledger.admits(Fraction(20))  # 5 * 20 = 100
+        assert ledger.accepted == [(1, 3), (2, 5)]
 
     def test_each_candidate_is_tested_once(self, monkeypatch):
         # add trusts the admits call just made, so each accepted D is compared
@@ -491,20 +486,19 @@ class TestSerialization:
     def test_bundle_round_trip(self):
         cfg = Config(target_count=2)
         pp = prepare_pair(Curve(1, 1), Curve(2, 2), cfg)
-        certs, ledger, _ = generate(pp, cfg)
-        bundle = bundle_to_dict([pp.curve1, pp.curve2], cfg, certs, ledger.recheck())
-        pair, config, parsed, ledger_ok = bundle_from_dict(json.loads(json.dumps(bundle)))
+        certs, _, _ = generate(pp, cfg)
+        bundle = bundle_to_dict([pp.curve1, pp.curve2], certs)
+        assert list(bundle) == ["version", "pair", "certificates"]
+        assert bundle["version"] == 6
+        pair, parsed = bundle_from_dict(json.loads(json.dumps(bundle)))
         assert pair == [Curve(1, 1), Curve(2, 2)]
-        assert config["target_count"] == 2
         assert parsed == certs
-        assert ledger_ok
 
     def test_schema_field_names(self):
         pp = prepare_pair(Curve(1, 1), Curve(2, 2), Config(target_count=1))
         certs, _, _ = generate(pp, Config(target_count=1))
         data = certificate_to_dict(certs[0])
-        assert list(data) == ["version", "k", "D", "squarefree_D", "solutions"]
-        assert data["version"] == 5
+        assert list(data) == ["k", "D", "squarefree_D", "solutions"]
         assert len(data["solutions"]) == 2
         assert list(data["solutions"][0]) == ["x", "t"]
         assert isinstance(data["squarefree_D"], dict)

@@ -1,9 +1,9 @@
 """Fuzz of ``verify``: one leaf of a small bundle replaced by any JSON value.
 
 Whatever the value, the verifier accepts or rejects the bundle (exit 0 or
-1) and raises nothing.  A certificate or pair leaf replaced by a value of
-another JSON type is always rejected, and so is a key added to any object of
-a certificate or the pair.
+1) and raises nothing.  A leaf replaced by a value of another JSON type is
+always rejected, and so is a key added to or removed from any object of the
+bundle, the top level included.
 """
 
 import json
@@ -22,11 +22,9 @@ from twistpairs.twistgen import bundle_to_dict
 def _small_bundle() -> dict:
     # two curves and a label: every kind of certificate field
     cfg = Config(target_count=1, factor_effort=2000)
-    certs, ledger, report = corollary_mode(Curve(1, 1), Fraction(2), cfg)
+    certs, _, report = corollary_mode(Curve(1, 1), Fraction(2), cfg)
     pp = report.pair
-    bundle = bundle_to_dict(
-        [pp.curve1, pp.curve2], cfg, certs, ledger.recheck(), {"delta": "2"}
-    )
+    bundle = bundle_to_dict([pp.curve1, pp.curve2], certs)
     return json.loads(json.dumps(bundle))
 
 
@@ -50,8 +48,6 @@ def _leaf(bundle, path):
 
 BUNDLE = _small_bundle()
 LEAVES = tuple(_leaf_paths(BUNDLE))
-# the certificates' claims are about the pair; the config is outside them
-CERTIFICATE_LEAVES = tuple(path for path in LEAVES if path[0] in ("certificates", "pair"))
 
 json_values = st.one_of(
     st.none(),
@@ -78,10 +74,11 @@ def _object_paths(node, prefix=()):
         yield from _object_paths(child, prefix + (key,))
 
 
-# every certificate, label, solution and pair curve, where no key may be added
-CLAIM_OBJECTS = tuple(
-    path for path in _object_paths(BUNDLE) if path and path[0] in ("certificates", "pair")
-)
+# the bundle, its certificate, label, solutions and pair curves: each has
+# exactly its keys, so none may be added or removed
+OBJECTS = tuple(_object_paths(BUNDLE))
+KEYS = tuple(path + (key,) for path in OBJECTS for key in _leaf(BUNDLE, path))
+
 
 def _verify_with_leaf(tmp_path, path, value) -> int:
     bundle = json.loads(json.dumps(BUNDLE))
@@ -107,7 +104,7 @@ def test_verify_rejects_or_accepts_any_leaf(tmp_path, path, value):
 
 
 @fuzz_settings
-@given(path=st.sampled_from(CERTIFICATE_LEAVES), value=json_values)
+@given(path=st.sampled_from(LEAVES), value=json_values)
 def test_certificate_leaf_of_another_type_is_rejected(tmp_path, path, value):
     # json gives each JSON type one Python type; true is no integer, and a
     # float such as 1.0 is no integer either
@@ -116,16 +113,33 @@ def test_certificate_leaf_of_another_type_is_rejected(tmp_path, path, value):
 
 
 @fuzz_settings
-@given(path=st.sampled_from(CLAIM_OBJECTS), key=st.text(max_size=12), value=json_values)
-def test_added_key_is_rejected(tmp_path, path, key, value):
+@given(path=st.sampled_from(OBJECTS), key=st.text(max_size=12), value=json_values)
+def test_added_key_is_rejected(tmp_path, capsys, path, key, value):
     # a key the verifier does not read would be a claim it never checks
     assume(key not in _leaf(BUNDLE, path))
+    capsys.readouterr()
     assert _verify_with_leaf(tmp_path, path + (key,), value) == 1
+    assert f"unexpected field {key!r}" in capsys.readouterr().err
+
+
+@fuzz_settings
+@given(path=st.sampled_from(KEYS))
+def test_removed_key_is_rejected(tmp_path, capsys, path):
+    bundle = json.loads(json.dumps(BUNDLE))
+    *parents, last = path
+    del _leaf(bundle, parents)[last]
+    out_file = tmp_path / "bundle.json"
+    out_file.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out_file)]) == 1
+    assert f"missing field {last!r}" in capsys.readouterr().err
 
 
 def test_leaves_cover_every_certificate_field():
     names = {key for path in LEAVES for key in path if isinstance(key, str)}
-    assert {"k", "D", "version", "complete", "value",
-            "x", "t", "ledger_ok", "pair"} <= names
-    # the certificate, its label, its two solutions and the two pair curves
-    assert len(CLAIM_OBJECTS) == 6
+    assert names == {"version", "pair", "a", "b", "certificates", "k", "D",
+                     "squarefree_D", "value", "complete", "solutions", "x", "t"}
+    # the bundle, the certificate, its label, its two solutions and the two
+    # pair curves
+    assert len(OBJECTS) == 7
+    assert len(KEYS) == 17
