@@ -33,7 +33,6 @@ from .twistgen import (
     PreparedPair,
     RunReport,
     SearchExhausted,
-    SquareClassLedger,
     TwistCertificate,
     certificate_from_dict,
     certificate_to_dict,

@@ -89,14 +89,11 @@ def _finish(
     args: argparse.Namespace,
     cfg: Config,
     run: Sequence,
-    curves: Optional[Sequence[Curve]] = None,
 ) -> int:
-    """Print the report of a run (certificates, ledger, report); write its bundle."""
-    certs, _, report = run
-    if curves is None:
-        curves = [report.pair.curve1, report.pair.curve2]
+    """Print the report of a run (certificates, pair, report); write its bundle."""
+    certs, pair, report = run
     _progress(*report.lines())
-    _emit(bundle_to_dict(curves, certs), args.output)
+    _emit(bundle_to_dict(pair, certs), args.output)
     if report.budget_exhausted:
         _progress(
             f"partial result: {len(certs)} of {cfg.target_count} certificates"
@@ -109,7 +106,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     curve1 = _parse_curve(args.curve1)
     curve2 = _parse_curve(args.curve2)
     cfg = _config(args)
-    return _finish(args, cfg, generate(prepare_pair(curve1, curve2, cfg), cfg))
+    return _finish(args, cfg, generate(prepare_pair(curve1, curve2), cfg))
 
 
 def _cmd_jzero(args: argparse.Namespace) -> int:
@@ -129,7 +126,7 @@ def _cmd_corollary(args: argparse.Namespace) -> int:
 def _cmd_elementary(args: argparse.Namespace) -> int:
     curve = _parse_curve(args.curve)
     cfg = _config(args)
-    return _finish(args, cfg, elementary_generate(curve, cfg), [curve])
+    return _finish(args, cfg, elementary_generate(curve, cfg))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -170,9 +167,6 @@ def _add_search_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--count", dest="target_count", type=int,
                      default=defaults.target_count, help="certificates to emit")
     sub.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
-    sub.add_argument("--lambda-bound", dest="lambda_search_bound", type=int,
-                     default=defaults.lambda_search_bound,
-                     help="height bound for the rescaling/prime search")
     sub.add_argument("--effort", dest="factor_effort", type=int,
                      default=defaults.factor_effort,
                      help="factorization budget for squarefree labels")

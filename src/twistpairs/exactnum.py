@@ -43,6 +43,9 @@ _ECM_FIRST_SIGMA = 6
 _INTEGER_RE = re.compile(r"-?\d+", re.ASCII)
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
 
+#: Characters of an input that an error message quotes.
+_EXCERPT_LIMIT = 200
+
 # Strong-pseudoprime witnesses: the first 40 prime bases.  The first 12 of
 # them are a known deterministic witness schedule for every n below the
 # bound; above it we run all 40, which keeps the composite-acceptance
@@ -56,21 +59,29 @@ _LARGE_WITNESSES = (
 _DETERMINISTIC_WITNESSES = _LARGE_WITNESSES[:12]
 
 
+def excerpt(text: str) -> str:
+    """``text`` cut after ``_EXCERPT_LIMIT`` characters, for an error message.
+
+    Inputs can be arbitrarily long, and an error line must stay short.
+    """
+    return text if len(text) <= _EXCERPT_LIMIT else text[:_EXCERPT_LIMIT] + "..."
+
+
 def parse_integer(text: str) -> int:
     """Parse the text format ``n``: ASCII digits, optional leading minus."""
     if not isinstance(text, str) or not _INTEGER_RE.fullmatch(text):
-        raise ValueError(f"not an integer in n form: {text!r}")
+        raise ValueError(f"not an integer in n form: {excerpt(repr(text))}")
     return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the text format ``n`` or ``n/m``: ASCII digits, optional leading minus."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a rational in n or n/m form: {text!r}")
+        raise ValueError(f"not a rational in n or n/m form: {excerpt(repr(text))}")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
+            raise ValueError(f"zero denominator: {excerpt(repr(text))}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

@@ -18,9 +18,6 @@ Q-isomorphic to curve 2 and carried onto curve 2 itself.  Every emitted value
 D comes with a certificate that states the claim only: per pair curve, a
 solution (x, t) of D*t^2 = x^3 + a*x + b on that curve.  The verifier
 recomputes the non-torsion chain of (D*x, D^2*t) on the standard twist model.
-A ledger guarantees that accepted values have pairwise distinct square
-classes (checked by exact perfect-square tests on products, never by
-factorization).
 """
 
 from __future__ import annotations
@@ -33,6 +30,7 @@ from typing import Iterator, Optional, Sequence
 
 from .exactnum import (
     DEFAULT_FACTOR_EFFORT,
+    excerpt,
     format_rational,
     parse_integer,
     parse_rational,
@@ -44,6 +42,7 @@ from .exactnum import (
 from .planecubic import PlaneCubic, ProjPoint
 from .weierstrass import (
     Curve,
+    WPoint,
     are_isomorphic_over_q,
     certify_nontorsion,
     format_cubic,
@@ -66,6 +65,10 @@ ACCEPTED = "accepted"
 
 BUNDLE_VERSION = 6
 
+#: Height bound of the rescaling search, and the number of primes the jzero
+#: recipe tries.
+LAMBDA_SEARCH_BOUND = 40
+
 
 @dataclass(frozen=True)
 class Config:
@@ -73,13 +76,12 @@ class Config:
 
     target_count: int = 1
     max_iterations: int = 64
-    lambda_search_bound: int = 40
     factor_effort: int = DEFAULT_FACTOR_EFFORT
 
     def __post_init__(self) -> None:
         if self.target_count < 1:
             raise ValueError("target_count must be at least 1")
-        for name in ("max_iterations", "lambda_search_bound", "factor_effort"):
+        for name in ("max_iterations", "factor_effort"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -139,20 +141,6 @@ def _distinct_square_classes(values: Sequence[Fraction]) -> bool:
         for v1, v2 in combinations(values, 2)
         if v1 != 0 and v2 != 0
     )
-
-
-class SquareClassLedger:
-    """Accepted (k, D) pairs with pairwise distinct square classes."""
-
-    def __init__(self) -> None:
-        self.accepted: list[tuple[int, Fraction]] = []
-
-    def admits(self, value: Fraction) -> bool:
-        return all(not same_square_class(value, seen) for _, seen in self.accepted)
-
-    def add(self, k: int, value: Fraction) -> None:
-        """Record a value that ``admits`` has just accepted."""
-        self.accepted.append((k, value))
 
 
 @dataclass
@@ -274,7 +262,7 @@ def lambda_search(
     )
 
 
-def _prepare_jzero(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
+def _prepare_jzero(curve1: Curve, curve2: Curve) -> PreparedPair:
     b, d = curve1.b, curve2.b
     diff = d - b
     # p must avoid 2, 3 and the primes of d - b so that the seed value t is
@@ -282,7 +270,7 @@ def _prepare_jzero(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
     exclusions = [6, diff.numerator, diff.denominator]
     attempts: list[LambdaTrial] = []
     prime_stream = primes_avoiding(exclusions)
-    for _ in range(cfg.lambda_search_bound):
+    for _ in range(LAMBDA_SEARCH_BOUND):
         prime = next(prime_stream)
         t = (prime + 1) ** 3 - 1
         if valuation(t, prime) != 1:
@@ -307,12 +295,12 @@ def _prepare_jzero(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
             trials=tuple(attempts),
         )
     raise SearchExhausted(
-        f"no usable prime among the first {cfg.lambda_search_bound} candidates",
+        f"no usable prime among the first {LAMBDA_SEARCH_BOUND} candidates",
         tuple(attempts),
     )
 
 
-def prepare_pair(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
+def prepare_pair(curve1: Curve, curve2: Curve) -> PreparedPair:
     """Route a pair and build everything generation needs.
 
     A Q-isomorphic pair takes the isomorphic route; otherwise both curves
@@ -328,9 +316,9 @@ def prepare_pair(curve1: Curve, curve2: Curve, cfg: Config) -> PreparedPair:
             scale=iso_scale,
         )
     if curve1.has_j_zero and curve2.has_j_zero:
-        return _prepare_jzero(curve1, curve2, cfg)
+        return _prepare_jzero(curve1, curve2)
     scale, cubic, seed, _, trials = lambda_search(
-        curve1, curve2, cfg.lambda_search_bound
+        curve1, curve2, LAMBDA_SEARCH_BOUND
     )
     return PreparedPair(
         route=ROUTE_GENERAL,
@@ -350,8 +338,8 @@ def _is_torsion_on_twist(
     model: Curve, solution_x: Fraction, solution_t: Fraction, value: Fraction
 ) -> bool:
     """Whether (D*x, D^2*t) is torsion on the twist of ``model`` by D = value."""
-    twisted, to_twist = quadratic_twist(model, value)
-    return certify_nontorsion(twisted, to_twist(solution_x, solution_t)) is None
+    point = WPoint(value * solution_x, value * value * solution_t)
+    return certify_nontorsion(quadratic_twist(model, value), point) is None
 
 
 def _squarefree_rep(value: Fraction, effort: int) -> tuple[int, bool]:
@@ -404,9 +392,12 @@ def _run_generation(
     curves: tuple[Curve, ...],
     cfg: Config,
     report: RunReport,
-) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
-    """Certify candidates in order until the target count or the budget."""
-    ledger = SquareClassLedger()
+) -> tuple[list[TwistCertificate], tuple[Curve, ...], RunReport]:
+    """Certify candidates in order until the target count or the budget.
+
+    Returns the certificates, the ``curves`` their solutions lie on, and the
+    report, whose ``accepted`` keeps each accepted (k, D) once.
+    """
     certificates: list[TwistCertificate] = []
     steps = islice(candidates, cfg.max_iterations)
     for k, (value, solutions) in enumerate(steps, start=1):
@@ -414,13 +405,12 @@ def _run_generation(
         if value == 0:
             report.skipped.append((k, SKIP_ZERO_VALUE))
             continue
-        if not ledger.admits(value):
+        if any(same_square_class(value, seen) for _, seen in report.accepted):
             report.skipped.append((k, SKIP_CLASS_COLLISION))
             continue
         if any(_is_torsion_on_twist(c, x, t, value) for c, (x, t) in zip(curves, solutions)):
             report.skipped.append((k, SKIP_TORSION_TWIST))
             continue
-        ledger.add(k, value)
         report.accepted.append((k, value))
         certificates.append(
             TwistCertificate(
@@ -433,12 +423,12 @@ def _run_generation(
         if len(certificates) >= cfg.target_count:
             break
     report.budget_exhausted = len(certificates) < cfg.target_count
-    return certificates, ledger, report
+    return certificates, curves, report
 
 
 def generate(
     pp: PreparedPair, cfg: Config
-) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
+) -> tuple[list[TwistCertificate], tuple[Curve, ...], RunReport]:
     """Run the generation loop on the candidate stream of the prepared route.
 
     Only the jzero cubic glues the pair's own curves; the other streams carry
@@ -455,25 +445,25 @@ def generate(
 
 def elementary_generate(
     curve: Curve, cfg: Config
-) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
+) -> tuple[list[TwistCertificate], tuple[Curve, ...], RunReport]:
     """Single-curve mode: certificates with one solution each."""
     return _run_generation(_integer_inputs(curve), (curve,), cfg, RunReport())
 
 
 def jzero_generate(
     curve1: Curve, curve2: Curve, cfg: Config
-) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
+) -> tuple[list[TwistCertificate], tuple[Curve, ...], RunReport]:
     """Direct j-invariant-zero mode on the sextic twists by report.pair.scale."""
     if not (curve1.has_j_zero and curve2.has_j_zero):
         raise ValueError("jzero mode needs both curves with a == 0")
     if are_isomorphic_over_q(curve1, curve2) is not None:
         raise ValueError("Q-isomorphic curves; use generate or elementary instead of jzero")
-    return generate(_prepare_jzero(curve1, curve2, cfg), cfg)
+    return generate(_prepare_jzero(curve1, curve2), cfg)
 
 
 def corollary_mode(
     curve: Curve, delta: Fraction, cfg: Config
-) -> tuple[list[TwistCertificate], SquareClassLedger, RunReport]:
+) -> tuple[list[TwistCertificate], tuple[Curve, ...], RunReport]:
     """Pair a curve with its own quadratic twist by delta (``report.pair``).
 
     A certificate for D claims positive rank for the twists by D of both
@@ -488,13 +478,13 @@ def corollary_mode(
         raise ValueError("this mode needs a curve with nonzero j-invariant")
     if delta == 0:
         raise ValueError("the twisting value must be nonzero")
-    twisted, _ = quadratic_twist(curve, delta)
-    certificates, ledger, report = generate(prepare_pair(curve, twisted, cfg), cfg)
+    twisted = quadratic_twist(curve, delta)
+    certificates, pair, report = generate(prepare_pair(curve, twisted), cfg)
     report.notes.append(
         "each certified D for the twisted partner certifies D*delta for the "
         "original curve"
     )
-    return certificates, ledger, report
+    return certificates, pair, report
 
 
 # -------------------------------------------------------------- verification
@@ -548,10 +538,19 @@ def curve_from_dict(data: dict) -> Curve:
     return Curve(parse_rational(data["a"]), parse_rational(data["b"]))
 
 
+#: The JSON kind of each type that json.load produces.
+_JSON_KINDS = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
 def _json_value(value, kind: type):
-    """``value`` if its JSON type is exactly ``kind``: JSON true is no integer."""
+    """``value`` if its JSON type is exactly ``kind``: JSON true is no integer.
+
+    The error names the kind received, not the value, which may be any size.
+    """
     if type(value) is not kind:
-        raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
+        got = _JSON_KINDS.get(type(value), type(value).__name__)
+        raise ValueError(f"expected a JSON {_JSON_KINDS[kind]}, got a JSON {got}")
     return value
 
 
@@ -563,7 +562,7 @@ def _fixed_fields(data: dict, names: tuple[str, ...], what: str) -> dict:
             raise ValueError(f"malformed {what}: missing field {name!r}")
     for key in data:
         if key not in names:
-            raise ValueError(f"malformed {what}: unexpected field {key!r}")
+            raise ValueError(f"malformed {what}: unexpected field {excerpt(repr(key))}")
     return data
 
 
@@ -616,7 +615,7 @@ def bundle_from_dict(data: dict) -> tuple[list[Curve], list[TwistCertificate]]:
     try:
         _fixed_fields(data, ("version", "pair", "certificates"), "bundle")
         if _json_value(data["version"], int) != BUNDLE_VERSION:
-            raise ValueError(f"unsupported bundle version: {data['version']}")
+            raise ValueError(f"unsupported bundle version: {excerpt(repr(data['version']))}")
         pair = [curve_from_dict(c) for c in data["pair"]]
         return pair, [certificate_from_dict(c) for c in data["certificates"]]
     except (TypeError, AttributeError) as exc:

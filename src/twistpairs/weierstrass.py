@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar
 
-from .exactnum import is_perfect_square, rational_cube_root
+from .exactnum import excerpt, is_perfect_square, rational_cube_root
 
 #: Orders a nontrivial rational torsion point can have over Q.
 RATIONAL_TORSION_ORDERS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
@@ -59,7 +59,8 @@ class Curve:
         object.__setattr__(self, "b", Fraction(self.b))
         if disc_quantity(self.a, self.b) == 0:
             raise ValueError(
-                f"singular curve: 4a^3 + 27b^2 = 0 for a={self.a}, b={self.b}"
+                f"singular curve: 4a^3 + 27b^2 = 0 for a={excerpt(str(self.a))}, "
+                f"b={excerpt(str(self.b))}"
             )
 
     def rhs(self, x: Fraction) -> Fraction:
@@ -146,28 +147,16 @@ def scale_model(curve: Curve, scale: Fraction) -> tuple[Curve, Callable[[WPoint]
     return scaled, point_map
 
 
-def quadratic_twist(
-    curve: Curve, twist_value: Fraction
-) -> tuple[Curve, Callable[[Fraction, Fraction], WPoint]]:
+def quadratic_twist(curve: Curve, twist_value: Fraction) -> Curve:
     """The standard twist model (a*D^2, b*D^3) for D = twist_value.
 
-    The returned map sends a solution (x, t) of D*t^2 = x^3 + a*x + b to the
-    point (D*x, D^2*t) on the twist model.
+    A solution (x, t) of D*t^2 = x^3 + a*x + b gives the point (D*x, D^2*t)
+    on it.
     """
     d = Fraction(twist_value)
     if d == 0:
         raise ValueError("quadratic twist needs a nonzero value")
-    twisted = Curve(curve.a * d**2, curve.b * d**3)
-
-    def solution_map(x: Fraction, t: Fraction) -> WPoint:
-        point = WPoint(d * Fraction(x), d * d * Fraction(t))
-        if not twisted.contains(point):
-            raise ValueError(
-                f"({x}, {t}) does not solve {d}*t^2 = {format_cubic(curve.a, curve.b)}"
-            )
-        return point
-
-    return twisted, solution_map
+    return Curve(curve.a * d**2, curve.b * d**3)
 
 
 def torsion_order_multiples(

@@ -87,9 +87,11 @@ def test_criterion_1_worked_pair(tmp_path, capsys):
         assert len(certs) == 5
         first = certs[0]
         assert first.k == 1 and first.value == -1
-        twist_model, to_twist = quadratic_twist(Curve(1, 1), first.value)
+        twist_model = quadratic_twist(Curve(1, 1), first.value)
         assert twist_model == Curve(1, -1)
-        assert to_twist(*first.solutions[0]) == WPoint(Fraction(1), Fraction(1))
+        x, t = first.solutions[0]
+        point = WPoint(first.value * x, first.value**2 * t)
+        assert point == WPoint(Fraction(1), Fraction(1)) and twist_model.contains(point)
         for cert in certs:
             ok, reason = verify_certificate(cert, [Curve(1, 1), Curve(2, 2)])
             assert ok, reason
@@ -180,7 +182,7 @@ def test_criterion_4_torsion_detector():
 def test_criterion_5_j_zero_path():
     with criterion(5, "j-invariant-zero path"):
         started = time.monotonic()
-        certs, ledger, report = jzero_generate(
+        certs, pair, report = jzero_generate(
             Curve(0, 1), Curve(0, 2), Config(target_count=3)
         )
         assert report.pair.prime == 5
@@ -193,10 +195,9 @@ def test_criterion_5_j_zero_path():
         assert len(certs) >= 3
         # the certificates are about the sextic twists by 215, which are no
         # quadratic twists of the given curves: 215 is no rational cube
-        twists = [report.pair.curve1, report.pair.curve2]
-        assert twists == [Curve(0, 215), Curve(0, 430)]
+        assert pair == (Curve(0, 215), Curve(0, 430))
         for cert in certs:
-            ok, reason = verify_certificate(cert, twists)
+            ok, reason = verify_certificate(cert, pair)
             assert ok, reason
             assert verify_certificate(cert, [Curve(0, 1), Curve(0, 2)]) == (
                 False, "solution-mismatch"
@@ -208,16 +209,15 @@ def test_criterion_5_j_zero_path():
 
 def test_criterion_6_corollary_mode():
     with criterion(6, "corollary mode"):
-        certs, _, report = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
-        pair = [report.pair.curve1, report.pair.curve2]
-        assert pair == [Curve(1, 1), Curve(4, 8)]
+        certs, pair, _ = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
+        assert pair == (Curve(1, 1), Curve(4, 8))
         for cert in certs:
             D = cert.value
             assert verify_certificate(cert, pair) == (True, None)
             # the twist by D of the partner is the twist by D*delta of the curve
             assert are_isomorphic_over_q(
-                quadratic_twist(report.pair.curve2, D)[0],
-                quadratic_twist(Curve(1, 1), 2 * D)[0],
+                quadratic_twist(pair[1], D),
+                quadratic_twist(Curve(1, 1), 2 * D),
             ) is not None
 
         _, _, report_square = corollary_mode(Curve(1, 1), Fraction(4), Config(target_count=1))
@@ -228,7 +228,7 @@ def test_criterion_7_robustness():
     with criterion(7, "robustness"):
         with pytest.raises(ValueError):
             PlaneCubic(0, 1, 0, 1)
-        pp = prepare_pair(Curve(0, 1), Curve(0, 1), Config())
+        pp = prepare_pair(Curve(0, 1), Curve(0, 1))
         assert pp.route == ROUTE_ISOMORPHIC
 
         scale, _, _, _, trials = lambda_search(Curve(1, 1), Curve(1, 2), 40)

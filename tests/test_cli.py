@@ -15,6 +15,17 @@ import twistpairs
 
 from twistpairs import cli
 from twistpairs.cli import main
+from twistpairs.twistgen import (
+    Config,
+    bundle_to_dict,
+    corollary_mode,
+    elementary_generate,
+    generate,
+    jzero_generate,
+    prepare_pair,
+    verify_bundle,
+)
+from twistpairs.weierstrass import Curve
 
 
 # the sextic twists by lambda = 215 of y^2 = x^3 + 1 and y^2 = x^3 + 2
@@ -91,6 +102,30 @@ class TestGenerate:
         assert err.splitlines().count("prime: 5, seed value t: 215") == 1
 
 
+class TestRunResult:
+    # each entry point returns (certificates, pair, report): the pair verifies
+    # the certificates, and the CLI writes both as its bundle for the same run
+    @pytest.mark.parametrize("argv, run", [
+        (("generate", "--curve1=1,1", "--curve2=2,2"),
+         lambda cfg: generate(prepare_pair(Curve(1, 1), Curve(2, 2)), cfg)),
+        (("generate", "--curve1=1,1", "--curve2=16,64"),
+         lambda cfg: generate(prepare_pair(Curve(1, 1), Curve(16, 64)), cfg)),
+        (("jzero", "--curve1=0,1", "--curve2=0,2"),
+         lambda cfg: jzero_generate(Curve(0, 1), Curve(0, 2), cfg)),
+        (("corollary", "--curve=1,1", "--delta=2"),
+         lambda cfg: corollary_mode(Curve(1, 1), Fraction(2), cfg)),
+        (("elementary", "--curve=1,1"),
+         lambda cfg: elementary_generate(Curve(1, 1), cfg)),
+    ], ids=["general", "isomorphic", "jzero", "corollary", "elementary"])
+    def test_pair_verifies_and_is_the_bundle_pair(self, capsys, argv, run):
+        certs, pair, _ = run(Config(target_count=2, factor_effort=2000))
+        assert verify_bundle(pair, certs)[0]
+        assert len(pair) == (1 if argv[0] == "elementary" else 2)
+        code, out, _ = run_cli(capsys, *argv, "--count", "2", "--effort", "2000")
+        assert code == 0
+        assert json.loads(out) == bundle_to_dict(pair, certs)
+
+
 class TestRouteReport:
     @pytest.mark.parametrize("argv", [
         ("generate", "--curve1=1,1", "--curve2=2,2"),
@@ -139,6 +174,12 @@ class TestErrors:
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])
         assert info.value.code == 1
+
+    def test_lambda_bound_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--curve1=1,1", "--curve2=2,2", "--lambda-bound", "5"])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --lambda-bound 5" in capsys.readouterr().err
 
     def test_missing_verify_input(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--input", "/does/not/exist.json")
@@ -349,6 +390,30 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--input", str(out_file))
         assert code == 1
         assert err.startswith("error: ")
+
+    # an error line names the JSON kind it got, or quotes a bounded prefix of
+    # the value, however large the value is
+    @pytest.mark.parametrize("path, value", [
+        (("certificates", 0, "solutions", 0), [0] * 200_000),
+        (("certificates", 0, "k"), "7" * 100_000),
+        (("certificates", 0, "solutions", 0, "x"), "x" * 100_000),
+        (("version",), int("7" * 100_000)),
+        (("certificates", 0, "D"), "1/" + "0" * 100_000),
+        (("certificates", 0, "k" * 100_000), 1),
+        # 4a^3 + 27b^2 = 0 for a = -3t^2, b = 2t^3
+        (("pair", 0), {"a": str(-3 * 10**40_000), "b": str(2 * 10**60_000)}),
+    ], ids=["solution-list", "k-text", "x-letters", "version-digits",
+            "D-zero-denominator", "long-key", "singular-pair-curve"])
+    def test_error_line_is_bounded(self, capsys, tmp_path, path, value):
+        out_file = tmp_path / "bundle.json"
+        run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
+        bundle = json.loads(out_file.read_text())
+        _set_leaf(bundle, path, value)
+        out_file.write_text(json.dumps(bundle))
+        code, _, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert len(err.encode()) < 1024
 
     def test_deeply_nested_bundle_exits_one(self, capsys, tmp_path):
         out_file = tmp_path / "nested.json"

@@ -3,6 +3,7 @@
 import json
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,6 @@ from twistpairs.twistgen import (
     SKIP_ZERO_VALUE,
     RunReport,
     SearchExhausted,
-    SquareClassLedger,
     TwistCertificate,
     bundle_from_dict,
     bundle_to_dict,
@@ -66,16 +66,16 @@ class TestScaleEnumeration:
 
 class TestRouting:
     def test_jzero_pair(self):
-        pp = prepare_pair(Curve(0, 1), Curve(0, 2), CFG)
+        pp = prepare_pair(Curve(0, 1), Curve(0, 2))
         assert pp.route == ROUTE_JZERO
 
     def test_isomorphic_pair(self):
-        pp = prepare_pair(Curve(1, 1), Curve(16, 64), CFG)
+        pp = prepare_pair(Curve(1, 1), Curve(16, 64))
         assert pp.route == ROUTE_ISOMORPHIC
         assert pp.scale == 2
 
     def test_general_pair(self):
-        pp = prepare_pair(Curve(1, 1), Curve(2, 2), CFG)
+        pp = prepare_pair(Curve(1, 1), Curve(2, 2))
         assert pp.route == ROUTE_GENERAL
         assert pp.scale == 1
         assert pp.seed.affine() == (-1, -1)
@@ -84,24 +84,24 @@ class TestRouting:
     def test_isomorphic_j_zero_pair_goes_isomorphic(self):
         # 64 = 2^6, so u = 2 maps y^2 = x^3 + 1 onto y^2 = x^3 + 64
         cfg = Config(target_count=3)
-        pp = prepare_pair(Curve(0, 1), Curve(0, 64), cfg)
+        pp = prepare_pair(Curve(0, 1), Curve(0, 64))
         assert pp.route == ROUTE_ISOMORPHIC
         assert pp.scale == 2
-        certs, _, _ = generate(pp, cfg)
+        certs, pair, _ = generate(pp, cfg)
         assert len(certs) == 3
-        assert (pp.curve1, pp.curve2) == (Curve(0, 1), Curve(0, 64))
-        overall, _, _ = verify_bundle([pp.curve1, pp.curve2], certs)
+        assert pair == (Curve(0, 1), Curve(0, 64))
+        overall, _, _ = verify_bundle(pair, certs)
         assert overall
 
     def test_identical_j_zero_goes_isomorphic(self):
-        pp = prepare_pair(Curve(0, 1), Curve(0, 1), CFG)
+        pp = prepare_pair(Curve(0, 1), Curve(0, 1))
         assert pp.route == ROUTE_ISOMORPHIC
         assert pp.scale == 1
 
     def test_general_working_model_is_isomorphic_rescale(self):
         from twistpairs.weierstrass import are_isomorphic_over_q
 
-        pp = prepare_pair(Curve(2, 3), Curve(1, 1), CFG)
+        pp = prepare_pair(Curve(2, 3), Curve(1, 1))
         assert pp.route == ROUTE_GENERAL
         model2, _ = scale_model(pp.curve2, pp.scale)
         assert model2.a == pp.scale**4 * 1
@@ -109,11 +109,14 @@ class TestRouting:
         assert are_isomorphic_over_q(pp.curve2, model2) is not None
         assert (pp.cubic.c, pp.cubic.d) == (model2.a, model2.b)
 
-    def test_route_totality_randomized(self):
+    def test_route_totality_randomized(self, monkeypatch):
         import random
 
+        import twistpairs.twistgen as twistgen
         from twistpairs.weierstrass import are_isomorphic_over_q, disc_quantity
 
+        # a lower bound only makes the pairs that exhaust give up sooner
+        monkeypatch.setattr(twistgen, "LAMBDA_SEARCH_BOUND", 20)
         rng = random.Random(103)
         routes = {ROUTE_GENERAL, ROUTE_ISOMORPHIC, ROUTE_JZERO}
         for _ in range(30):
@@ -122,7 +125,7 @@ class TestRouting:
                 continue
             first, second = Curve(coeffs[0], coeffs[1]), Curve(coeffs[2], coeffs[3])
             try:
-                pp = prepare_pair(first, second, Config(lambda_search_bound=20))
+                pp = prepare_pair(first, second)
             except SearchExhausted:
                 continue
             assert pp.route in routes
@@ -177,9 +180,9 @@ class TestLambdaSearch:
 
 @pytest.fixture(scope="module")
 def run(request):
-    pp = prepare_pair(Curve(1, 1), Curve(2, 2), CFG)
-    certs, ledger, report = generate(pp, CFG)
-    return pp, certs, ledger, report
+    pp = prepare_pair(Curve(1, 1), Curve(2, 2))
+    certs, pair, report = generate(pp, CFG)
+    return pp, certs, pair, report
 
 
 class TestGenerateWorkedPair:
@@ -189,9 +192,10 @@ class TestGenerateWorkedPair:
         assert first.k == 1
         assert first.value == -1
         assert first.solutions[0] == (-1, 1)
-        twist_model, to_twist = quadratic_twist(pp.curve1, first.value)
+        twist_model = quadratic_twist(pp.curve1, first.value)
         assert (twist_model.a, twist_model.b) == (1, -1)
-        assert to_twist(*first.solutions[0]) == WPoint(Fraction(1), Fraction(1))
+        # (D*x, D^2*t) for the solution (-1, 1) and D = -1
+        assert twist_model.contains(WPoint(Fraction(1), Fraction(1)))
 
     def test_five_distinct_classes(self, run):
         _, certs, _, _ = run
@@ -202,9 +206,10 @@ class TestGenerateWorkedPair:
                 assert not same_square_class(v1, v2)
 
     def test_all_verify(self, run):
-        pp, certs, _, _ = run
+        pp, certs, pair, _ = run
+        assert pair == (pp.curve1, pp.curve2)
         for cert in certs:
-            ok, reason = verify_certificate(cert, [pp.curve1, pp.curve2])
+            ok, reason = verify_certificate(cert, pair)
             assert ok, reason
 
     def test_monotone_progress_and_reasons(self, run):
@@ -217,7 +222,7 @@ class TestGenerateWorkedPair:
 
     def test_budget_exhaustion_is_partial_not_error(self):
         cfg = Config(target_count=50, max_iterations=3)
-        pp = prepare_pair(Curve(1, 1), Curve(2, 2), cfg)
+        pp = prepare_pair(Curve(1, 1), Curve(2, 2))
         certs, _, report = generate(pp, cfg)
         assert report.budget_exhausted
         assert 0 < len(certs) < 50
@@ -228,7 +233,7 @@ class TestGeneralTransport:
         # lambda = 2: the cubic glues y^2 = x^3 + 16*x + 128, and its input
         # -127/15 is carried to curve 2 by (x, t) -> (x/4, t/8)
         cfg = Config(target_count=1)
-        pp = prepare_pair(Curve(1, 1), Curve(1, 2), cfg)
+        pp = prepare_pair(Curve(1, 1), Curve(1, 2))
         assert (pp.route, pp.scale) == (ROUTE_GENERAL, 2)
         certs, _, _ = generate(pp, cfg)
         assert certs[0].solutions == (
@@ -241,12 +246,15 @@ class TestGeneralTransport:
 
 class TestElementary:
     def test_first_value(self):
-        certs, _, report = elementary_generate(Curve(1, 1), Config(target_count=3))
+        certs, pair, report = elementary_generate(Curve(1, 1), Config(target_count=3))
         assert report.accepted[0] == (1, Fraction(3))
-        twist_model, to_twist = quadratic_twist(Curve(1, 1), certs[0].value)
+        twist_model = quadratic_twist(Curve(1, 1), certs[0].value)
         assert (twist_model.a, twist_model.b) == (9, 27)
-        assert to_twist(*certs[0].solutions[0]) == WPoint(Fraction(3), Fraction(9))
-        assert verify_bundle([Curve(1, 1)], certs)[0]
+        # (D*x, D^2*t) for the solution (1, 1) and D = 3
+        assert certs[0].solutions[0] == (1, 1)
+        assert twist_model.contains(WPoint(Fraction(3), Fraction(9)))
+        assert pair == (Curve(1, 1),)
+        assert verify_bundle(pair, certs)[0]
 
     def test_square_value_collides_with_earlier_square(self):
         # x^3 - x + 1 takes the square values 1 at x=1 and 25 at x=3
@@ -262,16 +270,16 @@ class TestElementary:
 class TestIsomorphicTransport:
     def test_two_entries_with_scaled_solution(self):
         cfg = Config(target_count=3)
-        pp = prepare_pair(Curve(1, 1), Curve(16, 64), cfg)
-        certs, _, _ = generate(pp, cfg)
+        pp = prepare_pair(Curve(1, 1), Curve(16, 64))
+        certs, pair, _ = generate(pp, cfg)
         assert len(certs) == 3
         for cert in certs:
             first, second = cert.solutions
             # the scaling u=2 sends x to 4x and the unit t to 8
             assert second == (4 * first[0], 8)
-            ok, reason = verify_certificate(cert, [pp.curve1, pp.curve2])
+            ok, reason = verify_certificate(cert, pair)
             assert ok, reason
-        assert verify_bundle([pp.curve1, pp.curve2], certs)[0]
+        assert verify_bundle(pair, certs)[0]
 
 
 @pytest.fixture(scope="module")
@@ -281,22 +289,21 @@ def jzero_run():
 
 class TestJZero:
     def test_recipe_values(self, jzero_run):
-        certs, ledger, report = jzero_run
+        _, _, report = jzero_run
         assert report.pair.prime == 5
         assert report.pair.t_value == 215
         assert valuation(215, 5) == 1
         assert report.pair.scale == 215
 
     def test_seed_and_first_value(self, jzero_run):
-        certs, _, report = jzero_run
+        _, pair, report = jzero_run
         # seed (6, 1): 216 + 215 = 431 = 1 + 430
         assert report.accepted[0] == (1, Fraction(431))
-        assert (report.pair.curve1, report.pair.curve2) == (Curve(0, 215), Curve(0, 430))
+        assert pair == (report.pair.curve1, report.pair.curve2) == (Curve(0, 215), Curve(0, 430))
 
     def test_certificates_verify_distinct(self, jzero_run):
-        certs, _, report = jzero_run
+        certs, pair, _ = jzero_run
         assert len(certs) >= 3
-        pair = [report.pair.curve1, report.pair.curve2]
         assert verify_bundle(pair, certs)[0]
         # 215 is no rational cube, so y^2 = x^3 + 215 is no quadratic twist
         # of y^2 = x^3 + 1; (6, 1) solves 431*t^2 = x^3 + 215 only
@@ -313,10 +320,10 @@ class TestJZero:
             jzero_generate(Curve(0, 1), Curve(0, 64), Config())
 
     def test_rational_coefficients(self):
-        certs, ledger, report = jzero_generate(
+        certs, pair, report = jzero_generate(
             Curve(0, Fraction(1, 2)), Curve(0, Fraction(1, 3)), Config(target_count=1)
         )
-        assert certs and verify_certificate(certs[0], [report.pair.curve1, report.pair.curve2])[0]
+        assert certs and verify_certificate(certs[0], pair)[0]
         # lambda * (d - b) recovers the seed value t exactly
         assert report.pair.scale * Fraction(-1, 6) == report.pair.t_value
 
@@ -324,7 +331,7 @@ class TestJZero:
 class TestRunReport:
     def test_reads_the_walked_pair(self):
         cfg = Config(target_count=1)
-        pp = prepare_pair(Curve(0, 1), Curve(0, 2), cfg)
+        pp = prepare_pair(Curve(0, 1), Curve(0, 2))
         _, _, report = generate(pp, cfg)
         assert report.pair is pp
         assert (report.route, report.pair.prime, report.pair.t_value) == (ROUTE_JZERO, 5, 215)
@@ -341,7 +348,7 @@ class TestRunReport:
 
     def test_header_comes_from_the_pair(self):
         cfg = Config(target_count=1)
-        _, _, report = generate(prepare_pair(Curve(1, 1), Curve(2, 2), cfg), cfg)
+        _, _, report = generate(prepare_pair(Curve(1, 1), Curve(2, 2)), cfg)
         assert report.lines()[:5] == [
             "route: general (lambda = 1)",
             "pair: y^2 = x^3 + x + 1  |  y^2 = x^3 + 2*x + 2",
@@ -366,17 +373,16 @@ class TestCorollary:
 
         # the twist by D of (4, 8) is the twist by 2*D of (1, 1), so the pair's
         # claim already covers D*delta and the certificate states nothing more
-        certs, _, report = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
-        pair = [report.pair.curve1, report.pair.curve2]
-        assert pair == [Curve(1, 1), Curve(4, 8)]
+        certs, pair, _ = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
+        assert pair == (Curve(1, 1), Curve(4, 8))
         assert [f.name for f in fields(TwistCertificate)] == [
             "k", "value", "squarefree_rep", "solutions",
         ]
         for cert in certs:
             assert verify_certificate(cert, pair) == (True, None)
             assert are_isomorphic_over_q(
-                quadratic_twist(pair[1], cert.value)[0],
-                quadratic_twist(pair[0], 2 * cert.value)[0],
+                quadratic_twist(pair[1], cert.value),
+                quadratic_twist(pair[0], 2 * cert.value),
             ) is not None
 
     def test_square_delta_routes_isomorphic(self):
@@ -393,18 +399,10 @@ class TestCorollary:
             corollary_mode(Curve(1, 1), Fraction(0), Config())
 
 
-class TestLedger:
-    def test_invariant_enforced(self):
-        ledger = SquareClassLedger()
-        ledger.add(1, Fraction(3))
-        assert not ledger.admits(Fraction(12))  # 3 * 12 = 36
-        ledger.add(2, Fraction(5))
-        assert not ledger.admits(Fraction(20))  # 5 * 20 = 100
-        assert ledger.accepted == [(1, 3), (2, 5)]
-
+class TestAdmission:
     def test_each_candidate_is_tested_once(self, monkeypatch):
-        # add trusts the admits call just made, so each accepted D is compared
-        # with the ledger once: 0 + 1 + 2 + 3 + 4 calls for five acceptances
+        # each candidate is compared once with each value accepted before it:
+        # 0 + 1 + 2 + 3 + 4 calls for five acceptances
         import twistpairs.twistgen as twistgen
 
         calls = []
@@ -415,7 +413,7 @@ class TestLedger:
 
         monkeypatch.setattr(twistgen, "same_square_class", counted)
         cfg = Config(target_count=5, factor_effort=1)
-        certs, _, report = generate(prepare_pair(Curve(1, 1), Curve(2, 2), cfg), cfg)
+        certs, _, report = generate(prepare_pair(Curve(1, 1), Curve(2, 2)), cfg)
         assert len(certs) == 5 and not report.skipped
         assert len(calls) == 10
 
@@ -425,7 +423,7 @@ PAIR = (Curve(1, 1), Curve(2, 2))
 
 @pytest.fixture(scope="module")
 def cert():
-    pp = prepare_pair(*PAIR, Config(target_count=1))
+    pp = prepare_pair(*PAIR)
     certs, _, _ = generate(pp, Config(target_count=1))
     return certs[0]
 
@@ -436,7 +434,7 @@ class TestVerification:
 
     def test_rescaled_value_still_verifies(self, cert):
         # D -> 4D with t -> t/2 is the same square class and a consistent
-        # certificate; the verifier accepts it, the ledger layer flags it
+        # certificate; the verifier accepts it, the pairwise class check flags it
         new_value = 4 * cert.value
         scaled = tuple((x, t / 2) for x, t in cert.solutions)
         scaled_cert = replace(cert, value=new_value, solutions=scaled)
@@ -477,17 +475,17 @@ class TestVerification:
 
 class TestSerialization:
     def test_certificate_round_trip(self):
-        pp = prepare_pair(Curve(1, 1), Curve(2, 2), Config(target_count=2))
-        certs, ledger, _ = generate(pp, Config(target_count=2))
+        pp = prepare_pair(Curve(1, 1), Curve(2, 2))
+        certs, _, _ = generate(pp, Config(target_count=2))
         for cert in certs:
             data = json.loads(json.dumps(certificate_to_dict(cert)))
             assert certificate_from_dict(data) == cert
 
     def test_bundle_round_trip(self):
         cfg = Config(target_count=2)
-        pp = prepare_pair(Curve(1, 1), Curve(2, 2), cfg)
-        certs, _, _ = generate(pp, cfg)
-        bundle = bundle_to_dict([pp.curve1, pp.curve2], certs)
+        pp = prepare_pair(Curve(1, 1), Curve(2, 2))
+        certs, run_pair, _ = generate(pp, cfg)
+        bundle = bundle_to_dict(run_pair, certs)
         assert list(bundle) == ["version", "pair", "certificates"]
         assert bundle["version"] == 6
         pair, parsed = bundle_from_dict(json.loads(json.dumps(bundle)))
@@ -495,7 +493,7 @@ class TestSerialization:
         assert parsed == certs
 
     def test_schema_field_names(self):
-        pp = prepare_pair(Curve(1, 1), Curve(2, 2), Config(target_count=1))
+        pp = prepare_pair(Curve(1, 1), Curve(2, 2))
         certs, _, _ = generate(pp, Config(target_count=1))
         data = certificate_to_dict(certs[0])
         assert list(data) == ["k", "D", "squarefree_D", "solutions"]
@@ -503,3 +501,10 @@ class TestSerialization:
         assert list(data["solutions"][0]) == ["x", "t"]
         assert isinstance(data["squarefree_D"], dict)
         assert list(data["squarefree_D"]) == ["value", "complete"]
+
+
+def test_readme_library_block_runs():
+    # the "Library" example of the README, executed as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
