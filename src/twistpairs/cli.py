@@ -22,7 +22,7 @@ from dataclasses import fields
 from functools import cache
 from typing import Optional, Sequence
 
-from .exactnum import format_rational, parse_rational
+from .exactnum import excerpt, format_rational, parse_rational
 from .polyident import (
     verify_disc_identity,
     verify_point_identity,
@@ -129,10 +129,20 @@ def _cmd_elementary(args: argparse.Namespace) -> int:
     return _finish(args, cfg, elementary_generate(curve, cfg))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; json.load alone keeps the last of two equal keys."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated field {excerpt(repr(key))}")
+        data[key] = value
+    return data
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
         except RecursionError as exc:
             raise ValueError("the bundle nests too deeply to parse") from exc
     pair, certs = bundle_from_dict(data)
@@ -238,7 +248,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # buffered goes to devnull, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _progress(f"error: {exc}")
         return 1
 

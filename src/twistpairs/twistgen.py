@@ -16,8 +16,8 @@ Given two smooth curve models, the pair is routed one of three ways:
 On the general and isomorphic routes the second solution is found on a model
 Q-isomorphic to curve 2 and carried onto curve 2 itself.  Every emitted value
 D comes with a certificate that states the claim only: per pair curve, a
-solution (x, t) of D*t^2 = x^3 + a*x + b on that curve.  The verifier
-recomputes the non-torsion chain of (D*x, D^2*t) on the standard twist model.
+solution (x, t) of D*t^2 = x^3 + a*x + b on that curve, and is emitted only
+when the verifier, which recomputes everything, accepts it.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ ROUTE_GENERAL = "general"
 ROUTE_ISOMORPHIC = "isomorphic"
 ROUTE_JZERO = "jzero"
 
-SKIP_ZERO_VALUE = "zero-value"
-SKIP_TORSION_TWIST = "torsion-twist-point"
+SKIP_ZERO_VALUE = "zero-twist-value"
 SKIP_CLASS_COLLISION = "class-collision"
 
 REJECT_SINGULAR = "singular-cubic"
@@ -334,14 +333,6 @@ def prepare_pair(curve1: Curve, curve2: Curve) -> PreparedPair:
 # ---------------------------------------------------------------- generation
 
 
-def _is_torsion_on_twist(
-    model: Curve, solution_x: Fraction, solution_t: Fraction, value: Fraction
-) -> bool:
-    """Whether (D*x, D^2*t) is torsion on the twist of ``model`` by D = value."""
-    point = WPoint(value * solution_x, value * value * solution_t)
-    return certify_nontorsion(quadratic_twist(model, value), point) is None
-
-
 def _squarefree_rep(value: Fraction, effort: int) -> tuple[int, bool]:
     # numerator and denominator are coprime, so the product of their
     # squarefree parts is the squarefree part of numerator*denominator, an
@@ -395,8 +386,10 @@ def _run_generation(
 ) -> tuple[list[TwistCertificate], tuple[Curve, ...], RunReport]:
     """Certify candidates in order until the target count or the budget.
 
-    Returns the certificates, the ``curves`` their solutions lie on, and the
-    report, whose ``accepted`` keeps each accepted (k, D) once.
+    A candidate's certificate is kept only when ``verify_certificate`` accepts
+    it; otherwise k is skipped with the verifier's reason code.  Returns the
+    certificates, the ``curves`` their solutions lie on, and the report, whose
+    ``accepted`` keeps each accepted (k, D) once.
     """
     certificates: list[TwistCertificate] = []
     steps = islice(candidates, cfg.max_iterations)
@@ -408,18 +401,18 @@ def _run_generation(
         if any(same_square_class(value, seen) for _, seen in report.accepted):
             report.skipped.append((k, SKIP_CLASS_COLLISION))
             continue
-        if any(_is_torsion_on_twist(c, x, t, value) for c, (x, t) in zip(curves, solutions)):
-            report.skipped.append((k, SKIP_TORSION_TWIST))
+        cert = TwistCertificate(
+            k=k,
+            value=value,
+            squarefree_rep=_squarefree_rep(value, cfg.factor_effort),
+            solutions=solutions,
+        )
+        ok, reason = verify_certificate(cert, curves)
+        if not ok:
+            report.skipped.append((k, reason))
             continue
         report.accepted.append((k, value))
-        certificates.append(
-            TwistCertificate(
-                k=k,
-                value=value,
-                squarefree_rep=_squarefree_rep(value, cfg.factor_effort),
-                solutions=solutions,
-            )
-        )
+        certificates.append(cert)
         if len(certificates) >= cfg.target_count:
             break
     report.budget_exhausted = len(certificates) < cfg.target_count
@@ -499,7 +492,7 @@ def verify_certificate(
     """
     value = cert.value
     if value == 0:
-        return False, "zero-twist-value"
+        return False, SKIP_ZERO_VALUE
     if not cert.solutions:
         return False, "no-curve-entries"
     if len(cert.solutions) != len(pair):
@@ -511,7 +504,9 @@ def verify_certificate(
     for curve, (x, t) in zip(pair, cert.solutions):
         if value * t * t != curve.rhs(x):
             return False, "solution-mismatch"
-        if _is_torsion_on_twist(curve, x, t, value):
+        # (D*x, D^2*t) is the solution's point on the twist model by D
+        point = WPoint(value * x, value * value * t)
+        if certify_nontorsion(quadratic_twist(curve, value), point) is None:
             return False, "torsion-point"
     return True, None
 
@@ -587,19 +582,16 @@ def certificate_from_dict(data: dict) -> TwistCertificate:
     outside the set is rejected, so no claim the verifier does not check can
     ride along.
     """
-    try:
-        _fixed_fields(data, ("k", "D", "squarefree_D", "solutions"), "certificate")
-        label = _fixed_fields(data["squarefree_D"], ("value", "complete"), "certificate")
-        solutions = [_fixed_fields(s, ("x", "t"), "certificate") for s in data["solutions"]]
-        return TwistCertificate(
-            k=_json_value(data["k"], int),
-            value=parse_rational(data["D"]),
-            squarefree_rep=(parse_integer(label["value"]), _json_value(label["complete"], bool)),
-            solutions=tuple((parse_rational(s["x"]), parse_rational(s["t"])) for s in solutions),
-        )
-    except (TypeError, AttributeError) as exc:
-        # a JSON value of the wrong kind, such as a number where a list belongs
-        raise ValueError(f"malformed certificate: {exc}") from exc
+    _fixed_fields(data, ("k", "D", "squarefree_D", "solutions"), "certificate")
+    label = _fixed_fields(data["squarefree_D"], ("value", "complete"), "certificate")
+    solutions = [_fixed_fields(s, ("x", "t"), "certificate")
+                 for s in _json_value(data["solutions"], list)]
+    return TwistCertificate(
+        k=_json_value(data["k"], int),
+        value=parse_rational(data["D"]),
+        squarefree_rep=(parse_integer(label["value"]), _json_value(label["complete"], bool)),
+        solutions=tuple((parse_rational(s["x"]), parse_rational(s["t"])) for s in solutions),
+    )
 
 
 def bundle_to_dict(pair: Sequence[Curve], certs: Sequence[TwistCertificate]) -> dict:
@@ -612,11 +604,8 @@ def bundle_to_dict(pair: Sequence[Curve], certs: Sequence[TwistCertificate]) -> 
 
 def bundle_from_dict(data: dict) -> tuple[list[Curve], list[TwistCertificate]]:
     """Parse a bundle into its pair and certificates; a malformed one raises ValueError."""
-    try:
-        _fixed_fields(data, ("version", "pair", "certificates"), "bundle")
-        if _json_value(data["version"], int) != BUNDLE_VERSION:
-            raise ValueError(f"unsupported bundle version: {excerpt(repr(data['version']))}")
-        pair = [curve_from_dict(c) for c in data["pair"]]
-        return pair, [certificate_from_dict(c) for c in data["certificates"]]
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed bundle: {exc}") from exc
+    _fixed_fields(data, ("version", "pair", "certificates"), "bundle")
+    if _json_value(data["version"], int) != BUNDLE_VERSION:
+        raise ValueError(f"unsupported bundle version: {excerpt(repr(data['version']))}")
+    pair = [curve_from_dict(c) for c in _json_value(data["pair"], list)]
+    return pair, [certificate_from_dict(c) for c in _json_value(data["certificates"], list)]

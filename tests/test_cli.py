@@ -551,6 +551,54 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
         assert (code, out, err) == (1, "", f"error: {error}\n")
 
+    # json.load keeps the last of two equal keys, so a reader that keeps the
+    # first would see a claim the verifier never checked; at k=1 of the worked
+    # pair D = -1 and both solutions are (-1, 1)
+    @pytest.mark.parametrize("old, new, key", [
+        ('"D": "-1"', '"D": "7", "D": "-1"', "D"),
+        ('"certificates": [', '"certificates": [], "certificates": [', "certificates"),
+        ('"x": "-1"', '"x": "5", "x": "-1"', "x"),
+    ], ids=["D", "certificates", "solution-x"])
+    def test_repeated_key_is_refused(self, capsys, tmp_path, old, new, key):
+        out_file = tmp_path / "bundle.json"
+        code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
+                             "--count", "2", "--effort", "2000", "--output", str(out_file))
+        assert code == 0
+        text = json.dumps(json.loads(out_file.read_text()))
+        assert old in text
+        out_file.write_text(text.replace(old, new, 1))
+        code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert (code, out, err) == (1, "", f"error: repeated field {key!r}\n")
+        assert len(err.encode()) < 1024
+
+    # pair, certificates and solutions are JSON arrays, read like every other
+    # value: an object, a string or a number in their place is refused
+    @pytest.mark.parametrize("path, value, error", [
+        (("certificates",), "", "expected a JSON array, got a JSON string"),
+        (("certificates",), {}, "expected a JSON array, got a JSON object"),
+        (("pair",), {}, "expected a JSON array, got a JSON object"),
+        (("certificates", 0, "solutions"), 5, "expected a JSON array, got a JSON integer"),
+        (("certificates", 0, "solutions"), {"x": "-1", "t": "1"},
+         "expected a JSON array, got a JSON object"),
+        ((), {"version": 6, "pair": {}, "certificates": {}},
+         "expected a JSON array, got a JSON object"),
+    ], ids=["certificates-text", "certificates-object", "pair-object", "solutions-int",
+            "solutions-object", "shapeless"])
+    def test_array_of_another_kind_is_refused(self, capsys, tmp_path, path, value, error):
+        out_file = tmp_path / "bundle.json"
+        code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
+                             "--count", "2", "--effort", "2000", "--output", str(out_file))
+        assert code == 0
+        bundle = json.loads(out_file.read_text())
+        if path:
+            _set_leaf(bundle, path, value)
+        else:
+            bundle = value
+        out_file.write_text(json.dumps(bundle))
+        code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
 class TestClosedStdout:
     # the read end of the child's stdout is closed before the child starts, so
     # its first write to stdout fails; the verify output is small enough to

@@ -18,7 +18,6 @@ from twistpairs.twistgen import (
     ROUTE_ISOMORPHIC,
     ROUTE_JZERO,
     SKIP_CLASS_COLLISION,
-    SKIP_TORSION_TWIST,
     SKIP_ZERO_VALUE,
     RunReport,
     SearchExhausted,
@@ -216,7 +215,8 @@ class TestGenerateWorkedPair:
         _, _, _, report = run
         ks = [k for k, _ in report.accepted]
         assert ks == sorted(ks)
-        valid = {SKIP_ZERO_VALUE, SKIP_TORSION_TWIST, SKIP_CLASS_COLLISION}
+        # a generated certificate can fail the verifier only on its torsion check
+        valid = {SKIP_ZERO_VALUE, SKIP_CLASS_COLLISION, "torsion-point"}
         assert all(reason in valid for _, reason in report.skipped)
         assert not report.budget_exhausted
 
@@ -401,8 +401,9 @@ class TestCorollary:
 
 class TestAdmission:
     def test_each_candidate_is_tested_once(self, monkeypatch):
-        # each candidate is compared once with each value accepted before it:
-        # 0 + 1 + 2 + 3 + 4 calls for five acceptances
+        # each candidate is compared once with each value accepted before it,
+        # 0 + 1 + 2 + 3 + 4 calls for five acceptances; then the verifier
+        # tests its label against it, one call per accepted certificate
         import twistpairs.twistgen as twistgen
 
         calls = []
@@ -415,7 +416,11 @@ class TestAdmission:
         cfg = Config(target_count=5, factor_effort=1)
         certs, _, report = generate(prepare_pair(Curve(1, 1), Curve(2, 2)), cfg)
         assert len(certs) == 5 and not report.skipped
-        assert len(calls) == 10
+        comparisons = [(c.value, e.value) for i, c in enumerate(certs) for e in certs[:i]]
+        labels = [(Fraction(c.squarefree_rep[0]), c.value) for c in certs]
+        assert [call for call in calls if call not in labels] == comparisons
+        assert len(comparisons) == 10
+        assert [call for call in calls if call in labels] == labels
 
 
 PAIR = (Curve(1, 1), Curve(2, 2))

@@ -3,7 +3,8 @@
 Whatever the value, the verifier accepts or rejects the bundle (exit 0 or
 1) and raises nothing.  A leaf replaced by a value of another JSON type is
 always rejected, and so is a key added to or removed from any object of the
-bundle, the top level included.
+bundle, the top level included, and any object or array replaced by a value
+of another JSON type.
 """
 
 import json
@@ -62,28 +63,33 @@ json_values = st.one_of(
 )
 
 
-def _object_paths(node, prefix=()):
+def _node_paths(node, prefix=()):
     if isinstance(node, dict):
-        yield prefix
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
     else:
         return
+    yield prefix
     for key, child in items:
-        yield from _object_paths(child, prefix + (key,))
+        yield from _node_paths(child, prefix + (key,))
 
 
+# every object and array of the bundle, the top level included
+NODES = tuple(_node_paths(BUNDLE))
 # the bundle, its certificate, label, solutions and pair curves: each has
 # exactly its keys, so none may be added or removed
-OBJECTS = tuple(_object_paths(BUNDLE))
+OBJECTS = tuple(path for path in NODES if isinstance(_leaf(BUNDLE, path), dict))
 KEYS = tuple(path + (key,) for path in OBJECTS for key in _leaf(BUNDLE, path))
 
 
 def _verify_with_leaf(tmp_path, path, value) -> int:
     bundle = json.loads(json.dumps(BUNDLE))
-    *parents, last = path
-    _leaf(bundle, parents)[last] = value
+    if path:
+        *parents, last = path
+        _leaf(bundle, parents)[last] = value
+    else:
+        bundle = value
     out_file = tmp_path / "bundle.json"
     out_file.write_text(json.dumps(bundle))
     return main(["verify", "--input", str(out_file)])
@@ -110,6 +116,20 @@ def test_certificate_leaf_of_another_type_is_rejected(tmp_path, path, value):
     # float such as 1.0 is no integer either
     assume(type(value) is not type(_leaf(BUNDLE, path)))
     assert _verify_with_leaf(tmp_path, path, value) == 1
+
+
+@fuzz_settings
+@given(path=st.sampled_from(NODES),
+       value=st.one_of(st.sampled_from([{}, [], ""]), json_values))
+def test_node_of_another_type_is_rejected(tmp_path, capsys, path, value):
+    # an object or array is read as what it is, never as the keys or items
+    # of a value of another type
+    assume(type(value) is not type(_leaf(BUNDLE, path)))
+    capsys.readouterr()
+    assert _verify_with_leaf(tmp_path, path, value) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @fuzz_settings
@@ -143,3 +163,5 @@ def test_leaves_cover_every_certificate_field():
     # pair curves
     assert len(OBJECTS) == 7
     assert len(KEYS) == 17
+    # and the pair, the certificates and the solutions
+    assert len(NODES) == 10
