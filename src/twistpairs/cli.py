@@ -2,7 +2,7 @@
 
 Subcommands: generate (curve pair), jzero (both j-invariant zero), corollary
 (curve against its own quadratic twist), elementary (single curve), verify
-(recheck a certificate bundle), identity-check (the symbolic suite).
+(recheck a certificate bundle), identity-check (prove the generator's closed forms).
 
 Human-readable progress goes to stderr; certificate JSON goes to stdout or
 the --output file.  Exit codes: 0 full success, 1 usage or validation
@@ -24,10 +24,13 @@ from typing import Optional, Sequence
 
 from .exactnum import excerpt, format_rational, parse_rational
 from .polyident import (
+    counterexample,
+    disc_defect,
+    point_defect,
     verify_disc_identity,
     verify_point_identity,
     verify_weierstrass_identity,
-    weierstrass_identity_defect,
+    weierstrass_defect,
 )
 from .twistgen import (
     Config,
@@ -157,17 +160,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_identity_check(args: argparse.Namespace) -> int:
     checks = (
-        ("weierstrass model identity", verify_weierstrass_identity),
-        ("tangent point identity", verify_point_identity),
-        ("discriminant identity", verify_disc_identity),
+        ("weierstrass model identity", verify_weierstrass_identity, weierstrass_defect),
+        ("tangent point identity", verify_point_identity, point_defect),
+        ("discriminant identity", verify_disc_identity, disc_defect),
     )
     all_ok = True
-    for label, check in checks:
+    for label, check, defect in checks:
         ok = check()
         all_ok = all_ok and ok
         print(f"{label}: {'holds' if ok else 'FAILED'}")
-        if not ok and label.startswith("weierstrass"):
-            print(f"  remainder: {weierstrass_identity_defect()!r}")
+        if not ok:
+            point = counterexample(defect)
+            print(f"  counterexample: ({', '.join(point)}) = "
+                  f"({', '.join(map(str, point.values()))})")
     return 0 if all_ok else 1
 
 

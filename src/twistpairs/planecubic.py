@@ -12,8 +12,8 @@ in ``affine``, ``common_value`` and ``transform_point``), and a closed-form
 change of variables carries the curve onto a short Weierstrass model.
 
 The closed forms are module-level functions written with ring operations
-and rational constants only, so ``polyident`` evaluates these same functions
-on polynomials and proves them symbolically.
+and rational constants only, so ``polyident`` runs these same functions to
+bound their degrees and then proves them exactly on an integer grid.
 """
 
 from __future__ import annotations
@@ -268,13 +268,6 @@ class PlaneCubic:
                 "plane cubic data is corrupted"
             )
         return image
-
-    def tangent_point_image(self) -> WPoint:
-        """Closed-form Weierstrass image of the tangent point (a != c)."""
-        if self.a == self.c:
-            raise ValueError("undefined when a == c")
-        x_num, y_num = tangent_image_numerators(self.a, self.b, self.c, self.d)
-        return WPoint(x_num / (self.a - self.c) ** 2, y_num / (self.a - self.c) ** 3)
 
     def common_value(self, point: ProjPoint) -> Fraction:
         """The shared cubic value at an affine point of the curve."""

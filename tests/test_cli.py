@@ -4,16 +4,18 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
 import twistpairs
 
-from twistpairs import cli
+from twistpairs import cli, planecubic, polyident
 from twistpairs.cli import main
 from twistpairs.twistgen import (
     Config,
@@ -627,6 +629,47 @@ class TestClosedStdout:
             assert done.stderr == ""
 
 
+# one coefficient of a shared closed form is changed by adding a term to one
+# of its outputs; the check proving that form must then fail.  The last term
+# vanishes at x = 0..6, the whole x range of the unmutated grid.
+MUTATIONS = [
+    ("change_of_variables", 0, lambda a, b, c, d, x, y: x * y,
+     "weierstrass model identity"),
+    ("weierstrass_coefficients", 0, lambda a, b, c, d: a * c,
+     "weierstrass model identity"),
+    ("smoothness_quantity", None, lambda a, b, c, d: a**3 * c**3,
+     "discriminant identity"),
+    ("tangent_image_numerators", 1, lambda a, b, c, d: (b - d) ** 3,
+     "tangent point identity"),
+    ("change_of_variables", 0, lambda a, b, c, d, x, y: prod(x - r for r in range(7)),
+     "weierstrass model identity"),
+]
+MUTATION_IDS = ["change-of-variables", "model-coefficients", "smoothness", "tangent-image",
+                "grid-vanishing"]
+
+# (check, expression it proves) by the label identity-check prints
+IDENTITIES = {
+    "weierstrass model identity": (polyident.verify_weierstrass_identity,
+                                   polyident.weierstrass_defect),
+    "tangent point identity": (polyident.verify_point_identity, polyident.point_defect),
+    "discriminant identity": (polyident.verify_disc_identity, polyident.disc_defect),
+}
+
+
+def _mutate(monkeypatch, name, index, term):
+    original = getattr(planecubic, name)
+
+    def mutated(*args):
+        value = original(*args)
+        if index is None:
+            return value + term(*args)
+        value = list(value)
+        value[index] = value[index] + term(*args)
+        return tuple(value)
+
+    monkeypatch.setattr(planecubic, name, mutated)
+
+
 class TestIdentityCheck:
     def test_all_hold(self, capsys):
         code, out, _ = run_cli(capsys, "identity-check")
@@ -635,42 +678,32 @@ class TestIdentityCheck:
         assert len(lines) == 3
         assert all(line.endswith("holds") for line in lines)
 
-    # one coefficient of a shared closed form is changed by adding a term to
-    # one of its outputs; the check proving that form must then fail
-    @pytest.mark.parametrize("name, index, term, failed", [
-        ("change_of_variables", 0, lambda a, b, c, d, x, y: x * y,
-         "weierstrass model identity"),
-        ("weierstrass_coefficients", 0, lambda a, b, c, d: a * c,
-         "weierstrass model identity"),
-        ("smoothness_quantity", None, lambda a, b, c, d: a**3 * c**3,
-         "discriminant identity"),
-        ("tangent_image_numerators", 1, lambda a, b, c, d: (b - d) ** 3,
-         "tangent point identity"),
-    ], ids=["change-of-variables", "model-coefficients", "smoothness", "tangent-image"])
+    @pytest.mark.parametrize("name, index, term, failed", MUTATIONS, ids=MUTATION_IDS)
     def test_mutated_shared_formula_fails(self, capsys, monkeypatch, name, index, term, failed):
-        from twistpairs import planecubic, polyident
-
-        original = getattr(planecubic, name)
-
-        def mutated(*args):
-            value = original(*args)
-            if index is None:
-                return value + term(*args)
-            value = list(value)
-            value[index] = value[index] + term(*args)
-            return tuple(value)
-
-        check = {
-            "weierstrass model identity": polyident.verify_weierstrass_identity,
-            "tangent point identity": polyident.verify_point_identity,
-            "discriminant identity": polyident.verify_disc_identity,
-        }[failed]
+        check, _ = IDENTITIES[failed]
         assert check()
-        monkeypatch.setattr(planecubic, name, mutated)
+        _mutate(monkeypatch, name, index, term)
         assert not check()
         code, out, _ = run_cli(capsys, "identity-check")
         assert code == 1
         assert f"{failed}: FAILED" in out
+        # every FAILED line names a grid point where its mutated expression is nonzero
+        lines = out.splitlines()
+        for at, label in enumerate(lines):
+            if label.endswith(": FAILED"):
+                names, values = re.fullmatch(
+                    r"  counterexample: \((.*)\) = \((.*)\)", lines[at + 1]
+                ).groups()
+                point = dict(zip(names.split(", "), map(int, values.split(", "))))
+                assert any(IDENTITIES[label[: -len(": FAILED")]][1](**point))
+
+    @pytest.mark.parametrize("name, index, term, failed", MUTATIONS, ids=MUTATION_IDS)
+    def test_mutation_is_a_nonzero_polynomial(self, monkeypatch, name, index, term, failed):
+        sympy = pytest.importorskip("sympy")
+        _mutate(monkeypatch, name, index, term)
+        defect = IDENTITIES[failed][1]
+        values = defect(*sympy.symbols(list(inspect.signature(defect).parameters)))
+        assert any(sympy.expand(value) != 0 for value in values)
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from twistpairs.planecubic import (
     PlaneCubic,
     ProjPoint,
     smoothness_quantity,
+    tangent_image_numerators,
 )
 from twistpairs.weierstrass import WPoint, certify_nontorsion
 
@@ -20,6 +21,12 @@ WORKED = PlaneCubic(1, 1, 2, 2)
 
 def affine(x, y):
     return ProjPoint(Fraction(x), Fraction(y), Fraction(1))
+
+
+def tangent_image(cubic):
+    """The tangent point's Weierstrass image, from its closed-form numerators."""
+    x_num, y_num = tangent_image_numerators(cubic.a, cubic.b, cubic.c, cubic.d)
+    return WPoint(x_num / (cubic.a - cubic.c) ** 2, y_num / (cubic.a - cubic.c) ** 3)
 
 
 class TestConstruction:
@@ -189,9 +196,9 @@ class TestWeierstrassCrossing:
             assert model.contains(image)
 
     def test_tangent_point_image_closed_form(self):
-        assert WORKED.tangent_point_image() == WPoint(Fraction(12), Fraction(81, 2))
+        assert tangent_image(WORKED) == WPoint(Fraction(12), Fraction(81, 2))
         # b == d: first coordinate collapses to a + c, second to 0
-        assert PlaneCubic(1, 5, 2, 5).tangent_point_image() == WPoint(Fraction(3), Fraction(0))
+        assert tangent_image(PlaneCubic(1, 5, 2, 5)) == WPoint(Fraction(3), Fraction(0))
 
     def test_transform_matches_closed_form_randomized(self):
         rng = random.Random(61)
@@ -201,7 +208,7 @@ class TestWeierstrassCrossing:
             if a == c or smoothness_quantity(a, b, c, d) == 0:
                 continue
             cubic = PlaneCubic(a, b, c, d)
-            assert cubic.transform_point(cubic.tangent_point()) == cubic.tangent_point_image()
+            assert cubic.transform_point(cubic.tangent_point()) == tangent_image(cubic)
             found += 1
 
 

@@ -1,168 +1,171 @@
-"""Polynomial ring and the machine-checked symbolic identities."""
+"""The symbolic identities, proved on a degree-bounded grid."""
 
 import random
 from fractions import Fraction
+from inspect import signature
+from itertools import product
+from math import prod
 
+import pytest
+
+from twistpairs import planecubic
 from twistpairs.polyident import (
-    MPoly,
-    VARIABLES,
-    curve_relation,
-    divmod_by_relation,
-    generators,
-    model_coeff_polys,
-    reduce_mod_relation,
-    transform_polys,
+    counterexample,
+    degree_bounds,
+    disc_defect,
+    point_defect,
     verify_disc_identity,
     verify_point_identity,
     verify_weierstrass_identity,
-    weierstrass_identity_defect,
+    weierstrass_defect,
 )
 
-A, B, C, D, X, Y = generators()
+DEFECTS = [weierstrass_defect, point_defect, disc_defect]
 
 
-def random_poly(rng, max_terms=5, max_exp=3, max_coeff=9):
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        exponents = tuple(rng.randint(0, max_exp) for _ in VARIABLES)
-        terms[exponents] = Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, 4))
-    return MPoly(terms)
+def random_rational(rng, span=12):
+    return Fraction(rng.randint(-span, span), rng.randint(1, 6))
 
 
-def random_assignment(rng, span=20):
-    return {
-        name: Fraction(rng.randint(-span, span), rng.randint(1, 6))
-        for name in VARIABLES
-    }
+def model_values(a, b, c, d, x, y):
+    """(Y^2, X^3 + A*X + B) for the image (X, Y) of (x, y) and the model's (A, B)."""
+    big_x, big_y = planecubic.change_of_variables(a, b, c, d, x, y)
+    coeff_a, coeff_b = planecubic.weierstrass_coefficients(a, b, c, d)
+    return big_y**2, big_x**3 + coeff_a * big_x + coeff_b
 
 
-class TestRing:
-    def test_square_expands(self):
-        assert (X + Y) ** 2 == X**2 + 2 * X * Y + Y**2
-
-    def test_mul_by_zero(self):
-        assert (X + A) * MPoly() == MPoly()
-        assert MPoly().is_zero
-
-    def test_axioms_randomized(self):
-        rng = random.Random(67)
-        for _ in range(40):
-            p, q, r = (random_poly(rng) for _ in range(3))
-            assert p + q == q + p
-            assert p * q == q * p
-            assert (p + q) + r == p + (q + r)
-            assert (p * q) * r == p * (q * r)
-            assert p * (q + r) == p * q + p * r
-
-    def test_evaluation_is_ring_hom(self):
-        rng = random.Random(71)
-        for _ in range(40):
-            p, q = random_poly(rng), random_poly(rng)
-            point = random_assignment(rng)
-            assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
-            assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
-
-
-class TestReduction:
-    def test_relation_reduces_to_zero(self):
-        assert reduce_mod_relation(curve_relation()).is_zero
-
-    def test_single_rewrite(self):
-        assert reduce_mod_relation(X**3) == Y**3 + C * Y + D - A * X - B
-
-    def test_two_step_rewrite(self):
-        # x^4 -> x*(y^3 + cy + d - ax - b) -> second pass clears the x^2 term? no:
-        # the substituted form already has x-degree 2, so one expansion suffices
-        tail = Y**3 + C * Y + D - A * X - B
-        assert reduce_mod_relation(X**4) == reduce_mod_relation(X * tail)
-        assert reduce_mod_relation(X**4) == X * (Y**3 + C * Y + D - B) - A * X**2
-
-    def test_idempotent_and_linear(self):
-        rng = random.Random(79)
-        for _ in range(25):
-            p, q = random_poly(rng), random_poly(rng)
-            rp = reduce_mod_relation(p)
-            assert reduce_mod_relation(rp) == rp
-            assert rp.degree_in("x") <= 2
-            scalar = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            assert reduce_mod_relation(p + q * scalar) == rp + reduce_mod_relation(q) * scalar
-
-    def test_division_reconstructs(self):
-        rng = random.Random(83)
-        relation = curve_relation()
-        for _ in range(25):
-            p = random_poly(rng, max_exp=4)
-            quotient, remainder = divmod_by_relation(p)
-            assert quotient * relation + remainder == p
+def discriminant(a, b, c, d):
+    coeff_a, coeff_b = planecubic.weierstrass_coefficients(a, b, c, d)
+    return -4 * coeff_a**3 - 27 * coeff_b**2
 
 
 class TestIdentities:
     def test_weierstrass_identity(self):
         assert verify_weierstrass_identity()
-        assert weierstrass_identity_defect().is_zero
+        assert counterexample(weierstrass_defect) is None
 
     def test_point_identity(self):
         assert verify_point_identity()
+        assert counterexample(point_defect) is None
 
     def test_disc_identity(self):
         assert verify_disc_identity()
+        assert counterexample(disc_defect) is None
 
     def test_weierstrass_identity_randomized_on_variety(self):
         # sample the relation variety by solving for b, then compare both
         # sides of the model equation numerically
         rng = random.Random(89)
-        big_x, big_y = transform_polys()
-        coeff_a, coeff_b = model_coeff_polys()
         for _ in range(220):
-            point = random_assignment(rng, span=12)
-            point["b"] = (
-                point["y"] ** 3 + point["c"] * point["y"] + point["d"]
-                - point["x"] ** 3 - point["a"] * point["x"]
-            )
-            lhs = big_y.evaluate(point) ** 2
-            rhs = (
-                big_x.evaluate(point) ** 3
-                + coeff_a.evaluate(point) * big_x.evaluate(point)
-                + coeff_b.evaluate(point)
-            )
+            a, c, d, x, y = (random_rational(rng) for _ in range(5))
+            b = y**3 + c * y + d - x**3 - a * x
+            lhs, rhs = model_values(a, b, c, d, x, y)
             assert lhs == rhs
 
     def test_disc_identity_randomized(self):
         rng = random.Random(97)
-        coeff_a, coeff_b = model_coeff_polys()
         for _ in range(220):
-            point = random_assignment(rng, span=12)
-            p_val, q_val = coeff_a.evaluate(point), coeff_b.evaluate(point)
+            a, b, c, d = (random_rational(rng) for _ in range(4))
             closed = (
-                108 * point["a"] ** 3 * point["c"] ** 3
-                - Fraction(27, 16)
-                * (4 * point["a"] ** 3 + 4 * point["c"] ** 3 + 27 * (point["b"] - point["d"]) ** 2) ** 2
+                108 * a**3 * c**3
+                - Fraction(27, 16) * (4 * a**3 + 4 * c**3 + 27 * (b - d) ** 2) ** 2
             )
-            assert -4 * p_val**3 - 27 * q_val**2 == closed
+            assert discriminant(a, b, c, d) == closed
+            assert planecubic.smoothness_quantity(a, b, c, d) == closed
 
     def test_point_identity_spot_checks(self):
-        big_x, big_y = transform_polys()
         # (a, b, c, d) = (1, 1, 2, 2): substituted at x = y = (b-d)/(c-a) = -1
-        point = {"a": Fraction(1), "b": Fraction(1), "c": Fraction(2), "d": Fraction(2),
-                 "x": Fraction(-1), "y": Fraction(-1)}
-        assert big_x.evaluate(point) == 12
-        assert big_y.evaluate(point) == Fraction(81, 2)
+        one, two = Fraction(1), Fraction(2)
+        assert planecubic.change_of_variables(one, one, two, two, -one, -one) == (
+            12, Fraction(81, 2)
+        )
+        # the closed form's numerators over (a-c)^2 = 1 and (a-c)^3 = -1
+        assert planecubic.tangent_image_numerators(one, one, two, two) == (
+            12, Fraction(-81, 2)
+        )
 
     def test_disc_spot_checks(self):
-        coeff_a, coeff_b = model_coeff_polys()
-        point = {"a": Fraction(1), "b": Fraction(1), "c": Fraction(2), "d": Fraction(2),
-                 "x": Fraction(0), "y": Fraction(0)}
-        p_val, q_val = coeff_a.evaluate(point), coeff_b.evaluate(point)
-        assert -4 * p_val**3 - 27 * q_val**2 == Fraction(-93339, 16)
-        point.update({"a": Fraction(0), "c": Fraction(0), "b": Fraction(1), "d": Fraction(0)})
-        p_val, q_val = coeff_a.evaluate(point), coeff_b.evaluate(point)
-        assert -4 * p_val**3 - 27 * q_val**2 == Fraction(-27 * 729, 16)
+        assert discriminant(Fraction(1), Fraction(1), Fraction(2), Fraction(2)) == Fraction(
+            -93339, 16
+        )
+        assert discriminant(Fraction(0), Fraction(1), Fraction(0), Fraction(0)) == Fraction(
+            -27 * 729, 16
+        )
 
-    def test_mutation_detected(self):
-        # flip one coefficient sign in the first transform coordinate and the
-        # reduced defect must become nonzero
-        big_x, big_y = transform_polys()
-        coeff_a, coeff_b = model_coeff_polys()
-        mutated = big_x - 6 * X * Y  # 3xy term becomes -3xy
-        defect = big_y * big_y - (mutated**3 + coeff_a * mutated + coeff_b)
-        assert not reduce_mod_relation(defect).is_zero
+    def test_mutation_detected(self, monkeypatch):
+        # flip one coefficient sign in the first transform coordinate: the
+        # 3xy term becomes -3xy, and the proof must fail at a printed point
+        original = planecubic.change_of_variables
+
+        def mutated(a, b, c, d, x, y):
+            big_x, big_y = original(a, b, c, d, x, y)
+            return big_x - 6 * x * y, big_y
+
+        monkeypatch.setattr(planecubic, "change_of_variables", mutated)
+        assert not verify_weierstrass_identity()
+        point = counterexample(weierstrass_defect)
+        assert any(weierstrass_defect(**point))
+
+
+class TestGrid:
+    """The grid check is a proof: its size follows the expression, not a sample."""
+
+    def test_degree_bounds(self):
+        assert degree_bounds(weierstrass_defect) == (3, 2, 3, 6, 6)
+        assert degree_bounds(point_defect) == (4, 3, 4, 3)
+        assert degree_bounds(disc_defect) == (6, 4, 6, 4)
+
+    def test_bounds_follow_the_expression(self):
+        def expression(x, y):
+            return [(x + y) ** 2 - x * x, 3 * y - Fraction(1, 2)]
+
+        assert degree_bounds(expression) == (2, 2)
+        assert degree_bounds(lambda x, y: [-(x**3) * y + 7]) == (3, 1)
+
+    def test_mutation_vanishing_on_the_old_grid_fails(self, monkeypatch):
+        # x(x-1)...(x-6) is zero at every x of the unmutated grid 0..6, so a
+        # check on that fixed grid would pass; the bounds grow with the term
+        bounds = degree_bounds(weierstrass_defect)
+        original = planecubic.change_of_variables
+
+        def mutated(a, b, c, d, x, y):
+            big_x, big_y = original(a, b, c, d, x, y)
+            return big_x + prod(x - root for root in range(7)), big_y
+
+        monkeypatch.setattr(planecubic, "change_of_variables", mutated)
+        old_grid = product(*(range(n + 1) for n in bounds))
+        assert not any(any(weierstrass_defect(*point)) for point in old_grid)
+        assert degree_bounds(weierstrass_defect)[3] == 21
+        assert not verify_weierstrass_identity()
+        assert any(weierstrass_defect(**counterexample(weierstrass_defect)))
+
+    @pytest.mark.parametrize("mutated", [
+        # equal to the closed form wherever x != 0, but not a polynomial
+        lambda big_x, big_y, x: ((big_x * x) / x, big_y),
+        # a float constant
+        lambda big_x, big_y, x: (big_x, big_y + 0.5 * x - Fraction(1, 2) * x),
+        lambda big_x, big_y, x: (big_x * 1.0, big_y),
+        # a branch on the variables
+        lambda big_x, big_y, x: (big_x if x == x else big_x + 1, big_y),
+    ], ids=["division", "float-term", "float-factor", "comparison"])
+    def test_non_polynomial_closed_form_raises(self, monkeypatch, mutated):
+        original = planecubic.change_of_variables
+
+        def patched(a, b, c, d, x, y):
+            return mutated(*original(a, b, c, d, x, y), x)
+
+        monkeypatch.setattr(planecubic, "change_of_variables", patched)
+        with pytest.raises(TypeError):
+            verify_weierstrass_identity()
+        with pytest.raises(TypeError):
+            verify_point_identity()
+
+
+class TestSympyOracle:
+    """Each expression, expanded by sympy, is the zero polynomial."""
+
+    @pytest.mark.parametrize("defect", DEFECTS, ids=lambda f: f.__name__)
+    def test_expands_to_zero(self, defect):
+        sympy = pytest.importorskip("sympy")
+        values = defect(*sympy.symbols(list(signature(defect).parameters)))
+        assert [sympy.expand(value) for value in values] == [0] * len(values)
