@@ -19,19 +19,10 @@ import os
 import re
 import sys
 from dataclasses import fields
-from functools import cache
+from functools import cache, partial
 from typing import Optional, Sequence
 
 from .exactnum import excerpt, format_rational, parse_rational
-from .polyident import (
-    counterexample,
-    disc_defect,
-    point_defect,
-    verify_disc_identity,
-    verify_point_identity,
-    verify_weierstrass_identity,
-    weierstrass_defect,
-)
 from .twistgen import (
     Config,
     SearchExhausted,
@@ -158,7 +149,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if overall else 1
 
 
+def _prove(name: str) -> bool:
+    """Run ``polyident.<name>``, importing polyident only when identity-check runs."""
+    from . import polyident
+    return getattr(polyident, name)()
+
+
+verify_weierstrass_identity = partial(_prove, "verify_weierstrass_identity")
+verify_point_identity = partial(_prove, "verify_point_identity")
+verify_disc_identity = partial(_prove, "verify_disc_identity")
+
+
 def _cmd_identity_check(args: argparse.Namespace) -> int:
+    from .polyident import counterexample, disc_defect, point_defect, weierstrass_defect
     checks = (
         ("weierstrass model identity", verify_weierstrass_identity, weierstrass_defect),
         ("tangent point identity", verify_point_identity, point_defect),

@@ -223,8 +223,7 @@ class PlaneCubic:
         return self._through_base(self.third_intersection(first, second).coords)
 
     def negate(self, point: ProjPoint) -> ProjPoint:
-        tangential = self.third_intersection(BASE_POINT, BASE_POINT)
-        return self.third_intersection(tangential, point)
+        return self.third_intersection(self._through_base(BASE_POINT.coords), point)
 
     def scalar_mul(self, k: int, point: ProjPoint) -> ProjPoint:
         """Double-and-add from the base point, the identity."""

@@ -3,9 +3,9 @@
 Given two smooth curve models, the pair is routed one of three ways:
 
 * ``general``  - the models are glued into a plane cubic whose tangent point
-  is certified non-torsion (rescaling the second model by a searched factor
-  until every condition holds), and the common cubic value at each multiple
-  of that point is a candidate twist value for both curves at once;
+  P is certified non-torsion (rescaling the second model by a searched factor
+  until every condition holds), and the common cubic value at each of P, -P,
+  2P, -2P, ... is a candidate twist value for both curves at once;
 * ``isomorphic`` - the curves are the same over Q, so scanning integer
   inputs of the cubic itself already produces twist values;
 * ``jzero``    - both curves have j-invariant zero; a prime-driven recipe
@@ -348,21 +348,24 @@ Candidate = tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]]
 
 
 def _seed_multiples(pp: PreparedPair) -> Iterator[Candidate]:
-    """kP for k = 1, 2, 3, ... of the seed P; D is the common cubic value.
+    """kP, then -kP, for k = 1, 2, 3, ... of the seed P; D is the common cubic value.
 
-    No kP is at infinity: P is certified non-torsion, so kP is never the base
-    point, and the base point is the cubic's only rational point at infinity.
+    D at -kP is far shorter than at kP or (k+1)P; -kP is computed only when read.
+    P is non-torsion, so no +-kP is the base point, the only rational point at infinity.
     """
     cubic, seed = pp.cubic, pp.seed
     assert cubic is not None and seed is not None
-    current = seed
+    current = point = seed
     while True:
-        x_coord, y_coord = current.affine()
-        yield cubic.common_value(current), (
+        x_coord, y_coord = point.affine()
+        yield cubic.common_value(point), (
             (x_coord, Fraction(1)),
             (y_coord, Fraction(1)),
         )
-        current = cubic.add(current, seed)
+        if point is current:
+            point = cubic.negate(current)
+        else:
+            current = point = cubic.add(current, seed)
 
 
 def _integer_inputs(curve: Curve, copies: int = 1) -> Iterator[Candidate]:
@@ -386,10 +389,10 @@ def _run_generation(
 ) -> tuple[list[TwistCertificate], tuple[Curve, ...], RunReport]:
     """Certify candidates in order until the target count or the budget.
 
-    A candidate's certificate is kept only when ``verify_certificate`` accepts
-    it; otherwise k is skipped with the verifier's reason code.  Returns the
-    certificates, the ``curves`` their solutions lie on, and the report, whose
-    ``accepted`` keeps each accepted (k, D) once.
+    A candidate is kept only when it passes ``verify_certificate``'s checks,
+    solutions before label; otherwise k is skipped with the verifier's reason
+    code.  Returns the certificates, the ``curves`` their solutions lie on,
+    and the report, whose ``accepted`` keeps each accepted (k, D) once.
     """
     certificates: list[TwistCertificate] = []
     steps = islice(candidates, cfg.max_iterations)
@@ -401,14 +404,16 @@ def _run_generation(
         if any(same_square_class(value, seen) for _, seen in report.accepted):
             report.skipped.append((k, SKIP_CLASS_COLLISION))
             continue
-        cert = TwistCertificate(
-            k=k,
-            value=value,
-            squarefree_rep=_squarefree_rep(value, cfg.factor_effort),
-            solutions=solutions,
-        )
-        ok, reason = verify_certificate(cert, curves)
-        if not ok:
+        reason = _solutions_reason(value, solutions, curves)
+        if reason is None:
+            cert = TwistCertificate(
+                k=k,
+                value=value,
+                squarefree_rep=_squarefree_rep(value, cfg.factor_effort),
+                solutions=solutions,
+            )
+            reason = _label_reason(cert)
+        if reason is not None:
             report.skipped.append((k, reason))
             continue
         report.accepted.append((k, value))
@@ -490,25 +495,33 @@ def verify_certificate(
 
     Returns (True, None) or (False, reason) with a stable reason code.
     """
-    value = cert.value
-    if value == 0:
+    if cert.value == 0:
         return False, SKIP_ZERO_VALUE
     if not cert.solutions:
         return False, "no-curve-entries"
     if len(cert.solutions) != len(pair):
         return False, "entry-count-mismatch"
+    reason = _label_reason(cert) or _solutions_reason(cert.value, cert.solutions, pair)
+    return reason is None, reason
+
+
+def _label_reason(cert: TwistCertificate) -> Optional[str]:
     # a square test, not a refactorization: `complete` is not rechecked
     label = cert.squarefree_rep[0]
-    if label == 0 or not same_square_class(Fraction(label), value):
-        return False, "label-class-mismatch"
-    for curve, (x, t) in zip(pair, cert.solutions):
+    if label == 0 or not same_square_class(Fraction(label), cert.value):
+        return "label-class-mismatch"
+    return None
+
+
+def _solutions_reason(value: Fraction, solutions: tuple, pair: Sequence[Curve]) -> Optional[str]:
+    for curve, (x, t) in zip(pair, solutions):
         if value * t * t != curve.rhs(x):
-            return False, "solution-mismatch"
+            return "solution-mismatch"
         # (D*x, D^2*t) is the solution's point on the twist model by D
         point = WPoint(value * x, value * value * t)
         if certify_nontorsion(quadratic_twist(curve, value), point) is None:
-            return False, "torsion-point"
-    return True, None
+            return "torsion-point"
+    return None
 
 
 def verify_bundle(

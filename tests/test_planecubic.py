@@ -116,6 +116,17 @@ class TestGroupLaw:
         seed = WORKED.tangent_point()
         assert WORKED.add(seed, WORKED.negate(seed)) == BASE_POINT
 
+    def test_negate_is_the_chord_through_the_tangential_point(self):
+        # -P is the third point on the line through P and the third point of
+        # the tangent at the base point, which negate takes in closed form
+        rng = random.Random(7)
+        for cubic in (WORKED, PlaneCubic(0, 1, 0, 2), PlaneCubic(-2, 3, 5, -1)):
+            tangential = cubic.third_intersection(BASE_POINT, BASE_POINT)
+            point = cubic.tangent_point() if cubic.a != cubic.c else affine(1, 0)
+            for _ in range(4):
+                assert cubic.negate(point) == cubic.third_intersection(tangential, point)
+                point = cubic.add(point, cubic.scalar_mul(rng.randint(1, 3), point))
+
     def test_double_satisfies_relation(self):
         double = WORKED.scalar_mul(2, WORKED.tangent_point())
         x, y = double.affine()

@@ -3,11 +3,13 @@
 import json
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from twistpairs.exactnum import same_square_class, valuation
+from twistpairs.exactnum import same_square_class, squarefree_part, valuation
+from twistpairs.planecubic import PlaneCubic
 from twistpairs.twistgen import (
     ACCEPTED,
     Config,
@@ -22,6 +24,7 @@ from twistpairs.twistgen import (
     RunReport,
     SearchExhausted,
     TwistCertificate,
+    _seed_multiples,
     bundle_from_dict,
     bundle_to_dict,
     certificate_from_dict,
@@ -228,6 +231,45 @@ class TestGenerateWorkedPair:
         assert 0 < len(certs) < 50
 
 
+class TestSeedStream:
+    """The general and jzero routes walk P, -P, 2P, -2P, ... of the seed P."""
+
+    @pytest.fixture(scope="class")
+    def worked(self):
+        return prepare_pair(Curve(1, 1), Curve(2, 2))
+
+    def test_plus_then_minus_multiples(self, worked):
+        cubic, seed = worked.cubic, worked.seed
+        points = [cubic.scalar_mul(sign * k, seed) for k in range(1, 5) for sign in (1, -1)]
+        expected = [(cubic.common_value(p), ((p.x, 1), (p.y, 1))) for p in points]
+        assert list(islice(_seed_multiples(worked), 8)) == expected
+
+    def test_bit_lengths_of_the_first_steps(self, worked):
+        # the kP-only walk reached 1, 37, 93, 181, 289 in five steps
+        bits = [value.numerator.bit_length() for value, _ in islice(_seed_multiples(worked), 9)]
+        assert bits == [1, 20, 37, 74, 93, 146, 181, 252, 289]
+
+    def test_k_is_the_stream_index(self, worked):
+        certs, _, report = generate(worked, Config(target_count=3, factor_effort=1))
+        assert [c.k for c in certs] == [1, 2, 3] and not report.skipped
+        negative = worked.cubic.negate(worked.seed)
+        assert certs[1].value == worked.cubic.common_value(negative)
+
+    def test_count_one_never_negates(self, worked, monkeypatch):
+        calls = []
+        negate = PlaneCubic.negate
+
+        def counted(self, point):
+            calls.append(point)
+            return negate(self, point)
+
+        monkeypatch.setattr(PlaneCubic, "negate", counted)
+        generate(worked, Config(target_count=1))
+        assert calls == []
+        generate(worked, Config(target_count=2, factor_effort=1))
+        assert calls == [worked.seed]
+
+
 class TestGeneralTransport:
     def test_second_solution_lies_on_curve_two(self):
         # lambda = 2: the cubic glues y^2 = x^3 + 16*x + 128, and its input
@@ -261,6 +303,23 @@ class TestElementary:
         certs, _, report = elementary_generate(Curve(-1, 1), Config(target_count=3))
         assert (1, Fraction(1)) in report.accepted
         assert (3, SKIP_CLASS_COLLISION) in report.skipped
+
+    def test_torsion_candidate_gets_no_label(self, monkeypatch):
+        # x = 2 gives D = 9 and the point (18, 81) of order 6 on y^2 = x^3 + 729;
+        # the solutions check rejects it before any factoring of 9
+        import twistpairs.twistgen as twistgen
+
+        factored = []
+
+        def counted(n, effort):
+            factored.append(n)
+            return squarefree_part(n, effort)
+
+        monkeypatch.setattr(twistgen, "squarefree_part", counted)
+        certs, _, report = elementary_generate(Curve(0, 1), Config(target_count=3))
+        assert report.skipped == [(2, "torsion-point")]
+        assert [c.value for c in certs] == [2, 28, 65]
+        assert 9 not in factored and {2, 28, 65} <= set(factored)
 
     def test_single_entry_certificates(self):
         certs, _, _ = elementary_generate(Curve(1, 1), Config(target_count=2))
