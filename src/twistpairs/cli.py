@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields
 from functools import cache, partial
 from typing import Optional, Sequence
 
@@ -76,21 +75,17 @@ def _emit(bundle: dict, output: Optional[str]) -> None:
 
 
 def _config(args: argparse.Namespace) -> Config:
-    return Config(**{f.name: getattr(args, f.name) for f in fields(Config)})
+    return Config(**{name: getattr(args, name) for name in Config._fields})
 
 
-def _finish(
-    args: argparse.Namespace,
-    cfg: Config,
-    run: Sequence,
-) -> int:
+def _finish(args: argparse.Namespace, run: Sequence) -> int:
     """Print the report of a run (certificates, pair, report); write its bundle."""
     certs, pair, report = run
     _progress(*report.lines())
     _emit(bundle_to_dict(pair, certs), args.output)
     if report.budget_exhausted:
         _progress(
-            f"partial result: {len(certs)} of {cfg.target_count} certificates"
+            f"partial result: {len(certs)} of {args.target_count} certificates"
         )
         return 2
     return 0
@@ -100,27 +95,24 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     curve1 = _parse_curve(args.curve1)
     curve2 = _parse_curve(args.curve2)
     cfg = _config(args)
-    return _finish(args, cfg, generate(prepare_pair(curve1, curve2), cfg))
+    return _finish(args, generate(prepare_pair(curve1, curve2), cfg))
 
 
 def _cmd_jzero(args: argparse.Namespace) -> int:
     curve1 = _parse_curve(args.curve1)
     curve2 = _parse_curve(args.curve2)
-    cfg = _config(args)
-    return _finish(args, cfg, jzero_generate(curve1, curve2, cfg))
+    return _finish(args, jzero_generate(curve1, curve2, _config(args)))
 
 
 def _cmd_corollary(args: argparse.Namespace) -> int:
     curve = _parse_curve(args.curve)
     delta = parse_rational(args.delta)
-    cfg = _config(args)
-    return _finish(args, cfg, corollary_mode(curve, delta, cfg))
+    return _finish(args, corollary_mode(curve, delta, _config(args)))
 
 
 def _cmd_elementary(args: argparse.Namespace) -> int:
     curve = _parse_curve(args.curve)
-    cfg = _config(args)
-    return _finish(args, cfg, elementary_generate(curve, cfg))
+    return _finish(args, elementary_generate(curve, _config(args)))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -133,10 +125,17 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
+def _short_int(text: str) -> int:
+    """A JSON integer of at most 20 characters: ``version`` is 6 and ``k`` a stream index."""
+    if len(text) > 20:  # int() of a longer literal would take time quadratic in its length
+        raise ValueError(f"JSON integer of {len(text)} characters; the limit is 20")
+    return int(text)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle, object_pairs_hook=_unique_keys)
+            data = json.load(handle, object_pairs_hook=_unique_keys, parse_int=_short_int)
         except RecursionError as exc:
             raise ValueError("the bundle nests too deeply to parse") from exc
     pair, certs = bundle_from_dict(data)

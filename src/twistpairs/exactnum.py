@@ -12,19 +12,19 @@ elliptic-curve factorization (ECM) on Montgomery curves for what rho leaves
 unsplit (Lenstra, Ann. Math. 126 (1987); Montgomery, Math. Comp. 48 (1987)).
 Every stage has fixed parameters, so results depend only on n and the effort.
 
-All functions are pure and all values immutable, so everything here is safe
-to use from concurrent contexts.
+All functions are pure and return immutable values, so everything here is
+safe to use from concurrent contexts.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import gcd, isqrt
-from typing import Iterator, Optional, Sequence
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 #: Default work budget of ``factorize``: the first ``_RHO_EFFORT`` units are
 #: Brent-rho iterations, and every ``_ECM_CURVE_EFFORT`` after them buy one ECM
@@ -65,6 +65,24 @@ def excerpt(text: str) -> str:
     Inputs can be arbitrarily long, and an error line must stay short.
     """
     return text if len(text) <= _EXCERPT_LIMIT else text[:_EXCERPT_LIMIT] + "..."
+
+
+class ValueObject:
+    """Equality, hashing and repr by the attributes each subclass names in ``_fields``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._values}"
 
 
 def parse_integer(text: str) -> int:
@@ -118,8 +136,7 @@ def same_square_class(first: Fraction, second: Fraction) -> bool:
     return is_perfect_square(Fraction(first) * Fraction(second)) is not None
 
 
-@dataclass(frozen=True)
-class PartialFactorization:
+class PartialFactorization(NamedTuple):
     """Factorization of |n| into certified primes plus an unfactored cofactor.
 
     Invariant: prod(p**e) * cofactor == |n|, and complete iff cofactor == 1.

@@ -18,11 +18,11 @@ bound their degrees and then proves them exactly on an integer grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
+from .exactnum import ValueObject
 from .weierstrass import Curve, WPoint, format_cubic, torsion_order_multiples
 
 Coords = tuple[int, int, int]
@@ -68,12 +68,11 @@ def _point(x: int, y: int, z: int) -> ProjPoint:
     if (z or x or y) < 0:
         g = -g
     point = object.__new__(ProjPoint)
-    object.__setattr__(point, "coords", (x // g, y // g, z // g))
+    point.coords = (x // g, y // g, z // g)
     return point
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class ProjPoint:
+class ProjPoint(ValueObject):
     """Projective point from rationals, held as a canonical primitive triple.
 
     ``coords`` is that integer triple (see ``_point``), so equality is tuple
@@ -81,12 +80,12 @@ class ProjPoint:
     points) or else to a first nonzero coordinate of 1.
     """
 
-    coords: Coords
+    _fields = __slots__ = ("coords",)
 
     def __init__(self, x: Fraction, y: Fraction, z: Fraction) -> None:
         x, y, z = Fraction(x), Fraction(y), Fraction(z)
         den = lcm(x.denominator, y.denominator, z.denominator)
-        object.__setattr__(self, "coords", _point(*(int(v * den) for v in (x, y, z))).coords)
+        self.coords: Coords = _point(*(int(v * den) for v in (x, y, z))).coords
 
     def _scaled(self, index: int) -> Fraction:
         x, y, z = self.coords
@@ -113,19 +112,12 @@ class ProjPoint:
 BASE_POINT = ProjPoint(Fraction(1), Fraction(1), Fraction(0))
 
 
-@dataclass(frozen=True)
-class PlaneCubic:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    #: (L, A, C, E): L*F = L*x^3 - L*y^3 + A*x*z^2 - C*y*z^2 + E*z^3 has
-    #: integer coefficients, L being the lcm of the denominators of a, c, b - d
-    _scaled_form: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+class PlaneCubic(ValueObject):
+    _fields = ("a", "b", "c", "d")
+    __slots__ = _fields + ("_scaled_form",)
 
-    def __post_init__(self) -> None:
-        for name in "abcd":
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> None:
+        self.a, self.b, self.c, self.d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
         if smoothness_quantity(self.a, self.b, self.c, self.d) == 0:
             raise ValueError(
                 "singular configuration: 108*a^3*c^3 - 27*(4a^3+4c^3+27(b-d)^2)^2/16 "
@@ -133,9 +125,9 @@ class PlaneCubic:
             )
         e = self.b - self.d
         scale = lcm(self.a.denominator, self.c.denominator, e.denominator)
-        object.__setattr__(self, "_scaled_form", (
-            scale, int(self.a * scale), int(self.c * scale), int(e * scale)
-        ))
+        # (L, A, C, E), left out of _fields as a, b, c and d fix it: L*F = L*x^3 - L*y^3
+        # + A*x*z^2 - C*y*z^2 + E*z^3 has integer coefficients, L = lcm of den(a, c, b - d)
+        self._scaled_form = (scale, int(self.a * scale), int(self.c * scale), int(e * scale))
 
     # ------------------------------------------------------------------ form
 

@@ -22,14 +22,14 @@ when the verifier, which recomputes everything, accepts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count, islice
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactnum import (
     DEFAULT_FACTOR_EFFORT,
+    ValueObject,
     excerpt,
     format_rational,
     parse_integer,
@@ -69,15 +69,15 @@ BUNDLE_VERSION = 6
 LAMBDA_SEARCH_BOUND = 40
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(ValueObject):
     """Knobs for the search loops; every bound is finite and explicit."""
 
-    target_count: int = 1
-    max_iterations: int = 64
-    factor_effort: int = DEFAULT_FACTOR_EFFORT
+    _fields = __slots__ = ("target_count", "max_iterations", "factor_effort")
 
-    def __post_init__(self) -> None:
+    def __init__(self, target_count: int = 1, max_iterations: int = 64,
+                 factor_effort: int = DEFAULT_FACTOR_EFFORT) -> None:
+        self.target_count, self.max_iterations, self.factor_effort = (
+            target_count, max_iterations, factor_effort)
         if self.target_count < 1:
             raise ValueError("target_count must be at least 1")
         for name in ("max_iterations", "factor_effort"):
@@ -93,14 +93,12 @@ class SearchExhausted(Exception):
         self.trials = trials
 
 
-@dataclass(frozen=True)
-class LambdaTrial:
+class LambdaTrial(NamedTuple):
     scale: Fraction
     outcome: str
 
 
-@dataclass(frozen=True)
-class PreparedPair:
+class PreparedPair(NamedTuple):
     """A routed pair, ready for generation.
 
     On cubic-backed routes the seed point lies on the cubic and has been
@@ -119,8 +117,7 @@ class PreparedPair:
     trials: tuple[LambdaTrial, ...] = ()
 
 
-@dataclass(frozen=True)
-class TwistCertificate:
+class TwistCertificate(NamedTuple):
     """The claim for one D: a solution (x, t) per pair curve, in pair order."""
 
     k: int
@@ -142,7 +139,6 @@ def _distinct_square_classes(values: Sequence[Fraction]) -> bool:
     )
 
 
-@dataclass
 class RunReport:
     """What happened during a generation run, k by k.
 
@@ -150,12 +146,13 @@ class RunReport:
     none and reports the isomorphic route.
     """
 
-    pair: Optional[PreparedPair] = None
-    accepted: list[tuple[int, Fraction]] = field(default_factory=list)
-    skipped: list[tuple[int, str]] = field(default_factory=list)
-    iterations_used: int = 0
-    budget_exhausted: bool = False
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, pair: Optional[PreparedPair] = None) -> None:
+        self.pair = pair
+        self.accepted: list[tuple[int, Fraction]] = []
+        self.skipped: list[tuple[int, str]] = []
+        self.iterations_used = 0
+        self.budget_exhausted = False
+        self.notes: list[str] = []
 
     @property
     def route(self) -> str:

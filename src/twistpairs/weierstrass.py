@@ -6,16 +6,15 @@ decided by the complete list of orders a rational torsion point can have
 over Q (1..10 and 12), so checking that no multiple in that range hits the
 point at infinity is a sound and complete non-torsion certificate.
 
-Everything is a pure function over immutable values.
+Every function is pure: none changes the curves or points it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, TypeVar
+from typing import Callable, NamedTuple, Optional, TypeVar
 
-from .exactnum import excerpt, is_perfect_square, rational_cube_root
+from .exactnum import ValueObject, excerpt, is_perfect_square, rational_cube_root
 
 #: Orders a nontrivial rational torsion point can have over Q.
 RATIONAL_TORSION_ORDERS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
@@ -29,8 +28,7 @@ def disc_quantity(a: Fraction, b: Fraction) -> Fraction:
     return 4 * a**3 + 27 * b**2
 
 
-@dataclass(frozen=True)
-class WPoint:
+class WPoint(NamedTuple):
     """A rational point: affine (x, y), or the point at infinity (x = y = None)."""
 
     x: Optional[Fraction]
@@ -49,14 +47,11 @@ class WPoint:
 INFINITY = WPoint(None, None)
 
 
-@dataclass(frozen=True)
-class Curve:
-    a: Fraction
-    b: Fraction
+class Curve(ValueObject):
+    _fields = __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: Fraction, b: Fraction) -> None:
+        self.a, self.b = Fraction(a), Fraction(b)
         if disc_quantity(self.a, self.b) == 0:
             raise ValueError(
                 f"singular curve: 4a^3 + 27b^2 = 0 for a={excerpt(str(self.a))}, "

@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from math import prod
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -599,6 +600,38 @@ class TestVerifyCommand:
         out_file.write_text(json.dumps(bundle))
         code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
         assert (code, out, err) == (1, "", f"error: {error}\n")
+
+    # int() of an n-digit literal takes time quadratic in n, so a long JSON
+    # integer is refused as the bundle is read
+    def test_long_json_integer_is_refused_quickly(self, capsys, tmp_path):
+        out_file = tmp_path / "bundle.json"
+        out_file.write_text('{"version": ' + "1" * 100_000 + ', "pair": [], "certificates": []}')
+        start = perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert perf_counter() - start < 0.05
+        assert (code, out) == (1, "")
+        assert err == "error: JSON integer of 100000 characters; the limit is 20\n"
+
+    @pytest.mark.parametrize("k, code", [(10**19, 0), (-(10**18), 0), (10**20, 1), (-(10**19), 1)])
+    def test_k_is_free_up_to_twenty_characters(self, capsys, tmp_path, k, code):
+        out_file = tmp_path / "bundle.json"
+        assert run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
+                       "--effort", "2000", "--output", str(out_file))[0] == 0
+        bundle = json.loads(out_file.read_text())
+        bundle["certificates"][0]["k"] = k
+        out_file.write_text(json.dumps(bundle))
+        assert run_cli(capsys, "verify", "--input", str(out_file))[0] == code
+
+
+class TestStartup:
+    def test_cli_import_loads_no_dataclasses(self):
+        # dataclasses imports inspect, ast and dis, and each @dataclass runs exec
+        code = ("import sys, twistpairs.cli; twistpairs.cli.build_parser(); "
+                "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(twistpairs.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestClosedStdout:

@@ -43,6 +43,14 @@ class TestConstruction:
         assert smoothness_quantity(0, 1, 0, 2) == Fraction(-27 * 729, 16)
         PlaneCubic(0, 1, 0, 2)
 
+    def test_equal_by_coefficients(self):
+        # the scaled integer form is derived from a, b, c, d and not compared
+        twin = PlaneCubic(Fraction(1), 1, Fraction(4, 2), 2)
+        assert twin == WORKED and hash(twin) == hash(WORKED)
+        assert PlaneCubic(1, 1, 2, 3) != WORKED
+        assert repr(WORKED) == (
+            "PlaneCubic(Fraction(1, 1), Fraction(1, 1), Fraction(2, 1), Fraction(2, 1))")
+
 
 class TestProjPoint:
     def test_affine_normalization(self):
@@ -54,6 +62,14 @@ class TestProjPoint:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             ProjPoint(Fraction(0), Fraction(0), Fraction(0))
+
+    def test_equal_by_coords(self):
+        point = ProjPoint(Fraction(1, 2), 1, 1)
+        same = ProjPoint(-1, -2, -2)
+        assert point.coords == same.coords == (1, 2, 2)
+        assert point == same and hash(point) == hash(same)
+        assert point != affine(1, 2)
+        assert point != (1, 2, 2)
 
     def test_affine_coords(self):
         assert affine(2, 3).affine() == (2, 3)

@@ -1,7 +1,6 @@
 """Routing, searches, generation loops, certificates, verification."""
 
 import json
-from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -50,6 +49,11 @@ class TestConfig:
             Config(target_count=0)
         with pytest.raises(ValueError):
             Config(max_iterations=0)
+
+    def test_equal_by_fields(self):
+        assert Config(target_count=2) == Config(2, 64) and hash(Config(2)) == hash(Config(2))
+        assert Config(target_count=2) != Config(target_count=3)
+        assert Config._fields == ("target_count", "max_iterations", "factor_effort")
 
 
 class TestScaleEnumeration:
@@ -396,7 +400,7 @@ class TestRunReport:
         assert (report.route, report.pair.prime, report.pair.t_value) == (ROUTE_JZERO, 5, 215)
 
     def test_stores_no_copy_of_the_pair(self):
-        names = {f.name for f in fields(RunReport)}
+        names = set(vars(RunReport()))
         assert not names & {"route", "prime", "t_value"}
 
     def test_elementary_has_no_pair(self):
@@ -434,7 +438,7 @@ class TestCorollary:
         # claim already covers D*delta and the certificate states nothing more
         certs, pair, _ = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
         assert pair == (Curve(1, 1), Curve(4, 8))
-        assert [f.name for f in fields(TwistCertificate)] == [
+        assert list(TwistCertificate._fields) == [
             "k", "value", "squarefree_rep", "solutions",
         ]
         for cert in certs:
@@ -501,7 +505,7 @@ class TestVerification:
         # certificate; the verifier accepts it, the pairwise class check flags it
         new_value = 4 * cert.value
         scaled = tuple((x, t / 2) for x, t in cert.solutions)
-        scaled_cert = replace(cert, value=new_value, solutions=scaled)
+        scaled_cert = cert._replace(value=new_value, solutions=scaled)
         assert verify_certificate(scaled_cert, PAIR) == (True, None)
         assert same_square_class(cert.value, new_value)
 
@@ -509,19 +513,19 @@ class TestVerification:
     def test_tampered_label_detected(self, cert, label):
         # the label must stay in the square class of D; `complete` is not rechecked
         assert cert.squarefree_rep is not None
-        bad_cert = replace(cert, squarefree_rep=(label, cert.squarefree_rep[1]))
+        bad_cert = cert._replace(squarefree_rep=(label, cert.squarefree_rep[1]))
         assert verify_certificate(bad_cert, PAIR) == (False, "label-class-mismatch")
 
     def test_corrupted_solution_detected(self, cert):
         (x, t), rest = cert.solutions[0], cert.solutions[1:]
-        bad_cert = replace(cert, solutions=((x + 1, t),) + rest)
+        bad_cert = cert._replace(solutions=((x + 1, t),) + rest)
         ok, reason = verify_certificate(bad_cert, PAIR)
         assert not ok and reason == "solution-mismatch"
 
     def test_torsion_point_detected(self, cert):
         # (2, 3) solves 1*t^2 = x^3 + 1 and has order 6 on y^2 = x^3 + 1
-        torsion_cert = replace(
-            cert, value=Fraction(1), squarefree_rep=(1, True),
+        torsion_cert = cert._replace(
+            value=Fraction(1), squarefree_rep=(1, True),
             solutions=((Fraction(2), Fraction(3)),),
         )
         assert verify_certificate(torsion_cert, [Curve(0, 1)]) == (False, "torsion-point")

@@ -46,6 +46,13 @@ class TestCurveBasics:
     def test_has_j_zero(self, a, b, expected):
         assert Curve(a, b).has_j_zero is expected
 
+    def test_equal_by_coefficients(self):
+        assert Curve(1, 1) == Curve(Fraction(1), 1)
+        assert hash(Curve(1, 1)) == hash(Curve(Fraction(1), 1))
+        assert Curve(1, 1) != Curve(1, 2)
+        assert Curve(1, 1) != (Fraction(1), Fraction(1))
+        assert repr(Curve(1, 1)) == "Curve(Fraction(1, 1), Fraction(1, 1))"
+
     def test_membership(self):
         assert MORDELL.contains(ORDER_SIX)
         assert MORDELL.contains(INFINITY)
