@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_curve(text: str) -> Curve:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"curve format is a,b with rational entries: {text!r}")
+        raise ValueError(f"curve format is a,b with rational entries: {excerpt(repr(text))}")
     return Curve(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
@@ -65,7 +65,10 @@ def _progress(*lines: str) -> None:
 
 
 def _emit(bundle: dict, output: Optional[str]) -> None:
-    text = json.dumps(bundle, indent=2) + "\n"
+    # one line: whitespace is no part of the format, and json.dumps runs its C
+    # encoder only without indent; the default ", " and ": " separators stay,
+    # since tools that read bundles search their text for '"complete": true'
+    text = json.dumps(bundle) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -187,10 +187,10 @@ class RunReport:
 
     def lines(self) -> list[str]:
         out = self._route_lines()
-        for k, value in self.accepted:
-            out.append(f"  k={k}: accepted D = {format_rational(value)}")
-        for k, reason in self.skipped:
-            out.append(f"  k={k}: skipped ({reason})")
+        # each k is either accepted or skipped; print them in walk order
+        steps = [(k, f"accepted D = {format_rational(value)}") for k, value in self.accepted]
+        steps += [(k, f"skipped ({reason})") for k, reason in self.skipped]
+        out += [f"  k={k}: {outcome}" for k, outcome in sorted(steps)]
         out.append(
             f"iterations used: {self.iterations_used}"
             + (", budget exhausted" if self.budget_exhausted else "")

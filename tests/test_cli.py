@@ -173,6 +173,12 @@ class TestErrors:
         code, _, err = run_cli(capsys, "generate", "--curve1", "1", "--curve2", "1,1")
         assert code == 1
 
+    def test_long_curve_gives_a_short_error_line(self, capsys):
+        code, _, err = run_cli(capsys, "generate", "--curve1", "1" * 10_000, "--curve2", "1,1")
+        assert code == 1
+        assert err.startswith("error: curve format is a,b")
+        assert len(err) < 300
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])
@@ -301,6 +307,14 @@ class TestElementaryCommand:
         bundle = json.loads(out)
         assert len(bundle["pair"]) == 1
         assert all(len(c["solutions"]) == 1 for c in bundle["certificates"])
+
+    def test_report_lists_k_in_walk_order(self, capsys):
+        # x0 = 2 gives (2, 3), of order 6 on y^2 = x^3 + 1: skipped between accepted k
+        code, _, err = run_cli(capsys, "elementary", "--curve=0,1", "--count", "3")
+        assert code == 0
+        steps = [line.split(":", 1) for line in err.splitlines() if line.startswith("  k=")]
+        assert [k for k, _ in steps] == ["  k=1", "  k=2", "  k=3", "  k=4"]
+        assert steps[1][1] == " skipped (torsion-point)"
 
 
 def _parent(bundle, path):
@@ -739,6 +753,65 @@ class TestIdentityCheck:
         assert any(sympy.expand(value) != 0 for value in values)
 
 
+def _pinned_bundle(capsys, tmp_path, argv):
+    """Write the bundle of a pinned scenario (count 3, effort 2000); its path."""
+    out_file = tmp_path / "bundle.json"
+    code, _, _ = run_cli(capsys, *argv, "--count", "3", "--effort", "2000",
+                         "--output", str(out_file))
+    assert code == 0
+    return out_file
+
+
+# (argv, SHA-256 of the bundle as written, SHA-256 of it re-encoded with
+# indent=2, the layout of version 6 bundles before they were written as one
+# line).  The bytes may move only when the certificate format, the search order
+# or the layout changes on purpose; a bundle holds only its pair and
+# certificates, so corollary --delta 4, whose pair is (1, 1), (16, 64), writes
+# the isomorphic route's bytes.
+PINNED_BUNDLES = [
+    pytest.param(
+        ("generate", "--curve1", "1,1", "--curve2", "2,2"),
+        "29fd03a3d0f6bcfc71e2347c271ec6a4b97af706325cbc9452dc1e81bf945745",
+        "7d5910d39550fa1dcad39d3dd506aa94ddb2457e3bcef20494f5b6012df2ecdb",
+        id="general"),
+    pytest.param(
+        ("generate", "--curve1", "1,1", "--curve2", "16,64"),
+        "a4250a670d2ff73815f47ca9efcd54f866341df48091fe78ea0bc1bb54be0693",
+        "0e996a00d9323ec445e715c9e6f226d886c74199804e771fcf295d15c9f12911",
+        id="isomorphic"),
+    pytest.param(
+        ("generate", "--curve1", "0,2", "--curve2", "0,2"),
+        "607d53f450f810573c2f2141f71a5a5898780fd16bce0a99d801e7a4ba86aacc",
+        "50c208354d7136ea8a475ab538e4f7260b506569d13adb0aaf52cdb565edbb35",
+        id="identical-jzero"),
+    pytest.param(
+        ("jzero", "--curve1", "0,1", "--curve2", "0,2"),
+        "55f8fbfcbd1289bee2997490af18e2cddd7e732abc17040c4d1f2132908cee56",
+        "81c42603c26d32f6aad56ca5846d0fbb2a0b2337a8bd7c8fec8739f5fdca63a2",
+        id="jzero"),
+    pytest.param(
+        ("generate", "--curve1", "0,1", "--curve2", "0,2"),
+        "55f8fbfcbd1289bee2997490af18e2cddd7e732abc17040c4d1f2132908cee56",
+        "81c42603c26d32f6aad56ca5846d0fbb2a0b2337a8bd7c8fec8739f5fdca63a2",
+        id="generate-jzero"),
+    pytest.param(
+        ("corollary", "--curve", "1,1", "--delta", "2"),
+        "c733afb8e7758799e0a5202b2ee1d10b45cacdcece666dd785eaa03b9377777e",
+        "ccf07007a9f45f724c6d5f872740f7c859102bd376a5e65a29c74ffded7d010c",
+        id="corollary-delta2"),
+    pytest.param(
+        ("corollary", "--curve", "1,1", "--delta", "4"),
+        "a4250a670d2ff73815f47ca9efcd54f866341df48091fe78ea0bc1bb54be0693",
+        "0e996a00d9323ec445e715c9e6f226d886c74199804e771fcf295d15c9f12911",
+        id="corollary-delta4"),
+    pytest.param(
+        ("elementary", "--curve", "1,1"),
+        "596179d0ccab04875efad7477748d63e4018e09ee515a57b3275526fb9ca828c",
+        "6edc064a2d5fc9c8e504fca9d4840a124831e8ebb7f06decb1485274e1f79b48",
+        id="elementary"),
+]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("generate", "--curve1", "1,1", "--curve2", "2,2", "--count", "3"),
@@ -752,32 +825,32 @@ class TestDeterminism:
         assert run_cli(capsys, *argv, "--output", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
-    # pinned SHA-256 per route: the bundle bytes may move only when the
-    # certificate format or the search order changes on purpose; a bundle
-    # holds only its pair and certificates, so corollary --delta 4, whose pair
-    # is (1, 1), (16, 64), writes the isomorphic route's bytes
-    @pytest.mark.parametrize("argv, digest", [
-        (("generate", "--curve1", "1,1", "--curve2", "2,2"),
-         "7d5910d39550fa1dcad39d3dd506aa94ddb2457e3bcef20494f5b6012df2ecdb"),
-        (("generate", "--curve1", "1,1", "--curve2", "16,64"),
-         "0e996a00d9323ec445e715c9e6f226d886c74199804e771fcf295d15c9f12911"),
-        (("generate", "--curve1", "0,2", "--curve2", "0,2"),
-         "50c208354d7136ea8a475ab538e4f7260b506569d13adb0aaf52cdb565edbb35"),
-        (("jzero", "--curve1", "0,1", "--curve2", "0,2"),
-         "81c42603c26d32f6aad56ca5846d0fbb2a0b2337a8bd7c8fec8739f5fdca63a2"),
-        (("generate", "--curve1", "0,1", "--curve2", "0,2"),
-         "81c42603c26d32f6aad56ca5846d0fbb2a0b2337a8bd7c8fec8739f5fdca63a2"),
-        (("corollary", "--curve", "1,1", "--delta", "2"),
-         "ccf07007a9f45f724c6d5f872740f7c859102bd376a5e65a29c74ffded7d010c"),
-        (("corollary", "--curve", "1,1", "--delta", "4"),
-         "0e996a00d9323ec445e715c9e6f226d886c74199804e771fcf295d15c9f12911"),
-        (("elementary", "--curve", "1,1"),
-         "6edc064a2d5fc9c8e504fca9d4840a124831e8ebb7f06decb1485274e1f79b48"),
-    ], ids=["general", "isomorphic", "identical-jzero", "jzero", "generate-jzero",
-            "corollary-delta2", "corollary-delta4", "elementary"])
-    def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):
-        out_file = tmp_path / "bundle.json"
-        code, _, _ = run_cli(capsys, *argv, "--count", "3", "--effort", "2000",
-                             "--output", str(out_file))
-        assert code == 0
-        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+    @pytest.mark.parametrize("argv, digest, indented", PINNED_BUNDLES)
+    def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest, indented):
+        data = _pinned_bundle(capsys, tmp_path, argv).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest, indented", PINNED_BUNDLES)
+    def test_bundle_is_one_line(self, capsys, monkeypatch, tmp_path, argv, digest, indented):
+        written = []
+
+        def to_dict(pair, certs):
+            written.append(bundle_to_dict(pair, certs))
+            return written[-1]
+
+        monkeypatch.setattr(cli, "bundle_to_dict", to_dict)
+        data = _pinned_bundle(capsys, tmp_path, argv).read_text(encoding="utf-8")
+        assert data == json.dumps(*written) + "\n"
+        assert data.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, digest, indented", PINNED_BUNDLES)
+    def test_indented_bundle_verifies(self, capsys, tmp_path, argv, digest, indented):
+        # whitespace is no part of the format: the bundle re-encoded in the
+        # indented layout has that layout's pinned digest, and verifies alike
+        bundle = _pinned_bundle(capsys, tmp_path, argv)
+        pretty = tmp_path / "pretty.json"
+        pretty.write_text(json.dumps(json.loads(bundle.read_text()), indent=2) + "\n")
+        assert hashlib.sha256(pretty.read_bytes()).hexdigest() == indented
+        one_line = run_cli(capsys, "verify", "--input", str(bundle))
+        assert one_line[0] == 0
+        assert run_cli(capsys, "verify", "--input", str(pretty)) == one_line
