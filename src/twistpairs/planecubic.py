@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
 
 from .exactnum import ValueObject
-from .weierstrass import Curve, WPoint, format_cubic, torsion_order_multiples
+from .weierstrass import Curve, WPoint, format_cubic, has_torsion_order
 
 Coords = tuple[int, int, int]
 
@@ -229,17 +228,16 @@ class PlaneCubic(ValueObject):
                 result = self.add(result, point)
         return result
 
-    def certify_nontorsion(self, point: ProjPoint) -> Optional[tuple[tuple[int, ProjPoint], ...]]:
-        """Multiples at every candidate torsion order, none equal to the base point.
+    def certify_nontorsion(self, point: ProjPoint) -> bool:
+        """Whether a point other than the base point has infinite order.
 
         The group here is isomorphic to the rational points of the
         Weierstrass model, so the candidate orders are the same 1..10, 12.
-        Returns None when some checked multiple hits the base point.
         """
         if point == BASE_POINT:
             raise ValueError("non-torsion certification needs a point other than the base")
         self._require(point)
-        return torsion_order_multiples(self.add, lambda p: p == BASE_POINT, point)
+        return not has_torsion_order(self.add, lambda p: p == BASE_POINT, point)
 
     # -------------------------------------------------- Weierstrass crossing
 

@@ -101,20 +101,22 @@ class LambdaTrial(NamedTuple):
 class PreparedPair(NamedTuple):
     """A routed pair, ready for generation.
 
-    On cubic-backed routes the seed point lies on the cubic and has been
-    certified non-torsion.  On the jzero route the curves are the sextic
-    twists by ``scale`` of the given curves.
+    On cubic-backed routes the seed point lies on the cubic and has infinite
+    order; the general route's pair is what ``lambda_search`` returns, and
+    ``trials`` logs its scales (the jzero route's, its primes).  On the jzero
+    route the curves are the sextic twists by ``scale`` of the given curves.
     """
 
     route: str
     curve1: Curve
     curve2: Curve
     scale: Fraction
+    # index 4, read as lambda_search(...)[4] by the benchmark's tracer
+    trials: tuple[LambdaTrial, ...] = ()
     cubic: Optional[PlaneCubic] = None
     seed: Optional[ProjPoint] = None
     prime: Optional[int] = None
     t_value: Optional[int] = None
-    trials: tuple[LambdaTrial, ...] = ()
 
 
 class TwistCertificate(NamedTuple):
@@ -222,15 +224,14 @@ def enumerate_scales(bound: int) -> Iterator[Fraction]:
         )
 
 
-def lambda_search(
-    curve1: Curve, curve2: Curve, bound: int
-) -> tuple[Fraction, PlaneCubic, ProjPoint, tuple, tuple[LambdaTrial, ...]]:
-    """First rescaling of the second model that yields a certified seed.
+def lambda_search(curve1: Curve, curve2: Curve, bound: int) -> PreparedPair:
+    """The general route of the pair, from the first rescaling that yields a seed.
 
     A candidate scale L replaces (c, d) by (L^4*c, L^6*d); it is accepted
     when the glued cubic is smooth, its tangent point is defined (a differs
-    from the rescaled c), and that point is certified non-torsion.  Raises
-    SearchExhausted with the full trial log when the bound runs out.
+    from the rescaled c), and that point has infinite order.  The result
+    carries every trial up to the accepted one.  Raises SearchExhausted with
+    the full trial log when the bound runs out.
     """
     a, b = curve1.a, curve1.b
     trials: list[LambdaTrial] = []
@@ -245,12 +246,11 @@ def lambda_search(
             trials.append(LambdaTrial(scale, REJECT_EQUAL_LEADING))
             continue
         seed = cubic.tangent_point()
-        witness = cubic.certify_nontorsion(seed)
-        if witness is None:
+        if not cubic.certify_nontorsion(seed):
             trials.append(LambdaTrial(scale, REJECT_TORSION_SEED))
             continue
         trials.append(LambdaTrial(scale, ACCEPTED))
-        return scale, cubic, seed, witness, tuple(trials)
+        return PreparedPair(ROUTE_GENERAL, curve1, curve2, scale, tuple(trials), cubic, seed)
     raise SearchExhausted(
         f"no usable rescaling up to height {bound} "
         f"for the pair ({curve1}) / ({curve2})",
@@ -276,7 +276,7 @@ def _prepare_jzero(curve1: Curve, curve2: Curve) -> PreparedPair:
         seed = ProjPoint(Fraction(prime + 1), Fraction(1), Fraction(1))
         if not cubic.contains(seed):
             raise ArithmeticError(f"recipe seed {seed} missed the cubic {cubic}")
-        if cubic.certify_nontorsion(seed) is None:
+        if not cubic.certify_nontorsion(seed):
             attempts.append(LambdaTrial(Fraction(prime), REJECT_TORSION_SEED))
             continue
         return PreparedPair(
@@ -313,18 +313,7 @@ def prepare_pair(curve1: Curve, curve2: Curve) -> PreparedPair:
         )
     if curve1.has_j_zero and curve2.has_j_zero:
         return _prepare_jzero(curve1, curve2)
-    scale, cubic, seed, _, trials = lambda_search(
-        curve1, curve2, LAMBDA_SEARCH_BOUND
-    )
-    return PreparedPair(
-        route=ROUTE_GENERAL,
-        curve1=curve1,
-        curve2=curve2,
-        scale=scale,
-        cubic=cubic,
-        seed=seed,
-        trials=trials,
-    )
+    return lambda_search(curve1, curve2, LAMBDA_SEARCH_BOUND)
 
 
 # ---------------------------------------------------------------- generation
@@ -516,7 +505,7 @@ def _solutions_reason(value: Fraction, solutions: tuple, pair: Sequence[Curve]) 
             return "solution-mismatch"
         # (D*x, D^2*t) is the solution's point on the twist model by D
         point = WPoint(value * x, value * value * t)
-        if certify_nontorsion(quadratic_twist(curve, value), point) is None:
+        if not certify_nontorsion(quadratic_twist(curve, value), point):
             return "torsion-point"
     return None
 

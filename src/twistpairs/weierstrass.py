@@ -1,10 +1,10 @@
 """Short Weierstrass curves y^2 = x^3 + a*x + b over Q, exactly.
 
 Chord-tangent group law, scalar multiples, model rescaling, quadratic
-twists, Q-isomorphism testing, and non-torsion certification.  Torsion is
-decided by the complete list of orders a rational torsion point can have
-over Q (1..10 and 12), so checking that no multiple in that range hits the
-point at infinity is a sound and complete non-torsion certificate.
+twists, Q-isomorphism testing, and a non-torsion test.  Torsion is decided
+by the complete list of orders a rational torsion point can have over Q
+(1..10 and 12), so a point has infinite order exactly when none of its
+multiples at those orders is the point at infinity: a yes/no test.
 
 Every function is pure: none changes the curves or points it is given.
 """
@@ -154,43 +154,37 @@ def quadratic_twist(curve: Curve, twist_value: Fraction) -> Curve:
     return Curve(curve.a * d**2, curve.b * d**3)
 
 
-def torsion_order_multiples(
+def has_torsion_order(
     add: Callable[[PointT, PointT], PointT],
     is_identity: Callable[[PointT], bool],
     point: PointT,
-) -> Optional[tuple[tuple[int, PointT], ...]]:
-    """The multiples 2P..10P and 12P = 10P + 2P under ``add``, or None.
+) -> bool:
+    """Whether nP is the identity under ``add`` for some n in RATIONAL_TORSION_ORDERS.
 
-    Returns None as soon as one of them is the identity.  The chain serves
-    any group law on the rational points of an elliptic curve over Q, since
-    the candidate torsion orders are the same for all of them.
+    Each nP is mP + (n - m)P, with m the previous order, so the chain makes
+    one addition per order: 2P..10P, then 12P = 10P + 2P.  It serves any
+    group law on the rational points of an elliptic curve over Q, since the
+    candidate torsion orders are the same for all of them.
     """
-    multiples = []
-    current = point
-    for order in range(2, 11):
-        current = add(current, point)
-        if is_identity(current):
-            return None
-        multiples.append((order, current))
-    order_twelve = add(current, multiples[0][1])
-    if is_identity(order_twelve):
-        return None
-    multiples.append((12, order_twelve))
-    return tuple(multiples)
+    multiples, previous = {1: point}, 1
+    for order in RATIONAL_TORSION_ORDERS:
+        multiples[order] = add(multiples[previous], multiples[order - previous])
+        if is_identity(multiples[order]):
+            return True
+        previous = order
+    return False
 
 
-def certify_nontorsion(
-    curve: Curve, point: WPoint
-) -> Optional[tuple[tuple[int, WPoint], ...]]:
-    """The multiples (order, nP) for n in 2..10 and 12, or None.
+def certify_nontorsion(curve: Curve, point: WPoint) -> bool:
+    """Whether an affine point has infinite order.
 
-    Returns None exactly when some multiple in the checked range is the
-    point at infinity, i.e. when the point is rational torsion.
+    False exactly when some nP with n in the checked range is the point at
+    infinity, i.e. when the point is rational torsion.
     """
     if point.is_infinity:
         raise ValueError("non-torsion certification needs an affine point")
     curve._require(point)
-    return torsion_order_multiples(curve._add_raw, lambda p: p.is_infinity, point)
+    return not has_torsion_order(curve._add_raw, lambda p: p.is_infinity, point)
 
 
 def are_isomorphic_over_q(first: Curve, second: Curve) -> Optional[Fraction]:

@@ -34,6 +34,7 @@ from twistpairs.twistgen import (
 )
 from twistpairs.weierstrass import (
     INFINITY,
+    RATIONAL_TORSION_ORDERS,
     Curve,
     WPoint,
     are_isomorphic_over_q,
@@ -162,16 +163,16 @@ def test_criterion_4_torsion_detector():
         mordell = Curve(0, 1)
         order_six = WPoint(Fraction(2), Fraction(3))
         assert mordell.scalar_mul(6, order_six) == INFINITY
-        assert certify_nontorsion(mordell, order_six) is None
+        assert certify_nontorsion(mordell, order_six) is False
         order_two = WPoint(Fraction(-1), Fraction(0))
         assert mordell.scalar_mul(2, order_two) == INFINITY
-        assert certify_nontorsion(mordell, order_two) is None
+        assert certify_nontorsion(mordell, order_two) is False
 
         model = Curve(Fraction(-6), Fraction(-63, 4))
-        witness = certify_nontorsion(model, WPoint(Fraction(12), Fraction(81, 2)))
-        assert witness is not None
-        assert tuple(order for order, _ in witness) == (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
-        assert all(not point.is_infinity for _, point in witness)
+        point = WPoint(Fraction(12), Fraction(81, 2))
+        assert certify_nontorsion(model, point) is True
+        assert RATIONAL_TORSION_ORDERS == (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+        assert all(not model.scalar_mul(n, point).is_infinity for n in RATIONAL_TORSION_ORDERS)
 
 
 def test_criterion_5_j_zero_path():
@@ -226,11 +227,11 @@ def test_criterion_7_robustness():
         pp = prepare_pair(Curve(0, 1), Curve(0, 1))
         assert pp.route == ROUTE_ISOMORPHIC
 
-        scale, _, _, _, trials = lambda_search(Curve(1, 1), Curve(1, 2), 40)
-        assert trials[0].scale == 1
-        assert trials[0].outcome == "a-equals-scaled-c"
-        assert scale not in (1, -1)
-        assert trials[-1].outcome == "accepted"
+        pp = lambda_search(Curve(1, 1), Curve(1, 2), 40)
+        assert pp.trials[0].scale == 1
+        assert pp.trials[0].outcome == "a-equals-scaled-c"
+        assert pp.scale not in (1, -1)
+        assert pp.trials[-1].outcome == "accepted"
 
 
 def test_criterion_8_determinism(tmp_path, capsys):

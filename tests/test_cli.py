@@ -18,11 +18,14 @@ import twistpairs
 
 from twistpairs import cli, planecubic, polyident
 from twistpairs.cli import main
+from twistpairs.exactnum import format_rational
 from twistpairs.twistgen import (
+    LAMBDA_SEARCH_BOUND,
     Config,
     bundle_to_dict,
     corollary_mode,
     elementary_generate,
+    enumerate_scales,
     generate,
     jzero_generate,
     prepare_pair,
@@ -178,6 +181,17 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: curve format is a,b")
         assert len(err) < 300
+
+    def test_exhausted_search_exits_two_with_every_trial(self, capsys):
+        # a j = 1728 pair: the tangent point has order 2 at every scale
+        code, out, err = run_cli(capsys, "generate", "--curve1=1,0", "--curve2=2,0")
+        assert (code, out) == (2, "")
+        first, *tried = err.splitlines()
+        assert first.startswith("bounded search failed: no usable rescaling up to height 40 ")
+        assert tried[0] == "  tried 1: torsion-seed"
+        scales = list(enumerate_scales(LAMBDA_SEARCH_BOUND))
+        assert len(scales) == 979
+        assert tried == [f"  tried {format_rational(s)}: torsion-seed" for s in scales]
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice, permutations
 
 import pytest
 
@@ -13,7 +14,15 @@ from twistpairs.planecubic import (
     smoothness_quantity,
     tangent_image_numerators,
 )
-from twistpairs.weierstrass import WPoint, certify_nontorsion
+from twistpairs.twistgen import enumerate_scales
+from twistpairs.weierstrass import (
+    RATIONAL_TORSION_ORDERS,
+    Curve,
+    WPoint,
+    certify_nontorsion,
+    disc_quantity,
+    scale_model,
+)
 
 #: The worked pair: x^3 + x + 1 = y^3 + 2y + 2, tangent point (-1, -1).
 WORKED = PlaneCubic(1, 1, 2, 2)
@@ -173,29 +182,47 @@ class TestGroupLaw:
 class TestNonTorsionOnCubic:
     def test_worked_seed_certified(self):
         seed = WORKED.tangent_point()
-        witness = WORKED.certify_nontorsion(seed)
-        assert witness is not None
-        assert [order for order, _ in witness] == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
-        assert all(point != BASE_POINT for _, point in witness)
-        # the chain agrees with double-and-add, and the change of variables,
-        # a group isomorphism, carries it onto the Weierstrass witness
-        image_witness = certify_nontorsion(
-            WORKED.to_weierstrass(), WORKED.transform_point(seed)
-        )
-        image_multiples = dict(image_witness)
-        for order, multiple in witness:
-            assert WORKED.scalar_mul(order, seed) == multiple
-            assert WORKED.transform_point(multiple) == image_multiples[order]
+        assert WORKED.certify_nontorsion(seed) is True
+        # the change of variables, a group isomorphism, carries each checked
+        # multiple onto the Weierstrass one, and the test agrees there
+        model, image = WORKED.to_weierstrass(), WORKED.transform_point(seed)
+        assert certify_nontorsion(model, image) is True
+        for order in RATIONAL_TORSION_ORDERS:
+            multiple = WORKED.scalar_mul(order, seed)
+            assert multiple != BASE_POINT
+            assert WORKED.transform_point(multiple) == model.scalar_mul(order, image)
 
     def test_two_torsion_detected(self):
         # b == d forces the tangent point's image onto the x-axis of the
         # Weierstrass model, so it has order 2
         cubic = PlaneCubic(1, 5, 2, 5)
-        assert cubic.certify_nontorsion(cubic.tangent_point()) is None
+        assert cubic.certify_nontorsion(cubic.tangent_point()) is False
 
     def test_base_point_rejected(self):
         with pytest.raises(ValueError):
             WORKED.certify_nontorsion(BASE_POINT)
+
+    def test_agrees_with_the_weierstrass_test(self):
+        # the tangent points of every ordered pair of distinct smooth curves
+        # with |a|, |b| <= 1, at the lambda search's first 4 scales
+        curves = [Curve(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if disc_quantity(a, b)]
+        checked = torsion = 0
+        for curve1, curve2 in permutations(curves, 2):
+            for scale in islice(enumerate_scales(3), 4):
+                model2, _ = scale_model(curve2, scale)
+                try:
+                    cubic = PlaneCubic(curve1.a, curve1.b, model2.a, model2.b)
+                except ValueError:  # singular
+                    continue
+                if cubic.a == cubic.c:
+                    continue
+                seed = cubic.tangent_point()
+                nontorsion = cubic.certify_nontorsion(seed)
+                image = cubic.transform_point(seed)
+                assert certify_nontorsion(cubic.to_weierstrass(), image) is nontorsion
+                checked += 1
+                torsion += not nontorsion
+        assert (checked, torsion) == (204, 20)
 
 
 class TestWeierstrassCrossing:
@@ -325,12 +352,8 @@ class TestIntegerLawDifferential:
         chain = {1: seed}
         for n in range(2, 13):
             chain[n] = cubic.add(chain[n - 1], seed)
-        witness = cubic.certify_nontorsion(seed)
-        orders = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
-        if witness is None:
-            assert any(chain[n] == BASE_POINT for n in orders)
-        else:
-            assert witness == tuple((n, chain[n]) for n in orders)
+        nontorsion = all(chain[n] != BASE_POINT for n in RATIONAL_TORSION_ORDERS)
+        assert cubic.certify_nontorsion(seed) is nontorsion
 
     def test_line_through_base_tangent_at_base(self):
         # the tangent point is the only affine point with x == y; the line
