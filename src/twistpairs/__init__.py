@@ -54,7 +54,6 @@ from .weierstrass import (
     certify_nontorsion,
     disc_quantity,
     quadratic_twist,
-    scale_model,
 )
 
 __version__ = "0.1.0"

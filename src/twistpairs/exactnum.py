@@ -155,8 +155,7 @@ class PartialFactorization(NamedTuple):
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
-    if base % n == 0:
-        return True
+    """Whether odd n passes the strong test to ``base``; needs n > base."""
     d = n - 1
     two_adic = 0
     while d % 2 == 0:

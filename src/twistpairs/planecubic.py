@@ -159,13 +159,13 @@ class PlaneCubic(ValueObject):
     def tangent_point(self) -> ProjPoint:
         """Third intersection of the tangent line at the base point.
 
-        Closed form [b-d : b-d : c-a]; degenerates back to the base point
-        itself when a == c, which is rejected so callers route that case
-        elsewhere.
+        Closed form [b-d : b-d : c-a], from ``_through_base``; degenerates
+        back to the base point itself when a == c, which is rejected so
+        callers route that case elsewhere.
         """
         if self.a == self.c:
             raise ValueError("tangent point degenerates to the base point when a == c")
-        return ProjPoint(self.b - self.d, self.b - self.d, self.c - self.a)
+        return self._through_base(BASE_POINT.coords)
 
     # ------------------------------------------------------------- group law
 

@@ -1,16 +1,16 @@
 """The symbolic identity suite: proofs of ``planecubic``'s closed forms.
 
 Each identity is one expression, a function returning values that must
-vanish identically, built from the very functions of ``planecubic`` that the
-generator runs (looked up through that module at call time).  A polynomial
-of degree at most n_v in each variable v that vanishes on a grid of n_v + 1
-values per variable is zero (Alon, "Combinatorial Nullstellensatz", Combin.
-Probab. Comput. 8 (1999), Lemma 2.1).  So each expression runs once on
-``_Degree`` to bound its degrees, then exactly on the integer grid 0..n_v.
-Where an identity holds only on the cubic x^3 + a*x + b = y^3 + c*y + d, the
-relation is solved for d and substituted; it is monic of degree 1 in d, so
-that is the normal form modulo it.  At the tangent point x = y = t =
-(b-d)/(c-a) it reads d = b + t*(a-c).
+vanish identically, built from the very functions of ``planecubic`` and
+``weierstrass`` that the generator runs (looked up at call time).  A
+polynomial of degree at most n_v in each variable v that vanishes on a grid
+of n_v + 1 values per variable is zero (Alon, "Combinatorial
+Nullstellensatz", Combin. Probab. Comput. 8 (1999), Lemma 2.1).  So each
+expression runs once on ``_Degree`` to bound its degrees, then exactly on
+the integer grid 0..n_v.  Where an identity holds only on the cubic
+x^3 + a*x + b = y^3 + c*y + d, the relation, monic of degree 1 in d, is
+solved for d and substituted: that is the normal form modulo it.  At the
+tangent point x = y = t = (b-d)/(c-a) it reads d = b + t*(a-c).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import product
 from operator import add
 from typing import Callable, Optional
 
-from . import planecubic
+from . import planecubic, weierstrass
 
 
 class _Degree:
@@ -84,9 +84,9 @@ def point_defect(a, b, c, t):
 
 
 def disc_defect(a, b, c, d):
-    """-4A^3 - 27B^2 for the model's (A, B), less the closed-form discriminant."""
+    """-disc_quantity(A, B) = -4A^3 - 27B^2 for the model's (A, B), less the closed form."""
     coeff_a, coeff_b = planecubic.weierstrass_coefficients(a, b, c, d)
-    standard = -4 * coeff_a**3 - 27 * coeff_b**2
+    standard = -weierstrass.disc_quantity(coeff_a, coeff_b)
     return (standard - planecubic.smoothness_quantity(a, b, c, d),)
 
 

@@ -47,7 +47,6 @@ from .weierstrass import (
     certify_nontorsion,
     format_cubic,
     quadratic_twist,
-    scale_model,
 )
 
 ROUTE_GENERAL = "general"
@@ -116,7 +115,6 @@ class PreparedPair(NamedTuple):
     cubic: Optional[PlaneCubic] = None
     seed: Optional[ProjPoint] = None
     prime: Optional[int] = None
-    t_value: Optional[int] = None
 
 
 class TwistCertificate(NamedTuple):
@@ -179,7 +177,7 @@ class RunReport:
             ]
         if pp.prime is not None:
             out += [
-                f"prime: {pp.prime}, seed value t: {pp.t_value}",
+                f"prime: {pp.prime}, seed value t: {pp.curve2.b - pp.curve1.b}",
                 "sextic twist factor normalized as t/(d-b) so the recipe point "
                 "(p+1, 1) lies on the cubic directly",
                 "the pair above is the sextic twists by lambda of the given curves: "
@@ -227,16 +225,16 @@ def enumerate_scales(bound: int) -> Iterator[Fraction]:
 def lambda_search(curve1: Curve, curve2: Curve, bound: int) -> PreparedPair:
     """The general route of the pair, from the first rescaling that yields a seed.
 
-    A candidate scale L replaces (c, d) by (L^4*c, L^6*d); it is accepted
-    when the glued cubic is smooth, its tangent point is defined (a differs
-    from the rescaled c), and that point has infinite order.  The result
-    carries every trial up to the accepted one.  Raises SearchExhausted with
-    the full trial log when the bound runs out.
+    A candidate scale L replaces (c, d) by its twist by L^2, (L^4*c, L^6*d);
+    it is accepted when the glued cubic is smooth, its tangent point is
+    defined (a differs from the rescaled c), and that point has infinite
+    order.  The result carries every trial up to the accepted one.  Raises
+    SearchExhausted with the full trial log when the bound runs out.
     """
     a, b = curve1.a, curve1.b
     trials: list[LambdaTrial] = []
     for scale in enumerate_scales(bound):
-        model2, _ = scale_model(curve2, scale)
+        model2 = quadratic_twist(curve2, scale * scale)
         try:
             cubic = PlaneCubic(a, b, model2.a, model2.b)
         except ValueError:
@@ -287,7 +285,6 @@ def _prepare_jzero(curve1: Curve, curve2: Curve) -> PreparedPair:
             cubic=cubic,
             seed=seed,
             prime=prime,
-            t_value=t,
             trials=tuple(attempts),
         )
     raise SearchExhausted(
@@ -362,7 +359,7 @@ def _integer_inputs(curve: Curve, copies: int = 1) -> Iterator[Candidate]:
 
 
 def _carried(candidates: Iterator[Candidate], u: Fraction) -> Iterator[Candidate]:
-    """Carry second solutions (x, t) on (a, b) to (u^2*x, u^3*t) on curve 2 = (u^4*a, u^6*b)."""
+    """Carry second solutions (x, t) on (a, b) to (u^2*x, u^3*t) on its twist by u^2, curve 2."""
     for value, (first, (x, t)) in candidates:
         yield value, (first, (u**2 * x, u**3 * t))
 

@@ -1,10 +1,10 @@
 """Short Weierstrass curves y^2 = x^3 + a*x + b over Q, exactly.
 
-Chord-tangent group law, scalar multiples, model rescaling, quadratic
-twists, Q-isomorphism testing, and a non-torsion test.  Torsion is decided
-by the complete list of orders a rational torsion point can have over Q
-(1..10 and 12), so a point has infinite order exactly when none of its
-multiples at those orders is the point at infinity: a yes/no test.
+Chord-tangent group law, scalar multiples, quadratic twists (a rescaling by
+u is the twist by u^2), Q-isomorphism testing, and a non-torsion test.
+Torsion is decided by the complete list of orders a rational torsion point
+can have over Q (1..10 and 12), so a point has infinite order exactly when
+none of its multiples at those orders is the point at infinity: a yes/no test.
 
 Every function is pure: none changes the curves or points it is given.
 """
@@ -24,7 +24,6 @@ PointT = TypeVar("PointT")
 
 def disc_quantity(a: Fraction, b: Fraction) -> Fraction:
     """4a^3 + 27b^2; the curve is smooth iff this is nonzero."""
-    a, b = Fraction(a), Fraction(b)
     return 4 * a**3 + 27 * b**2
 
 
@@ -127,26 +126,12 @@ def format_cubic(a: Fraction, b: Fraction) -> str:
     return text
 
 
-def scale_model(curve: Curve, scale: Fraction) -> tuple[Curve, Callable[[WPoint], WPoint]]:
-    """The Q-isomorphic model (scale^4*a, scale^6*b) and its point bijection."""
-    scale = Fraction(scale)
-    if scale == 0:
-        raise ValueError("model scaling needs a nonzero factor")
-    scaled = Curve(scale**4 * curve.a, scale**6 * curve.b)
-
-    def point_map(point: WPoint) -> WPoint:
-        if point.is_infinity:
-            return INFINITY
-        return WPoint(scale**2 * point.x, scale**3 * point.y)
-
-    return scaled, point_map
-
-
 def quadratic_twist(curve: Curve, twist_value: Fraction) -> Curve:
     """The standard twist model (a*D^2, b*D^3) for D = twist_value.
 
     A solution (x, t) of D*t^2 = x^3 + a*x + b gives the point (D*x, D^2*t)
-    on it.
+    on it.  The twist by D = u^2 is the rescaled model (u^4*a, u^6*b), which
+    is Q-isomorphic to the curve through (x, y) -> (u^2*x, u^3*y).
     """
     d = Fraction(twist_value)
     if d == 0:
@@ -215,6 +200,6 @@ def are_isomorphic_over_q(first: Curve, second: Curve) -> Optional[Fraction]:
     u = is_perfect_square(squared)
     if u is None or u == 0:
         return None
-    if u**4 * a == c and u**6 * b == d:
+    if quadratic_twist(first, u * u) == second:
         return u
     return None

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import prod
 from pathlib import Path
 from time import perf_counter
@@ -16,9 +17,9 @@ import pytest
 
 import twistpairs
 
-from twistpairs import cli, planecubic, polyident
+from twistpairs import cli, planecubic, polyident, weierstrass
 from twistpairs.cli import main
-from twistpairs.exactnum import format_rational
+from twistpairs.exactnum import format_rational, primes_avoiding
 from twistpairs.twistgen import (
     LAMBDA_SEARCH_BOUND,
     Config,
@@ -193,6 +194,19 @@ class TestErrors:
         assert len(scales) == 979
         assert tried == [f"  tried {format_rational(s)}: torsion-seed" for s in scales]
 
+    def test_exhausted_prime_search_exits_two_with_every_trial(self, capsys, monkeypatch):
+        # with every seed refused, the jzero recipe runs through all its primes
+        monkeypatch.setattr(planecubic.PlaneCubic, "certify_nontorsion", lambda self, p: False)
+        code, out, err = run_cli(capsys, "jzero", "--curve1=0,1", "--curve2=0,2")
+        assert (code, out) == (2, "")
+        first, *tried = err.splitlines()
+        assert first == ("bounded search failed: no usable prime among the first "
+                         f"{LAMBDA_SEARCH_BOUND} candidates")
+        # the primes avoiding 2, 3 and d - b = 1
+        primes = list(islice(primes_avoiding([6, 1]), LAMBDA_SEARCH_BOUND))
+        assert (primes[0], primes[-1], len(primes)) == (5, 181, 40)
+        assert tried == [f"  tried {p}: torsion-seed" for p in primes]
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])
@@ -329,6 +343,17 @@ class TestElementaryCommand:
         steps = [line.split(":", 1) for line in err.splitlines() if line.startswith("  k=")]
         assert [k for k, _ in steps] == ["  k=1", "  k=2", "  k=3", "  k=4"]
         assert steps[1][1] == " skipped (torsion-point)"
+
+    def test_zero_value_and_collision_are_skipped(self, capsys):
+        # x^3 - x is 0 at x = 1, and 24 at x = 3 shares the square class of 6
+        code, _, err = run_cli(capsys, "elementary", "--curve=-1,0", "--count", "2")
+        assert code == 0
+        assert [line for line in err.splitlines() if line.startswith("  k=")] == [
+            "  k=1: skipped (zero-twist-value)",
+            "  k=2: accepted D = 6",
+            "  k=3: skipped (class-collision)",
+            "  k=4: accepted D = 60",
+        ]
 
 
 def _parent(bundle, path):
@@ -509,11 +534,12 @@ class TestVerifyCommand:
         (("certificates", 0, "solutions", 1, "t"), "2", "FAILED (solution-mismatch)"),
         (("pair", 0, "a"), "2", "FAILED (solution-mismatch)"),
         (("pair", 1, "b"), "3", "FAILED (solution-mismatch)"),
+        (("certificates", 0, "solutions"), [], "FAILED (no-curve-entries)"),
         (("certificates", 0, "k"), 7, "OK"),
         (("certificates", 0, "squarefree_D", "complete"), False, "OK"),
     ], ids=["D-zero", "D-other-class", "D-same-class", "label-other-class", "label-zero",
             "x-first", "x-second", "t-first", "t-second", "pair-first-a", "pair-second-b",
-            "k", "complete"])
+            "solutions-empty", "k", "complete"])
     def test_every_field_is_checked(self, capsys, tmp_path, path, value, status):
         out_file = tmp_path / "bundle.json"
         code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
@@ -738,6 +764,16 @@ class TestIdentityCheck:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert all(line.endswith("holds") for line in lines)
+
+    def test_proves_the_curves_own_discriminant(self, capsys, monkeypatch):
+        # the proof reads the disc_quantity that Curve runs, not a copy of it
+        monkeypatch.setattr(weierstrass, "disc_quantity", lambda a, b: 4 * a**3 + 26 * b**2)
+        code, out, _ = run_cli(capsys, "identity-check")
+        assert code == 1
+        assert out.splitlines()[2:] == [
+            "discriminant identity: FAILED",
+            "  counterexample: (a, b, c, d) = (0, 0, 0, 1)",
+        ]
 
     @pytest.mark.parametrize("name, index, term, failed", MUTATIONS, ids=MUTATION_IDS)
     def test_mutated_shared_formula_fails(self, capsys, monkeypatch, name, index, term, failed):

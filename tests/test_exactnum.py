@@ -253,6 +253,15 @@ class TestSquarefreePart:
             refactored = factorize(abs(part))
             assert all(e == 1 for _, e in refactored.factors)
 
+    def test_unsplit_square_and_cube_cofactors(self):
+        # at effort 1 the cofactor (p*q)^k stays unsplit; a square of it adds
+        # nothing, and a cube adds p*q once, which is not certified squarefree
+        p, q = 10007, 10009
+        assert factorize((p * q) ** 2, 1).cofactor == (p * q) ** 2
+        assert squarefree_part((p * q) ** 2, 1) == (1, True)
+        assert factorize((p * q) ** 3, 1).cofactor == (p * q) ** 3
+        assert squarefree_part((p * q) ** 3, 1) == (100160063, False)
+
     def test_incomplete_budget_still_square_quotient(self):
         n = 9 * (2**89 - 1) * (2**107 - 1)
         part, complete = squarefree_part(n, effort=200)

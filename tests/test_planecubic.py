@@ -21,7 +21,7 @@ from twistpairs.weierstrass import (
     WPoint,
     certify_nontorsion,
     disc_quantity,
-    scale_model,
+    quadratic_twist,
 )
 
 #: The worked pair: x^3 + x + 1 = y^3 + 2y + 2, tangent point (-1, -1).
@@ -209,7 +209,7 @@ class TestNonTorsionOnCubic:
         checked = torsion = 0
         for curve1, curve2 in permutations(curves, 2):
             for scale in islice(enumerate_scales(3), 4):
-                model2, _ = scale_model(curve2, scale)
+                model2 = quadratic_twist(curve2, scale * scale)
                 try:
                     cubic = PlaneCubic(curve1.a, curve1.b, model2.a, model2.b)
                 except ValueError:  # singular

@@ -38,7 +38,7 @@ from twistpairs.twistgen import (
     verify_bundle,
     verify_certificate,
 )
-from twistpairs.weierstrass import Curve, WPoint, quadratic_twist, scale_model
+from twistpairs.weierstrass import Curve, WPoint, quadratic_twist
 
 CFG = Config(target_count=5, max_iterations=64)
 
@@ -109,7 +109,7 @@ class TestRouting:
 
         pp = prepare_pair(Curve(2, 3), Curve(1, 1))
         assert pp.route == ROUTE_GENERAL
-        model2, _ = scale_model(pp.curve2, pp.scale)
+        model2 = quadratic_twist(pp.curve2, pp.scale * pp.scale)
         assert model2.a == pp.scale**4 * 1
         assert model2.b == pp.scale**6 * 1
         assert are_isomorphic_over_q(pp.curve2, model2) is not None
@@ -359,7 +359,9 @@ class TestJZero:
     def test_recipe_values(self, jzero_run):
         _, _, report = jzero_run
         assert report.pair.prime == 5
-        assert report.pair.t_value == 215
+        # the seed value t is the gap between the sextic twists' constants
+        assert report.pair.curve2.b - report.pair.curve1.b == 215
+        assert "prime: 5, seed value t: 215" in report.lines()
         assert valuation(215, 5) == 1
         assert report.pair.scale == 215
 
@@ -393,7 +395,8 @@ class TestJZero:
         )
         assert certs and verify_certificate(certs[0], pair)[0]
         # lambda * (d - b) recovers the seed value t exactly
-        assert report.pair.scale * Fraction(-1, 6) == report.pair.t_value
+        t_value = report.pair.curve2.b - report.pair.curve1.b
+        assert report.pair.scale * Fraction(-1, 6) == t_value == 215
 
 
 class TestRunReport:
@@ -402,7 +405,8 @@ class TestRunReport:
         pp = prepare_pair(Curve(0, 1), Curve(0, 2))
         _, _, report = generate(pp, cfg)
         assert report.pair is pp
-        assert (report.route, report.pair.prime, report.pair.t_value) == (ROUTE_JZERO, 5, 215)
+        t_value = report.pair.curve2.b - report.pair.curve1.b
+        assert (report.route, report.pair.prime, t_value) == (ROUTE_JZERO, 5, 215)
 
     def test_stores_no_copy_of_the_pair(self):
         names = set(vars(RunReport()))
