@@ -25,7 +25,6 @@ from .exactnum import (
     primes_avoiding,
     same_square_class,
     squarefree_part,
-    valuation,
 )
 from .planecubic import BASE_POINT, PlaneCubic, ProjPoint, smoothness_quantity
 from .twistgen import (

@@ -5,7 +5,7 @@ canonical form: positive denominator, reduced, zero is 0/1).  Integers are
 plain Python ints.  This module adds the pieces the rest of the package
 needs on top of those: square tests, square-class comparison, budgeted
 factorization with squarefree-part extraction, a deterministic
-strong-pseudoprime test, p-adic valuations, and a filtered prime stream.
+strong-pseudoprime test, and a filtered prime stream.
 
 Factorization runs trial division, then a short Brent-rho prefix, then
 elliptic-curve factorization (ECM) on Montgomery curves for what rho leaves
@@ -435,30 +435,14 @@ def squarefree_part(n: int, effort: int = DEFAULT_FACTOR_EFFORT) -> tuple[int, b
     return sign * part * cofactor, cofactor == 1
 
 
-def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n (n nonzero, p prime)."""
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    if p < 2 or not is_probable_prime(p):
-        raise ValueError(f"valuation needs a prime modulus, got {p}")
-    exponent = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        exponent += 1
-    return exponent
-
-
-def primes_avoiding(exclusions: Sequence[int], start: int = 2) -> Iterator[int]:
-    """Increasing primes >= start dividing none of the exclusions."""
+def primes_avoiding(exclusions: Sequence[int]) -> Iterator[int]:
+    """Increasing primes from 2 on, dividing none of the exclusions."""
     bounds = [abs(int(e)) for e in exclusions]
     if any(e == 0 for e in bounds):
         raise ValueError("exclusions must be nonzero (every prime divides 0)")
-    candidate = max(2, start)
-    while True:
+    for candidate in count(2):
         if is_probable_prime(candidate) and all(e % candidate for e in bounds):
             yield candidate
-        candidate += 1
 
 
 def integer_nth_root(n: int, k: int) -> int:

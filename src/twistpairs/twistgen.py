@@ -37,7 +37,6 @@ from .exactnum import (
     primes_avoiding,
     same_square_class,
     squarefree_part,
-    valuation,
 )
 from .planecubic import PlaneCubic, ProjPoint
 from .weierstrass import (
@@ -102,8 +101,9 @@ class PreparedPair(NamedTuple):
 
     On cubic-backed routes the seed point lies on the cubic and has infinite
     order; the general route's pair is what ``lambda_search`` returns, and
-    ``trials`` logs its scales (the jzero route's, its primes).  On the jzero
-    route the curves are the sextic twists by ``scale`` of the given curves.
+    ``trials`` logs its scales (the jzero route's, its primes), ending with
+    the accepted one.  On the jzero route the curves are the sextic twists by
+    ``scale`` of the given curves, and the recipe's prime is ``trials[-1].scale``.
     """
 
     route: str
@@ -114,7 +114,6 @@ class PreparedPair(NamedTuple):
     trials: tuple[LambdaTrial, ...] = ()
     cubic: Optional[PlaneCubic] = None
     seed: Optional[ProjPoint] = None
-    prime: Optional[int] = None
 
 
 class TwistCertificate(NamedTuple):
@@ -175,9 +174,9 @@ class RunReport:
                 f"seed point: ({format_rational(seed_x)}, {format_rational(seed_y)})"
                 f" maps to ({format_rational(image.x)}, {format_rational(image.y)})",
             ]
-        if pp.prime is not None:
+        if pp.route == ROUTE_JZERO:
             out += [
-                f"prime: {pp.prime}, seed value t: {pp.curve2.b - pp.curve1.b}",
+                f"prime: {pp.trials[-1].scale}, seed value t: {pp.curve2.b - pp.curve1.b}",
                 "sextic twist factor normalized as t/(d-b) so the recipe point "
                 "(p+1, 1) lies on the cubic directly",
                 "the pair above is the sextic twists by lambda of the given curves: "
@@ -259,24 +258,23 @@ def lambda_search(curve1: Curve, curve2: Curve, bound: int) -> PreparedPair:
 def _prepare_jzero(curve1: Curve, curve2: Curve) -> PreparedPair:
     b, d = curve1.b, curve2.b
     diff = d - b
-    # p must avoid 2, 3 and the primes of d - b so that the seed value t is
-    # divisible by p exactly once and fresh with respect to the pair
+    # p avoids 2, 3 and the primes of d - b, so t = (p+1)^3 - 1 = p*(p^2 + 3p + 3)
+    # is divisible by p exactly once (p^2 + 3p + 3 is 3 mod p) and fresh with
+    # respect to the pair; lambda = t/(d - b) puts the recipe point (p+1, 1) on
+    # x^3 + lambda*b = y^3 + lambda*d, as (p+1)^3 - 1 = lambda*(d - b)
     exclusions = [6, diff.numerator, diff.denominator]
     attempts: list[LambdaTrial] = []
     prime_stream = primes_avoiding(exclusions)
     for _ in range(LAMBDA_SEARCH_BOUND):
         prime = next(prime_stream)
         t = (prime + 1) ** 3 - 1
-        if valuation(t, prime) != 1:
-            raise ArithmeticError(f"seed value {t} is not exactly divisible by {prime}")
         scale = Fraction(t) / diff
         cubic = PlaneCubic(0, scale * b, 0, scale * d)
-        seed = ProjPoint(Fraction(prime + 1), Fraction(1), Fraction(1))
-        if not cubic.contains(seed):
-            raise ArithmeticError(f"recipe seed {seed} missed the cubic {cubic}")
+        seed = ProjPoint(prime + 1, 1, 1)
         if not cubic.certify_nontorsion(seed):
             attempts.append(LambdaTrial(Fraction(prime), REJECT_TORSION_SEED))
             continue
+        attempts.append(LambdaTrial(Fraction(prime), ACCEPTED))
         return PreparedPair(
             route=ROUTE_JZERO,
             curve1=Curve(0, scale * b),
@@ -284,7 +282,6 @@ def _prepare_jzero(curve1: Curve, curve2: Curve) -> PreparedPair:
             scale=scale,
             cubic=cubic,
             seed=seed,
-            prime=prime,
             trials=tuple(attempts),
         )
     raise SearchExhausted(

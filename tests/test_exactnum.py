@@ -19,7 +19,6 @@ from twistpairs.exactnum import (
     rational_cube_root,
     same_square_class,
     squarefree_part,
-    valuation,
 )
 
 
@@ -295,38 +294,15 @@ class TestPrimality:
         assert not is_probable_prime((2**127 - 1) * (2**61 - 1))
 
 
-class TestValuation:
-    @pytest.mark.parametrize("n,p,expected", [(72, 2, 3), (215, 5, 1), (7, 3, 0)])
-    def test_examples(self, n, p, expected):
-        assert valuation(n, p) == expected
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            valuation(0, 2)
-        with pytest.raises(ValueError):
-            valuation(10, 4)
-
-    def test_additive_under_scaling(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            p = rng.choice([2, 3, 5, 7, 11, 13])
-            n = rng.randint(1, 10**6)
-            k = rng.randint(0, 8)
-            assert valuation(n * p**k, p) == valuation(n, p) + k
-
-
 class TestPrimesAvoiding:
     def test_examples(self):
-        assert take(primes_avoiding([3], 2), 4) == [2, 5, 7, 11]
-        assert take(primes_avoiding([2, 3], 2), 3) == [5, 7, 11]
-        assert take(primes_avoiding([215], 2), 6) == [2, 3, 7, 11, 13, 17]
-
-    def test_start_respected(self):
-        assert take(primes_avoiding([1], 10), 3) == [11, 13, 17]
+        assert take(primes_avoiding([3]), 4) == [2, 5, 7, 11]
+        assert take(primes_avoiding([2, 3]), 3) == [5, 7, 11]
+        assert take(primes_avoiding([215]), 6) == [2, 3, 7, 11, 13, 17]
 
     def test_zero_exclusion_rejected(self):
         with pytest.raises(ValueError):
-            next(primes_avoiding([0], 2))
+            next(primes_avoiding([0]))
 
 
 class TestRoots:

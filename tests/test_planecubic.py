@@ -29,7 +29,7 @@ WORKED = PlaneCubic(1, 1, 2, 2)
 
 
 def affine(x, y):
-    return ProjPoint(Fraction(x), Fraction(y), Fraction(1))
+    return ProjPoint(x, y, 1)
 
 
 def tangent_image(cubic):
@@ -63,22 +63,27 @@ class TestConstruction:
 
 class TestProjPoint:
     def test_affine_normalization(self):
-        assert ProjPoint(Fraction(-2), Fraction(4), Fraction(2)) == affine(-1, 2)
+        assert ProjPoint(-2, 4, 2) == affine(-1, 2)
 
     def test_infinite_normalization(self):
-        assert ProjPoint(Fraction(-3), Fraction(-3), Fraction(0)) == BASE_POINT
+        assert ProjPoint(-3, -3, 0) == BASE_POINT
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            ProjPoint(Fraction(0), Fraction(0), Fraction(0))
+            ProjPoint(0, 0, 0)
 
     def test_equal_by_coords(self):
-        point = ProjPoint(Fraction(1, 2), 1, 1)
+        point = ProjPoint(2, 4, 4)
         same = ProjPoint(-1, -2, -2)
         assert point.coords == same.coords == (1, 2, 2)
         assert point == same and hash(point) == hash(same)
         assert point != affine(1, 2)
         assert point != (1, 2, 2)
+
+    def test_rationals_refused(self):
+        # points are built from integer triples only; (1/2 : 1 : 1) is (1 : 2 : 2)
+        with pytest.raises(TypeError):
+            ProjPoint(Fraction(1, 2), 1, 1)
 
     def test_affine_coords(self):
         assert affine(2, 3).affine() == (2, 3)
@@ -92,7 +97,7 @@ class TestNamedPoints:
         assert PlaneCubic(0, 1, 0, 2).contains(BASE_POINT)
 
     def test_non_members(self):
-        assert not WORKED.contains(ProjPoint(Fraction(1), Fraction(0), Fraction(0)))
+        assert not WORKED.contains(ProjPoint(1, 0, 0))
 
     def test_tangent_point_worked(self):
         point = WORKED.tangent_point()
@@ -288,7 +293,7 @@ class TestInfinitySlice:
         for t in (Fraction(1), Fraction(-1), Fraction(2)):
             if t != 1:
                 assert t**3 != 1
-        candidates = [ProjPoint(Fraction(1), Fraction(t), Fraction(0)) for t in (1, -1, 2)]
+        candidates = [ProjPoint(1, t, 0) for t in (1, -1, 2)]
         on_curve = [p for p in candidates if WORKED.contains(p)]
         assert on_curve == [BASE_POINT]
 
@@ -382,11 +387,11 @@ class TestIntegerLawDifferential:
         assert cubic.negate(cubic.negate(seed)) == seed
 
     def test_canonical_integer_triples(self):
-        point = ProjPoint(Fraction(-2, 3), Fraction(4, 9), Fraction(-1, 6))
+        point = ProjPoint(-12, 8, -3)
         assert point.coords == (12, -8, 3)
         assert (point.x, point.y, point.z) == (Fraction(4), Fraction(-8, 3), Fraction(1))
-        assert ProjPoint(Fraction(-3), Fraction(-3), Fraction(0)).coords == (1, 1, 0)
-        assert ProjPoint(Fraction(0), Fraction(-2), Fraction(0)).coords == (0, 1, 0)
+        assert ProjPoint(-3, -3, 0).coords == (1, 1, 0)
+        assert ProjPoint(0, -2, 0).coords == (0, 1, 0)
         assert repr(WORKED.tangent_point()) == "[-1:-1:1]"
 
     def test_off_curve_inputs_rejected(self):
@@ -397,5 +402,7 @@ class TestIntegerLawDifferential:
                 operation(seed, off)
             with pytest.raises(ValueError, match="not on"):
                 operation(off, off)
-        with pytest.raises(ValueError, match="not on"):
-            WORKED.certify_nontorsion(off)
+        for operation in (WORKED.certify_nontorsion, WORKED.common_value,
+                          WORKED.transform_point):
+            with pytest.raises(ValueError, match="not on"):
+                operation(off)

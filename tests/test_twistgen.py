@@ -7,11 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from twistpairs.exactnum import same_square_class, squarefree_part, valuation
-from twistpairs.planecubic import PlaneCubic
+from twistpairs.exactnum import (
+    is_probable_prime,
+    primes_avoiding,
+    same_square_class,
+    squarefree_part,
+)
+from twistpairs.planecubic import PlaneCubic, ProjPoint
 from twistpairs.twistgen import (
     ACCEPTED,
     Config,
+    LambdaTrial,
     REJECT_EQUAL_LEADING,
     REJECT_SINGULAR,
     REJECT_TORSION_SEED,
@@ -358,12 +364,28 @@ def jzero_run():
 class TestJZero:
     def test_recipe_values(self, jzero_run):
         _, _, report = jzero_run
-        assert report.pair.prime == 5
+        assert report.pair.trials[-1].scale == 5
         # the seed value t is the gap between the sextic twists' constants
         assert report.pair.curve2.b - report.pair.curve1.b == 215
         assert "prime: 5, seed value t: 215" in report.lines()
-        assert valuation(215, 5) == 1
+        assert 215 % 5 == 0 and 215 % 25 != 0
         assert report.pair.scale == 215
+
+    def test_recipe_algebra(self):
+        # t = (p+1)^3 - 1 = p*(p^2 + 3p + 3) holds p exactly once for p > 3
+        for p in filter(is_probable_prime, range(5, 10_000)):
+            t = (p + 1) ** 3 - 1
+            assert t % p == 0 and t % (p * p) != 0
+        pairs = [(b, d) for b in range(-9, 10) for d in range(-9, 10) if b and d and b != d]
+        assert len(pairs) == 306
+        for b, d in pairs:
+            pp = prepare_pair(Curve(0, b), Curve(0, d))
+            assert pp.route == ROUTE_JZERO
+            prime = next(primes_avoiding([6, d - b]))
+            # the seed (p+1, 1) lies on the cubic by construction, and every
+            # pair here accepts its first prime
+            assert pp.cubic.contains(pp.seed) and pp.seed == ProjPoint(prime + 1, 1, 1)
+            assert pp.trials == (LambdaTrial(prime, ACCEPTED),)
 
     def test_seed_and_first_value(self, jzero_run):
         _, pair, report = jzero_run
@@ -406,7 +428,7 @@ class TestRunReport:
         _, _, report = generate(pp, cfg)
         assert report.pair is pp
         t_value = report.pair.curve2.b - report.pair.curve1.b
-        assert (report.route, report.pair.prime, t_value) == (ROUTE_JZERO, 5, 215)
+        assert (report.route, report.pair.trials[-1].scale, t_value) == (ROUTE_JZERO, 5, 215)
 
     def test_stores_no_copy_of_the_pair(self):
         names = set(vars(RunReport()))
