@@ -151,31 +151,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if overall else 1
 
 
-def _prove(name: str) -> bool:
-    """Run ``polyident.<name>``, importing polyident only when identity-check runs."""
+def _prove(name: str) -> Optional[dict[str, int]]:
+    """The proof of ``polyident.<name>``: the first grid point where it fails, or None.
+
+    polyident is imported only when identity-check runs.
+    """
     from . import polyident
-    return getattr(polyident, name)()
+    return polyident.counterexample(getattr(polyident, name))
 
 
-verify_weierstrass_identity = partial(_prove, "verify_weierstrass_identity")
-verify_point_identity = partial(_prove, "verify_point_identity")
-verify_disc_identity = partial(_prove, "verify_disc_identity")
+verify_weierstrass_identity = partial(_prove, "weierstrass_defect")
+verify_point_identity = partial(_prove, "point_defect")
+verify_disc_identity = partial(_prove, "disc_defect")
 
 
 def _cmd_identity_check(args: argparse.Namespace) -> int:
-    from .polyident import counterexample, disc_defect, point_defect, weierstrass_defect
     checks = (
-        ("weierstrass model identity", verify_weierstrass_identity, weierstrass_defect),
-        ("tangent point identity", verify_point_identity, point_defect),
-        ("discriminant identity", verify_disc_identity, disc_defect),
+        ("weierstrass model identity", verify_weierstrass_identity),
+        ("tangent point identity", verify_point_identity),
+        ("discriminant identity", verify_disc_identity),
     )
     all_ok = True
-    for label, check, defect in checks:
-        ok = check()
-        all_ok = all_ok and ok
-        print(f"{label}: {'holds' if ok else 'FAILED'}")
-        if not ok:
-            point = counterexample(defect)
+    for label, check in checks:
+        point = check()
+        all_ok = all_ok and point is None
+        print(f"{label}: {'holds' if point is None else 'FAILED'}")
+        if point is not None:
             print(f"  counterexample: ({', '.join(point)}) = "
                   f"({', '.join(map(str, point.values()))})")
     return 0 if all_ok else 1

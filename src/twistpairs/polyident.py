@@ -1,13 +1,15 @@
 """The symbolic identity suite: proofs of ``planecubic``'s closed forms.
 
 Each identity is one expression, a function returning values that must
-vanish identically, built from the very functions of ``planecubic`` and
-``weierstrass`` that the generator runs (looked up at call time).  A
-polynomial of degree at most n_v in each variable v that vanishes on a grid
-of n_v + 1 values per variable is zero (Alon, "Combinatorial
-Nullstellensatz", Combin. Probab. Comput. 8 (1999), Lemma 2.1).  So each
-expression runs once on ``_Degree`` to bound its degrees, then exactly on
-the integer grid 0..n_v.  Where an identity holds only on the cubic
+vanish identically, built from the functions of ``planecubic`` and
+``weierstrass`` (looked up at call time): those the generator runs, and
+``tangent_image_numerators``, which only its proof runs.  A polynomial of
+degree at most n_v in each variable v that vanishes on a grid of n_v + 1
+values per variable is zero (Alon, "Combinatorial Nullstellensatz", Combin.
+Probab. Comput. 8 (1999), Lemma 2.1).  So ``counterexample`` runs an
+expression once on ``_Degree`` to bound its degrees, then exactly on the
+integer grid 0..n_v: it is the proof, None when the identity holds, else the
+first grid point where it fails.  Where an identity holds only on the cubic
 x^3 + a*x + b = y^3 + c*y + d, the relation, monic of degree 1 in d, is
 solved for d and substituted: that is the normal form modulo it.  At the
 tangent point x = y = t = (b-d)/(c-a) it reads d = b + t*(a-c).
@@ -103,18 +105,3 @@ def counterexample(expression: Callable) -> Optional[dict[str, int]]:
     grid = product(*(range(n + 1) for n in degree_bounds(expression)))
     point = next((point for point in grid if any(expression(*point))), None)
     return None if point is None else dict(zip(signature(expression).parameters, point))
-
-
-def verify_weierstrass_identity() -> bool:
-    """The change of variables lands on the Weierstrass model, identically."""
-    return counterexample(weierstrass_defect) is None
-
-
-def verify_point_identity() -> bool:
-    """The tangent point lands on its closed-form Weierstrass image."""
-    return counterexample(point_defect) is None
-
-
-def verify_disc_identity() -> bool:
-    """The closed-form discriminant matches -4A^3 - 27B^2 for the model."""
-    return counterexample(disc_defect) is None

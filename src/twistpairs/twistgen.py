@@ -379,12 +379,11 @@ def _run_generation(
     for k, (value, solutions) in enumerate(steps, start=1):
         report.iterations_used = k
         if value == 0:
-            report.skipped.append((k, SKIP_ZERO_VALUE))
-            continue
-        if any(same_square_class(value, seen) for _, seen in report.accepted):
-            report.skipped.append((k, SKIP_CLASS_COLLISION))
-            continue
-        reason = _solutions_reason(value, solutions, curves)
+            reason = SKIP_ZERO_VALUE
+        elif any(same_square_class(value, seen) for _, seen in report.accepted):
+            reason = SKIP_CLASS_COLLISION
+        else:
+            reason = _solutions_reason(value, solutions, curves)
         if reason is None:
             cert = TwistCertificate(
                 k=k,
@@ -451,11 +450,8 @@ def corollary_mode(
     The pair ((a, b), (a*delta^2, b*delta^3)) gives delta back: a*b'/(b*a')
     if b != 0, else +-sqrt(a'/a), and either sign gives the same twists.
     """
-    delta = Fraction(delta)
     if curve.has_j_zero:
         raise ValueError("this mode needs a curve with nonzero j-invariant")
-    if delta == 0:
-        raise ValueError("the twisting value must be nonzero")
     twisted = quadratic_twist(curve, delta)
     certificates, pair, report = generate(prepare_pair(curve, twisted), cfg)
     report.notes.append(

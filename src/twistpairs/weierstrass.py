@@ -176,25 +176,17 @@ def are_isomorphic_over_q(first: Curve, second: Curve) -> Optional[Fraction]:
     """A scaling u with (u^4*a, u^6*b) == (c, d), or None.
 
     Two short Weierstrass curves are Q-isomorphic exactly when such a u
-    exists; degenerate coefficient patterns (a=0 or b=0) reduce to a single
-    root extraction plus a check that the other coefficient matches.
+    exists.  Then u^2 = sqrt(c/a) when a != 0, and u^2 = cbrt(d/b) when
+    a = 0, which needs c = 0 too; the twist by u^2 decides the rest.
     """
     a, b, c, d = first.a, first.b, second.a, second.b
-    if a == 0:
-        if c != 0:
-            return None
-        # u^6 = d/b: a rational sixth root is a square root of a cube root
-        squared = rational_cube_root(d / b)
-    elif b == 0:
-        if d != 0:
-            return None
-        # u^4 = c/a
+    if a != 0:
         squared = is_perfect_square(c / a)
+    elif c == 0:
+        # b != 0 and d != 0, since both curves are smooth
+        squared = rational_cube_root(d / b)
     else:
-        if c == 0 or d == 0:
-            return None
-        # u^2 = (d/b)/(c/a), then verify both coefficient equations
-        squared = a * d / (b * c)
+        return None
     if squared is None:
         return None
     u = is_perfect_square(squared)

@@ -17,11 +17,7 @@ from twistpairs import planecubic
 from twistpairs.cli import main
 from twistpairs.exactnum import is_perfect_square, same_square_class
 from twistpairs.planecubic import BASE_POINT, PlaneCubic, ProjPoint, tangent_image_numerators
-from twistpairs.polyident import (
-    verify_disc_identity,
-    verify_point_identity,
-    verify_weierstrass_identity,
-)
+from twistpairs.polyident import counterexample, disc_defect, point_defect, weierstrass_defect
 from twistpairs.twistgen import (
     Config,
     ROUTE_ISOMORPHIC,
@@ -109,9 +105,9 @@ def test_criterion_1_worked_pair(tmp_path, capsys):
 
 def test_criterion_2_symbolic_suite(monkeypatch):
     with criterion(2, "symbolic identity suite"):
-        assert verify_weierstrass_identity()
-        assert verify_point_identity()
-        assert verify_disc_identity()
+        assert counterexample(weierstrass_defect) is None
+        assert counterexample(point_defect) is None
+        assert counterexample(disc_defect) is None
 
         # randomized agreement on the relation variety, 200+ samples
         rng = random.Random(101)
@@ -130,7 +126,7 @@ def test_criterion_2_symbolic_suite(monkeypatch):
             return big_x - 6 * x * y, big_y
 
         monkeypatch.setattr(planecubic, "change_of_variables", flipped)
-        assert not verify_weierstrass_identity()
+        assert counterexample(weierstrass_defect) is not None
 
 
 def test_criterion_3_group_law_suite():

@@ -327,6 +327,11 @@ class TestCorollaryCommand:
         code, _, _ = run_cli(capsys, "corollary", "--curve", "0,1", "--delta", "2")
         assert code == 1
 
+    def test_zero_delta_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "corollary", "--curve=1,1", "--delta=0")
+        assert (code, out) == (1, "")
+        assert err == "error: quadratic twist needs a nonzero value\n"
+
 
 class TestElementaryCommand:
     def test_single_curve(self, capsys):
@@ -679,9 +684,12 @@ class TestVerifyCommand:
 
 class TestStartup:
     def test_cli_import_loads_no_dataclasses(self):
-        # dataclasses imports inspect, ast and dis, and each @dataclass runs exec
-        code = ("import sys, twistpairs.cli; twistpairs.cli.build_parser(); "
-                "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+        # dataclasses imports inspect, ast and dis, and each @dataclass runs exec;
+        # only modules the import loads count, not those the interpreter's
+        # own start-up loaded before it
+        code = ("import sys; before = set(sys.modules); import twistpairs.cli; "
+                "twistpairs.cli.build_parser(); print(sorted("
+                "{'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))")
         env = dict(os.environ, PYTHONPATH=str(Path(twistpairs.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
@@ -734,12 +742,12 @@ MUTATIONS = [
 MUTATION_IDS = ["change-of-variables", "model-coefficients", "smoothness", "tangent-image",
                 "grid-vanishing"]
 
-# (check, expression it proves) by the label identity-check prints
+# (proof, expression it proves) by the label identity-check prints
 IDENTITIES = {
-    "weierstrass model identity": (polyident.verify_weierstrass_identity,
+    "weierstrass model identity": (cli.verify_weierstrass_identity,
                                    polyident.weierstrass_defect),
-    "tangent point identity": (polyident.verify_point_identity, polyident.point_defect),
-    "discriminant identity": (polyident.verify_disc_identity, polyident.disc_defect),
+    "tangent point identity": (cli.verify_point_identity, polyident.point_defect),
+    "discriminant identity": (cli.verify_disc_identity, polyident.disc_defect),
 }
 
 
@@ -775,12 +783,34 @@ class TestIdentityCheck:
             "  counterexample: (a, b, c, d) = (0, 0, 0, 1)",
         ]
 
+    def test_one_grid_search_per_identity(self, capsys, monkeypatch):
+        # the README example: with 3xy flipped to -3xy two proofs fail, and
+        # each prints the point its one search found
+        calls, search = [], polyident.counterexample
+
+        def counted(expression):
+            calls.append(expression.__name__)
+            return search(expression)
+
+        monkeypatch.setattr(polyident, "counterexample", counted)
+        _mutate(monkeypatch, "change_of_variables", 0, lambda a, b, c, d, x, y: -6 * x * y)
+        code, out, _ = run_cli(capsys, "identity-check")
+        assert code == 1
+        assert out.splitlines() == [
+            "weierstrass model identity: FAILED",
+            "  counterexample: (a, b, c, x, y) = (0, 0, 0, 1, 1)",
+            "tangent point identity: FAILED",
+            "  counterexample: (a, b, c, t) = (0, 0, 1, 1)",
+            "discriminant identity: holds",
+        ]
+        assert calls == ["weierstrass_defect", "point_defect", "disc_defect"]
+
     @pytest.mark.parametrize("name, index, term, failed", MUTATIONS, ids=MUTATION_IDS)
     def test_mutated_shared_formula_fails(self, capsys, monkeypatch, name, index, term, failed):
         check, _ = IDENTITIES[failed]
-        assert check()
+        assert check() is None
         _mutate(monkeypatch, name, index, term)
-        assert not check()
+        assert check() is not None
         code, out, _ = run_cli(capsys, "identity-check")
         assert code == 1
         assert f"{failed}: FAILED" in out

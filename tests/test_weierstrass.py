@@ -269,6 +269,11 @@ class TestIsomorphism:
     def test_mixed_zero_patterns(self):
         assert are_isomorphic_over_q(Curve(0, 1), Curve(1, 1)) is None
         assert are_isomorphic_over_q(Curve(1, 0), Curve(1, 1)) is None
+        # a != 0: u^2 = sqrt(c/a) is 0 for c = 0 and missing for c/a < 0
+        assert are_isomorphic_over_q(Curve(1, 1), Curve(0, 1)) is None
+        assert are_isomorphic_over_q(Curve(1, 1), Curve(1, 0)) is None
+        assert are_isomorphic_over_q(Curve(1, 1), Curve(-1, 1)) is None
+        assert are_isomorphic_over_q(Curve(1, 0), Curve(0, 1)) is None
 
     def test_round_trip_with_scale_model(self):
         rng = random.Random(53)
