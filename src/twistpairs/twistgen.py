@@ -10,8 +10,9 @@ Given two smooth curve models, the pair is routed one of three ways:
   inputs of the cubic itself already produces twist values;
 * ``jzero``    - both curves have j-invariant zero; a prime-driven recipe
   picks a sextic twist factor lambda that plants a rational seed point on the
-  cubic of (0, lambda*b) and (0, lambda*d), and these sextic twists replace
-  the given curves as the pair: every claim is about them.
+  cubic of (0, lambda*b) and (0, lambda*d), of infinite order by a theorem
+  rather than a search, and these sextic twists replace the given curves as
+  the pair: every claim is about them.
 
 On the general and isomorphic routes the second solution is found on a model
 Q-isomorphic to curve 2 and carried onto curve 2 itself.  Every emitted value
@@ -62,8 +63,7 @@ ACCEPTED = "accepted"
 
 BUNDLE_VERSION = 6
 
-#: Height bound of the rescaling search, and the number of primes the jzero
-#: recipe tries.
+#: Height bound of the rescaling search.
 LAMBDA_SEARCH_BOUND = 40
 
 
@@ -86,7 +86,7 @@ class Config(ValueObject):
 class SearchExhausted(Exception):
     """A bounded search ran out without success; carries its trial log."""
 
-    def __init__(self, message: str, trials: tuple = ()):
+    def __init__(self, message: str, trials: tuple):
         super().__init__(message)
         self.trials = trials
 
@@ -101,9 +101,10 @@ class PreparedPair(NamedTuple):
 
     On cubic-backed routes the seed point lies on the cubic and has infinite
     order; the general route's pair is what ``lambda_search`` returns, and
-    ``trials`` logs its scales (the jzero route's, its primes), ending with
-    the accepted one.  On the jzero route the curves are the sextic twists by
-    ``scale`` of the given curves, and the recipe's prime is ``trials[-1].scale``.
+    ``trials`` logs its scales, ending with the accepted one (the other
+    routes search nothing and log nothing).  On the jzero route the curves
+    are the sextic twists by ``scale`` of the given curves, and the seed is
+    the recipe point (p+1, 1), so the recipe's prime is ``seed.x - 1``.
     """
 
     route: str
@@ -176,7 +177,7 @@ class RunReport:
             ]
         if pp.route == ROUTE_JZERO:
             out += [
-                f"prime: {pp.trials[-1].scale}, seed value t: {pp.curve2.b - pp.curve1.b}",
+                f"prime: {pp.seed.x - 1}, seed value t: {pp.curve2.b - pp.curve1.b}",
                 "sextic twist factor normalized as t/(d-b) so the recipe point "
                 "(p+1, 1) lies on the cubic directly",
                 "the pair above is the sextic twists by lambda of the given curves: "
@@ -256,37 +257,27 @@ def lambda_search(curve1: Curve, curve2: Curve, bound: int) -> PreparedPair:
 
 
 def _prepare_jzero(curve1: Curve, curve2: Curve) -> PreparedPair:
+    """The jzero route, built from the first prime; the seed's infinite order is a theorem."""
     b, d = curve1.b, curve2.b
     diff = d - b
     # p avoids 2, 3 and the primes of d - b, so t = (p+1)^3 - 1 = p*(p^2 + 3p + 3)
     # is divisible by p exactly once (p^2 + 3p + 3 is 3 mod p) and fresh with
     # respect to the pair; lambda = t/(d - b) puts the recipe point (p+1, 1) on
     # x^3 + lambda*b = y^3 + lambda*d, as (p+1)^3 - 1 = lambda*(d - b)
-    exclusions = [6, diff.numerator, diff.denominator]
-    attempts: list[LambdaTrial] = []
-    prime_stream = primes_avoiding(exclusions)
-    for _ in range(LAMBDA_SEARCH_BOUND):
-        prime = next(prime_stream)
-        t = (prime + 1) ** 3 - 1
-        scale = Fraction(t) / diff
-        cubic = PlaneCubic(0, scale * b, 0, scale * d)
-        seed = ProjPoint(prime + 1, 1, 1)
-        if not cubic.certify_nontorsion(seed):
-            attempts.append(LambdaTrial(Fraction(prime), REJECT_TORSION_SEED))
-            continue
-        attempts.append(LambdaTrial(Fraction(prime), ACCEPTED))
-        return PreparedPair(
-            route=ROUTE_JZERO,
-            curve1=Curve(0, scale * b),
-            curve2=Curve(0, scale * d),
-            scale=scale,
-            cubic=cubic,
-            seed=seed,
-            trials=tuple(attempts),
-        )
-    raise SearchExhausted(
-        f"no usable prime among the first {LAMBDA_SEARCH_BOUND} candidates",
-        tuple(attempts),
+    prime = next(primes_avoiding([6, diff.numerator, diff.denominator]))
+    t = (prime + 1) ** 3 - 1
+    scale = Fraction(t) / diff
+    # the cubic's model Y^2 = X^3 - 27t^2/4 scales by u = 2 to y^2 = x^3 + k, k = -432t^2;
+    # a sixth-power-free k has torsion only for k = 1, -432, a square or a cube (Silverman,
+    # AEC, Exercise 10.19), and v_p(k) = 2 for p >= 5 rules out all four (k < 0, 3 does
+    # not divide 2, v_p(-432) = 0): every affine point, the seed included, has infinite order
+    return PreparedPair(
+        route=ROUTE_JZERO,
+        curve1=Curve(0, scale * b),
+        curve2=Curve(0, scale * d),
+        scale=scale,
+        cubic=PlaneCubic(0, scale * b, 0, scale * d),
+        seed=ProjPoint(prime + 1, 1, 1),
     )
 
 

@@ -177,7 +177,8 @@ def test_criterion_5_j_zero_path():
         certs, pair, report = jzero_generate(
             Curve(0, 1), Curve(0, 2), Config(target_count=3)
         )
-        assert report.pair.trials[-1].scale == 5
+        # the recipe's prime is 5: the seed is its point (p+1, 1)
+        assert report.pair.seed == ProjPoint(6, 1, 1)
         assert pair[1].b - pair[0].b == 215
         assert 215 % 5 == 0 and 215 % 25 != 0
         assert report.pair.scale == 215

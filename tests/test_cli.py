@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
 from math import prod
 from pathlib import Path
 from time import perf_counter
@@ -19,7 +18,7 @@ import twistpairs
 
 from twistpairs import cli, planecubic, polyident, weierstrass
 from twistpairs.cli import main
-from twistpairs.exactnum import format_rational, primes_avoiding
+from twistpairs.exactnum import format_rational
 from twistpairs.twistgen import (
     LAMBDA_SEARCH_BOUND,
     Config,
@@ -194,19 +193,6 @@ class TestErrors:
         assert len(scales) == 979
         assert tried == [f"  tried {format_rational(s)}: torsion-seed" for s in scales]
 
-    def test_exhausted_prime_search_exits_two_with_every_trial(self, capsys, monkeypatch):
-        # with every seed refused, the jzero recipe runs through all its primes
-        monkeypatch.setattr(planecubic.PlaneCubic, "certify_nontorsion", lambda self, p: False)
-        code, out, err = run_cli(capsys, "jzero", "--curve1=0,1", "--curve2=0,2")
-        assert (code, out) == (2, "")
-        first, *tried = err.splitlines()
-        assert first == ("bounded search failed: no usable prime among the first "
-                         f"{LAMBDA_SEARCH_BOUND} candidates")
-        # the primes avoiding 2, 3 and d - b = 1
-        primes = list(islice(primes_avoiding([6, 1]), LAMBDA_SEARCH_BOUND))
-        assert (primes[0], primes[-1], len(primes)) == (5, 181, 40)
-        assert tried == [f"  tried {p}: torsion-seed" for p in primes]
-
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])
@@ -280,6 +266,24 @@ class TestJZeroCommand:
             "certificate k=1 D=431: FAILED (solution-mismatch)",
         ]
         assert out.count("FAILED (solution-mismatch)") == 3
+
+    def test_certifies_no_seed(self, capsys, monkeypatch, tmp_path):
+        # the recipe seed has infinite order by a theorem, so the route runs
+        # no seed check; each solution's twist point is still certified
+        def refuse(self, point):
+            raise AssertionError("the jzero route certifies no seed")
+
+        monkeypatch.setattr(planecubic.PlaneCubic, "certify_nontorsion", refuse)
+        out_file = tmp_path / "jz.json"
+        code, _, err = run_cli(
+            capsys, "jzero", "--curve1=0,1", "--curve2=0,2", "--count", "3",
+            "--effort", "2000", "--output", str(out_file),
+        )
+        assert code == 0
+        assert "prime: 5, seed value t: 215" in err.splitlines()
+        code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 0
+        assert out.count(": OK") == 4
 
     def test_rejects_nonzero_j(self, capsys):
         code, _, err = run_cli(capsys, "jzero", "--curve1", "1,1", "--curve2", "0,2")

@@ -17,7 +17,6 @@ from twistpairs.planecubic import PlaneCubic, ProjPoint
 from twistpairs.twistgen import (
     ACCEPTED,
     Config,
-    LambdaTrial,
     REJECT_EQUAL_LEADING,
     REJECT_SINGULAR,
     REJECT_TORSION_SEED,
@@ -364,7 +363,8 @@ def jzero_run():
 class TestJZero:
     def test_recipe_values(self, jzero_run):
         _, _, report = jzero_run
-        assert report.pair.trials[-1].scale == 5
+        # the recipe's prime is 5: the seed is its point (p+1, 1)
+        assert report.pair.seed == ProjPoint(6, 1, 1)
         # the seed value t is the gap between the sextic twists' constants
         assert report.pair.curve2.b - report.pair.curve1.b == 215
         assert "prime: 5, seed value t: 215" in report.lines()
@@ -372,20 +372,34 @@ class TestJZero:
         assert report.pair.scale == 215
 
     def test_recipe_algebra(self):
-        # t = (p+1)^3 - 1 = p*(p^2 + 3p + 3) holds p exactly once for p > 3
-        for p in filter(is_probable_prime, range(5, 10_000)):
+        # t = (p+1)^3 - 1 = p*(p^2 + 3p + 3) holds p exactly once for p > 3,
+        # and the cubic x^3 = y^3 + t of a pair with lambda*(d - b) = t has the
+        # model Y^2 = X^3 - 27t^2/4, the premises of the seed's infinite order
+        primes = list(filter(is_probable_prime, range(5, 10_000)))
+        assert len(primes) == 1227
+        for p in primes:
             t = (p + 1) ** 3 - 1
             assert t % p == 0 and t % (p * p) != 0
+            assert PlaneCubic(0, 0, 0, t).to_weierstrass() == Curve(0, Fraction(-27 * t * t, 4))
+        # the reference chain agrees that the recipe point has infinite order
+        small = [p for p in primes if p < 1000]
+        assert len(small) == 166
+        for p in small:
+            t = (p + 1) ** 3 - 1
+            assert PlaneCubic(0, 0, 0, t).certify_nontorsion(ProjPoint(p + 1, 1, 1)) is True
         pairs = [(b, d) for b in range(-9, 10) for d in range(-9, 10) if b and d and b != d]
         assert len(pairs) == 306
         for b, d in pairs:
             pp = prepare_pair(Curve(0, b), Curve(0, d))
             assert pp.route == ROUTE_JZERO
             prime = next(primes_avoiding([6, d - b]))
-            # the seed (p+1, 1) lies on the cubic by construction, and every
-            # pair here accepts its first prime
+            # the seed (p+1, 1) of the first prime lies on the cubic by
+            # construction, and nothing is searched, so nothing is logged
             assert pp.cubic.contains(pp.seed) and pp.seed == ProjPoint(prime + 1, 1, 1)
-            assert pp.trials == (LambdaTrial(prime, ACCEPTED),)
+            assert pp.trials == ()
+            t = pp.curve2.b - pp.curve1.b
+            assert t == (prime + 1) ** 3 - 1
+            assert pp.cubic.to_weierstrass() == Curve(0, Fraction(-27 * t * t, 4))
 
     def test_seed_and_first_value(self, jzero_run):
         _, pair, report = jzero_run
@@ -428,7 +442,7 @@ class TestRunReport:
         _, _, report = generate(pp, cfg)
         assert report.pair is pp
         t_value = report.pair.curve2.b - report.pair.curve1.b
-        assert (report.route, report.pair.trials[-1].scale, t_value) == (ROUTE_JZERO, 5, 215)
+        assert (report.route, report.pair.seed, t_value) == (ROUTE_JZERO, ProjPoint(6, 1, 1), 215)
 
     def test_stores_no_copy_of_the_pair(self):
         names = set(vars(RunReport()))
