@@ -61,7 +61,7 @@ REJECT_EQUAL_LEADING = "a-equals-scaled-c"
 REJECT_TORSION_SEED = "torsion-seed"
 ACCEPTED = "accepted"
 
-BUNDLE_VERSION = 6
+BUNDLE_VERSION = 7
 
 #: Height bound of the rescaling search.
 LAMBDA_SEARCH_BOUND = 40
@@ -361,9 +361,10 @@ def _run_generation(
     """Certify candidates in order until the target count or the budget.
 
     A candidate is kept only when it passes ``verify_certificate``'s checks,
-    solutions before label; otherwise k is skipped with the verifier's reason
-    code.  Returns the certificates, the ``curves`` their solutions lie on,
-    and the report, whose ``accepted`` keeps each accepted (k, D) once.
+    the label last, as building it costs a factorization; otherwise k is
+    skipped with the verifier's reason code.  Returns the certificates, the
+    ``curves`` their solutions lie on, and the report, whose ``accepted``
+    keeps each accepted (k, D) once.
     """
     certificates: list[TwistCertificate] = []
     steps = islice(candidates, cfg.max_iterations)
@@ -374,7 +375,8 @@ def _run_generation(
         elif any(same_square_class(value, seen) for _, seen in report.accepted):
             reason = SKIP_CLASS_COLLISION
         else:
-            reason = _solutions_reason(value, solutions, curves)
+            reason = (_identity_reason(value, solutions, curves)
+                      or _torsion_reason(value, solutions, curves))
         if reason is None:
             cert = TwistCertificate(
                 k=k,
@@ -460,7 +462,10 @@ def verify_certificate(
 ) -> tuple[bool, Optional[str]]:
     """Recompute every claim in a certificate from scratch, on the curves of ``pair``.
 
-    Returns (True, None) or (False, reason) with a stable reason code.
+    Returns (True, None) or (False, reason) with a stable reason code.  The
+    cheap checks come first: the identities, where a wrong solution shows (a
+    bundle's D solves the first one by construction), then the label's square
+    test, and the torsion chain last.
     """
     if cert.value == 0:
         return False, SKIP_ZERO_VALUE
@@ -468,7 +473,8 @@ def verify_certificate(
         return False, "no-curve-entries"
     if len(cert.solutions) != len(pair):
         return False, "entry-count-mismatch"
-    reason = _label_reason(cert) or _solutions_reason(cert.value, cert.solutions, pair)
+    reason = (_identity_reason(cert.value, cert.solutions, pair) or _label_reason(cert)
+              or _torsion_reason(cert.value, cert.solutions, pair))
     return reason is None, reason
 
 
@@ -480,10 +486,14 @@ def _label_reason(cert: TwistCertificate) -> Optional[str]:
     return None
 
 
-def _solutions_reason(value: Fraction, solutions: tuple, pair: Sequence[Curve]) -> Optional[str]:
+def _identity_reason(value: Fraction, solutions: tuple, pair: Sequence[Curve]) -> Optional[str]:
+    if any(value * t * t != curve.rhs(x) for curve, (x, t) in zip(pair, solutions)):
+        return "solution-mismatch"
+    return None
+
+
+def _torsion_reason(value: Fraction, solutions: tuple, pair: Sequence[Curve]) -> Optional[str]:
     for curve, (x, t) in zip(pair, solutions):
-        if value * t * t != curve.rhs(x):
-            return "solution-mismatch"
         # (D*x, D^2*t) is the solution's point on the twist model by D
         point = WPoint(value * x, value * value * t)
         if not certify_nontorsion(quadratic_twist(curve, value), point):
@@ -544,7 +554,6 @@ def _fixed_fields(data: dict, names: tuple[str, ...], what: str) -> dict:
 def certificate_to_dict(cert: TwistCertificate) -> dict:
     return {
         "k": cert.k,
-        "D": format_rational(cert.value),
         "squarefree_D": {
             "value": str(cert.squarefree_rep[0]),
             "complete": cert.squarefree_rep[1],
@@ -555,22 +564,30 @@ def certificate_to_dict(cert: TwistCertificate) -> dict:
     }
 
 
-def certificate_from_dict(data: dict) -> TwistCertificate:
-    """Parse one certificate; a malformed one raises ValueError.
+def certificate_from_dict(data: dict, curve1: Curve) -> TwistCertificate:
+    """Parse one certificate of a bundle whose pair starts with ``curve1``.
 
-    Every object has a fixed set of keys: a missing one is named, and one
-    outside the set is rejected, so no claim the verifier does not check can
-    ride along.
+    D is not stored: the first solution (x, t) fixes it as curve1.rhs(x) / t^2,
+    so a certificate with no solution or with t = 0 there is malformed, and
+    raises ValueError like any other.  Every object has a fixed set of keys: a
+    missing one is named, and one outside the set is rejected, so no claim the
+    verifier does not check can ride along.
     """
-    _fixed_fields(data, ("k", "D", "squarefree_D", "solutions"), "certificate")
+    _fixed_fields(data, ("k", "squarefree_D", "solutions"), "certificate")
     label = _fixed_fields(data["squarefree_D"], ("value", "complete"), "certificate")
-    solutions = [_fixed_fields(s, ("x", "t"), "certificate")
-                 for s in _json_value(data["solutions"], list)]
+    entries = [_fixed_fields(s, ("x", "t"), "certificate")
+               for s in _json_value(data["solutions"], list)]
+    solutions = tuple((parse_rational(s["x"]), parse_rational(s["t"])) for s in entries)
+    if not solutions:
+        raise ValueError("malformed certificate: empty solutions")
+    x, t = solutions[0]
+    if t == 0:
+        raise ValueError("malformed certificate: first solution has t = 0")
     return TwistCertificate(
         k=_json_value(data["k"], int),
-        value=parse_rational(data["D"]),
+        value=curve1.rhs(x) / (t * t),
         squarefree_rep=(parse_integer(label["value"]), _json_value(label["complete"], bool)),
-        solutions=tuple((parse_rational(s["x"]), parse_rational(s["t"])) for s in solutions),
+        solutions=solutions,
     )
 
 
@@ -583,9 +600,15 @@ def bundle_to_dict(pair: Sequence[Curve], certs: Sequence[TwistCertificate]) -> 
 
 
 def bundle_from_dict(data: dict) -> tuple[list[Curve], list[TwistCertificate]]:
-    """Parse a bundle into its pair and certificates; a malformed one raises ValueError."""
+    """Parse a bundle into its pair and certificates; a malformed one raises ValueError.
+
+    The pair's first curve fixes every certificate's D, so an empty pair is malformed.
+    """
     _fixed_fields(data, ("version", "pair", "certificates"), "bundle")
     if _json_value(data["version"], int) != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version: {excerpt(repr(data['version']))}")
     pair = [curve_from_dict(c) for c in _json_value(data["pair"], list)]
-    return pair, [certificate_from_dict(c) for c in _json_value(data["certificates"], list)]
+    if not pair:
+        raise ValueError("malformed bundle: empty pair")
+    certs = [certificate_from_dict(c, pair[0]) for c in _json_value(data["certificates"], list)]
+    return pair, certs

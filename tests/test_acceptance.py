@@ -84,7 +84,7 @@ def test_criterion_1_worked_pair(tmp_path, capsys):
         assert "seed point: (-1, -1) maps to (12, 81/2)" in captured.err
 
         bundle = json.loads(out_file.read_text())
-        certs = [certificate_from_dict(raw) for raw in bundle["certificates"]]
+        certs = [certificate_from_dict(raw, Curve(1, 1)) for raw in bundle["certificates"]]
         assert len(certs) == 5
         first = certs[0]
         assert first.k == 1 and first.value == -1

@@ -16,7 +16,7 @@ import pytest
 
 import twistpairs
 
-from twistpairs import cli, planecubic, polyident, weierstrass
+from twistpairs import cli, planecubic, polyident, twistgen, weierstrass
 from twistpairs.cli import main
 from twistpairs.exactnum import format_rational
 from twistpairs.twistgen import (
@@ -54,9 +54,10 @@ class TestGenerate:
         assert code == 0
         bundle = json.loads(out_file.read_text())
         assert list(bundle) == ["version", "pair", "certificates"]
-        assert bundle["version"] == 6
+        assert bundle["version"] == 7
         assert len(bundle["certificates"]) == 5
-        assert bundle["certificates"][0]["D"] == "-1"
+        # D = (x^3 + x + 1)/t^2 at the first solution (-1, 1)
+        assert bundle["certificates"][0]["solutions"][0] == {"x": "-1", "t": "1"}
         assert "route: general" in err
         assert "weierstrass model: Y^2 = X^3 - 6*X - 63/4" in err
         assert "seed point: (-1, -1) maps to (12, 81/2)" in err
@@ -256,16 +257,21 @@ class TestJZeroCommand:
         assert code == 0
         assert out.splitlines()[0] == "pair: y^2 = x^3 + 215  |  y^2 = x^3 + 430"
         assert out.count(": OK") == 4
-        # the certificates are about the sextic twists, not the given curves
+        # the certificates are about the sextic twists, not the given curves:
+        # on y^2 = x^3 + 1 the first solution (6, 1) gives D = 6^3 + 1 = 217,
+        # not 6^3 + 215 = 431, which the second solution fails, and at k=2
+        # the first solution (-1, 1) gives D = 0
         bundle["pair"] = [{"a": "0", "b": "1"}, {"a": "0", "b": "2"}]
         out_file.write_text(json.dumps(bundle))
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
         assert code == 1
-        assert out.splitlines()[:2] == [
+        assert out.splitlines() == [
             "pair: y^2 = x^3 + 1  |  y^2 = x^3 + 2",
-            "certificate k=1 D=431: FAILED (solution-mismatch)",
+            "certificate k=1 D=217: FAILED (solution-mismatch)",
+            "certificate k=2 D=0: FAILED (zero-twist-value)",
+            "certificate k=3 D=90281304/10218313: FAILED (solution-mismatch)",
+            "pairwise square classes: OK",
         ]
-        assert out.count("FAILED (solution-mismatch)") == 3
 
     def test_certifies_no_seed(self, capsys, monkeypatch, tmp_path):
         # the recipe seed has infinite order by a theorem, so the route runs
@@ -318,7 +324,7 @@ class TestCorollaryCommand:
         (a, b), (a2, b2) = ([Fraction(v) for v in curve.values()] for curve in bundle["pair"])
         assert a * b2 / (b * a2) == 2
         for cert in bundle["certificates"]:
-            assert list(cert) == ["k", "D", "squarefree_D", "solutions"]
+            assert list(cert) == ["k", "squarefree_D", "solutions"]
 
     def test_square_delta(self, capsys):
         code, out, err = run_cli(
@@ -392,6 +398,36 @@ def _duplicate_first_solution(bundle):
         cert["solutions"][1] = cert["solutions"][0]
 
 
+# bundles that fix no D or store one, from a two-certificate general bundle
+def _zero_first_t(bundle):
+    bundle["certificates"][0]["solutions"][0]["t"] = "0"
+
+
+def _no_solutions(bundle):
+    bundle["certificates"][1]["solutions"] = []
+
+
+def _empty_pair(bundle):
+    bundle["pair"] = []
+
+
+def _empty_bundle(bundle):
+    bundle["pair"] = bundle["certificates"] = []
+
+
+def _with_d(bundle):
+    # the D that the first solution fixes, stored as version 6 stored it
+    curve1 = Curve(*(Fraction(v) for v in bundle["pair"][0].values()))
+    for cert in bundle["certificates"]:
+        x, t = (Fraction(v) for v in cert["solutions"][0].values())
+        cert["D"] = format_rational(curve1.rhs(x) / (t * t))
+
+
+def _as_version_six(bundle):
+    _with_d(bundle)
+    bundle["version"] = 6
+
+
 class TestVerifyCommand:
     def test_round_trip_every_mode(self, capsys, tmp_path):
         invocations = [
@@ -412,6 +448,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("path, value", [
         ((), [1, 2]),
         (("certificates", 0, "solutions"), 5),
+        # version 7 stores no D, in any form
         (("certificates", 0, "D"), 3),
         (("certificates", 0, "k"), float("1e999")),
         (("certificates", 0, "k"), 1.5),
@@ -435,14 +472,14 @@ class TestVerifyCommand:
         (("certificates", 0, "squarefree_D", "value"), "1_0"),
         (("certificates", 0, "squarefree_D", "value"), 3.0),
         (("certificates", 0, "squarefree_D", "value"), "+3"),
-        # D = 3 in Arabic-Indic digits, which int() reads as 3
-        (("certificates", 0, "D"), "\u0663"),
+        # x = 3 in Arabic-Indic digits, which int() reads as 3
+        (("certificates", 0, "solutions", 0, "x"), "\u0663"),
     ], ids=["top-level-list", "solutions-int", "D-number", "k-infinite", "k-fraction",
             "k-boolean", "complete-text", "version-boolean", "version-float",
             "version-one", "version-two", "version-three", "version-four", "version-five",
             "label-null",
             "label-text", "multiple-order-space",
-            "multiple-order-underscore", "label-float", "label-plus-sign", "D-non-ascii-digit"])
+            "multiple-order-underscore", "label-float", "label-plus-sign", "x-non-ascii-digit"])
     def test_malformed_bundle_exits_one(self, capsys, tmp_path, path, value):
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
@@ -463,12 +500,12 @@ class TestVerifyCommand:
         (("certificates", 0, "k"), "7" * 100_000),
         (("certificates", 0, "solutions", 0, "x"), "x" * 100_000),
         (("version",), int("7" * 100_000)),
-        (("certificates", 0, "D"), "1/" + "0" * 100_000),
+        (("certificates", 0, "solutions", 0, "t"), "1/" + "0" * 100_000),
         (("certificates", 0, "k" * 100_000), 1),
         # 4a^3 + 27b^2 = 0 for a = -3t^2, b = 2t^3
         (("pair", 0), {"a": str(-3 * 10**40_000), "b": str(2 * 10**60_000)}),
     ], ids=["solution-list", "k-text", "x-letters", "version-digits",
-            "D-zero-denominator", "long-key", "singular-pair-curve"])
+            "t-zero-denominator", "long-key", "singular-pair-curve"])
     def test_error_line_is_bounded(self, capsys, tmp_path, path, value):
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
@@ -491,10 +528,10 @@ class TestVerifyCommand:
         # a true solution whose point (2, 3) has order 6 on y^2 = x^3 + 1
         out_file = tmp_path / "bundle.json"
         bundle = {
-            "version": 6,
+            "version": 7,
             "pair": [{"a": "0", "b": "1"}],
             "certificates": [{
-                "k": 1, "D": "1",
+                "k": 1,
                 "squarefree_D": {"value": "1", "complete": True},
                 "solutions": [{"x": "2", "t": "3"}],
             }],
@@ -528,27 +565,29 @@ class TestVerifyCommand:
         assert lines[3] == "pairwise square classes: OK"
 
     # one tamper per certificate field, on the first certificate of a general
-    # bundle: at k=1, D = -1, its label is -1 and both solutions are (-1, 1);
-    # k and complete are no claims, so the verifier accepts any value of them
+    # bundle: at k=1 both solutions are (-1, 1), so D = (-1)^3 - 1 + 1 = -1,
+    # and its label is -1; k and complete are no claims, so the verifier
+    # accepts any value of them
     @pytest.mark.parametrize("path, value, status", [
-        (("certificates", 0, "D"), "0", "FAILED (zero-twist-value)"),
-        (("certificates", 0, "D"), "-2", "FAILED (label-class-mismatch)"),
-        # -4 shares the square class of the label, so the solutions catch it
-        (("certificates", 0, "D"), "-4", "FAILED (solution-mismatch)"),
+        # D = (-1)^3 - 1 + 2 = 0 on y^2 = x^3 + x + 2
+        (("pair", 0, "b"), "2", "FAILED (zero-twist-value)"),
+        # t = 1/2 fixes D = -4, in the label's class, so the second solution catches it
+        (("certificates", 0, "solutions", 0, "t"), "1/2", "FAILED (solution-mismatch)"),
         (("certificates", 0, "squarefree_D", "value"), "-7", "FAILED (label-class-mismatch)"),
         (("certificates", 0, "squarefree_D", "value"), "0", "FAILED (label-class-mismatch)"),
+        # x = 0 fixes D = 1, outside the label's class; the solutions are
+        # checked first, so the second one names the tamper
         (("certificates", 0, "solutions", 0, "x"), "0", "FAILED (solution-mismatch)"),
         (("certificates", 0, "solutions", 1, "x"), "0", "FAILED (solution-mismatch)"),
         (("certificates", 0, "solutions", 0, "t"), "2", "FAILED (solution-mismatch)"),
         (("certificates", 0, "solutions", 1, "t"), "2", "FAILED (solution-mismatch)"),
         (("pair", 0, "a"), "2", "FAILED (solution-mismatch)"),
         (("pair", 1, "b"), "3", "FAILED (solution-mismatch)"),
-        (("certificates", 0, "solutions"), [], "FAILED (no-curve-entries)"),
         (("certificates", 0, "k"), 7, "OK"),
         (("certificates", 0, "squarefree_D", "complete"), False, "OK"),
-    ], ids=["D-zero", "D-other-class", "D-same-class", "label-other-class", "label-zero",
+    ], ids=["D-zero", "D-same-class", "label-other-class", "label-zero",
             "x-first", "x-second", "t-first", "t-second", "pair-first-a", "pair-second-b",
-            "solutions-empty", "k", "complete"])
+            "k", "complete"])
     def test_every_field_is_checked(self, capsys, tmp_path, path, value, status):
         out_file = tmp_path / "bundle.json"
         code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
@@ -560,6 +599,47 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
         assert code == (0 if status == "OK" else 1)
         assert out.splitlines()[1].rsplit(": ", 1)[1] == status
+
+    def test_label_is_read_before_any_twist_point(self, capsys, monkeypatch, tmp_path):
+        # on a one-curve bundle a tampered x fixes a D of its own, which only the
+        # label can refuse; its square test runs before the torsion chain,
+        # whose cost grows quickly with the height of x (seconds at 400 digits)
+        out_file = tmp_path / "bundle.json"
+        run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
+        bundle = json.loads(out_file.read_text())
+        bundle["certificates"][0]["solutions"][0]["x"] = "7" * 400
+        out_file.write_text(json.dumps(bundle))
+
+        def refuse(curve, point):
+            raise AssertionError("the torsion chain ran before the label")
+
+        monkeypatch.setattr(twistgen, "certify_nontorsion", refuse)
+        code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 1
+        assert out.splitlines()[1].endswith(": FAILED (label-class-mismatch)")
+
+    # D is read from the pair's first curve and the first solution, so a
+    # bundle that cannot fix it is refused, and so is one that stores it
+    @pytest.mark.parametrize("tamper, error", [
+        (_zero_first_t, "malformed certificate: first solution has t = 0"),
+        (_no_solutions, "malformed certificate: empty solutions"),
+        (_empty_pair, "malformed bundle: empty pair"),
+        (_empty_bundle, "malformed bundle: empty pair"),
+        (_with_d, "malformed certificate: unexpected field 'D'"),
+        (_as_version_six, "unsupported bundle version: 6"),
+    ], ids=["first-t-zero", "solutions-empty", "pair-empty", "bundle-empty", "stored-D",
+            "version-six"])
+    def test_bundle_that_fixes_no_d_or_stores_one_is_refused(self, capsys, tmp_path,
+                                                              tamper, error):
+        out_file = tmp_path / "bundle.json"
+        code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
+                             "--count", "2", "--effort", "2000", "--output", str(out_file))
+        assert code == 0
+        bundle = json.loads(out_file.read_text())
+        tamper(bundle)
+        out_file.write_text(json.dumps(bundle))
+        code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert (code, out, err) == (1, "", f"error: {error}\n")
 
     def test_unchecked_claims_are_rejected(self, capsys, tmp_path):
         # a version 4 corollary bundle carried an annotation the verifier never
@@ -619,12 +699,12 @@ class TestVerifyCommand:
 
     # json.load keeps the last of two equal keys, so a reader that keeps the
     # first would see a claim the verifier never checked; at k=1 of the worked
-    # pair D = -1 and both solutions are (-1, 1)
+    # pair both solutions are (-1, 1)
     @pytest.mark.parametrize("old, new, key", [
-        ('"D": "-1"', '"D": "7", "D": "-1"', "D"),
+        ('"k": 1', '"k": 7, "k": 1', "k"),
         ('"certificates": [', '"certificates": [], "certificates": [', "certificates"),
         ('"x": "-1"', '"x": "5", "x": "-1"', "x"),
-    ], ids=["D", "certificates", "solution-x"])
+    ], ids=["k", "certificates", "solution-x"])
     def test_repeated_key_is_refused(self, capsys, tmp_path, old, new, key):
         out_file = tmp_path / "bundle.json"
         code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
@@ -646,7 +726,7 @@ class TestVerifyCommand:
         (("certificates", 0, "solutions"), 5, "expected a JSON array, got a JSON integer"),
         (("certificates", 0, "solutions"), {"x": "-1", "t": "1"},
          "expected a JSON array, got a JSON object"),
-        ((), {"version": 6, "pair": {}, "certificates": {}},
+        ((), {"version": 7, "pair": {}, "certificates": {}},
          "expected a JSON array, got a JSON object"),
     ], ids=["certificates-text", "certificates-object", "pair-object", "solutions-int",
             "solutions-object", "shapeless"])
@@ -846,52 +926,112 @@ def _pinned_bundle(capsys, tmp_path, argv):
     return out_file
 
 
+# verify's stdout for each pinned scenario, as version 6 bundles gave it with
+# D stored: each D the verifier now derives from the first solution is the D
+# those bundles stored
+VERIFIED_GENERAL = [
+    "pair: y^2 = x^3 + x + 1  |  y^2 = x^3 + 2*x + 2",
+    "certificate k=1 D=-1: OK",
+    "certificate k=2 D=907559/226981: OK",
+    "certificate k=3 D=118526814199/120627009621: OK",
+    "pairwise square classes: OK",
+]
+
+VERIFIED_ISOMORPHIC = [
+    "pair: y^2 = x^3 + x + 1  |  y^2 = x^3 + 16*x + 64",
+    "certificate k=1 D=3: OK",
+    "certificate k=2 D=11: OK",
+    "certificate k=3 D=31: OK",
+    "pairwise square classes: OK",
+]
+
+VERIFIED_IDENTICAL_JZERO = [
+    "pair: y^2 = x^3 + 2  |  y^2 = x^3 + 2",
+    "certificate k=1 D=3: OK",
+    "certificate k=2 D=10: OK",
+    "certificate k=3 D=29: OK",
+    "pairwise square classes: OK",
+]
+
+VERIFIED_JZERO = [
+    "pair: y^2 = x^3 + 215  |  y^2 = x^3 + 430",
+    "certificate k=1 D=431: OK",
+    "certificate k=2 D=214: OK",
+    "certificate k=3 D=2277000286/10218313: OK",
+    "pairwise square classes: OK",
+]
+
+VERIFIED_COROLLARY = [
+    "pair: y^2 = x^3 + x + 1  |  y^2 = x^3 + 4*x + 8",
+    "certificate k=1 D=-379/27: OK",
+    "certificate k=2 D=59927361049/2576987811: OK",
+    "certificate k=3 D=649180274321951/3718327981528467: OK",
+    "pairwise square classes: OK",
+]
+
+VERIFIED_ELEMENTARY = [
+    "pair: y^2 = x^3 + x + 1",
+    "certificate k=1 D=3: OK",
+    "certificate k=2 D=11: OK",
+    "certificate k=3 D=31: OK",
+    "pairwise square classes: OK",
+]
+
+
 # (argv, SHA-256 of the bundle as written, SHA-256 of it re-encoded with
-# indent=2, the layout of version 6 bundles before they were written as one
-# line).  The bytes may move only when the certificate format, the search order
-# or the layout changes on purpose; a bundle holds only its pair and
-# certificates, so corollary --delta 4, whose pair is (1, 1), (16, 64), writes
-# the isomorphic route's bytes.
+# indent=2, the layout of bundles before they were written as one line,
+# verify's stdout).  The bytes may move only when the certificate format, the
+# search order or the layout changes on purpose, as version 7 did by dropping
+# D; a bundle holds only its pair and certificates, so corollary --delta 4,
+# whose pair is (1, 1), (16, 64), writes the isomorphic route's bytes.
 PINNED_BUNDLES = [
     pytest.param(
         ("generate", "--curve1", "1,1", "--curve2", "2,2"),
-        "29fd03a3d0f6bcfc71e2347c271ec6a4b97af706325cbc9452dc1e81bf945745",
-        "7d5910d39550fa1dcad39d3dd506aa94ddb2457e3bcef20494f5b6012df2ecdb",
+        "07cb820d9eba02dc7ff4c36e02ee889e7483d567f228b987bb6064c22d097bb1",
+        "a937c44b9cedc52fc8773e337a918889b20bed33ff20a798fa23fa05cb0571a9",
+        VERIFIED_GENERAL,
         id="general"),
     pytest.param(
         ("generate", "--curve1", "1,1", "--curve2", "16,64"),
-        "a4250a670d2ff73815f47ca9efcd54f866341df48091fe78ea0bc1bb54be0693",
-        "0e996a00d9323ec445e715c9e6f226d886c74199804e771fcf295d15c9f12911",
+        "57f90319c33765eacf23dd40fff496bdb4097163ab176266014168ef63d30d90",
+        "9b9cd4618480a2c6a8611301e7314a4d6b56e20d5b56f4cb8fa0b4af240ddfe9",
+        VERIFIED_ISOMORPHIC,
         id="isomorphic"),
     pytest.param(
         ("generate", "--curve1", "0,2", "--curve2", "0,2"),
-        "607d53f450f810573c2f2141f71a5a5898780fd16bce0a99d801e7a4ba86aacc",
-        "50c208354d7136ea8a475ab538e4f7260b506569d13adb0aaf52cdb565edbb35",
+        "1c4ad1ec24f72d22174c6cdaae5402c252eb4eadef2ec878d2defabbbaddd78e",
+        "68621fb13d988f4b008a46a95c50e51f5228018fbba8d62cbf7c8ddf7f57db6b",
+        VERIFIED_IDENTICAL_JZERO,
         id="identical-jzero"),
     pytest.param(
         ("jzero", "--curve1", "0,1", "--curve2", "0,2"),
-        "55f8fbfcbd1289bee2997490af18e2cddd7e732abc17040c4d1f2132908cee56",
-        "81c42603c26d32f6aad56ca5846d0fbb2a0b2337a8bd7c8fec8739f5fdca63a2",
+        "19cbf5dfecc7edd6a57613af59bc6bbf3fcccaaef32441361042b8c2f445fb50",
+        "5a81981ee4d8b49182c75b7270ff26d8896e0fadf223221ea121951fdf8cf958",
+        VERIFIED_JZERO,
         id="jzero"),
     pytest.param(
         ("generate", "--curve1", "0,1", "--curve2", "0,2"),
-        "55f8fbfcbd1289bee2997490af18e2cddd7e732abc17040c4d1f2132908cee56",
-        "81c42603c26d32f6aad56ca5846d0fbb2a0b2337a8bd7c8fec8739f5fdca63a2",
+        "19cbf5dfecc7edd6a57613af59bc6bbf3fcccaaef32441361042b8c2f445fb50",
+        "5a81981ee4d8b49182c75b7270ff26d8896e0fadf223221ea121951fdf8cf958",
+        VERIFIED_JZERO,
         id="generate-jzero"),
     pytest.param(
         ("corollary", "--curve", "1,1", "--delta", "2"),
-        "c733afb8e7758799e0a5202b2ee1d10b45cacdcece666dd785eaa03b9377777e",
-        "ccf07007a9f45f724c6d5f872740f7c859102bd376a5e65a29c74ffded7d010c",
+        "e610d548bafba695943cefaed7315eec766c73b01d2dadd27712d20158b4e260",
+        "40937d0f1e0c412477d0df40c46adfa1701565d40665568f3fe055f97b8657e3",
+        VERIFIED_COROLLARY,
         id="corollary-delta2"),
     pytest.param(
         ("corollary", "--curve", "1,1", "--delta", "4"),
-        "a4250a670d2ff73815f47ca9efcd54f866341df48091fe78ea0bc1bb54be0693",
-        "0e996a00d9323ec445e715c9e6f226d886c74199804e771fcf295d15c9f12911",
+        "57f90319c33765eacf23dd40fff496bdb4097163ab176266014168ef63d30d90",
+        "9b9cd4618480a2c6a8611301e7314a4d6b56e20d5b56f4cb8fa0b4af240ddfe9",
+        VERIFIED_ISOMORPHIC,
         id="corollary-delta4"),
     pytest.param(
         ("elementary", "--curve", "1,1"),
-        "596179d0ccab04875efad7477748d63e4018e09ee515a57b3275526fb9ca828c",
-        "6edc064a2d5fc9c8e504fca9d4840a124831e8ebb7f06decb1485274e1f79b48",
+        "8c4971bbf3c5621d929eb1387f48325c3c2edab305ea355e2370dbc9cb1a4127",
+        "085521ab2dd24a537e21535c5b996373b39a82e16a10926ae8fae2cc0c4659eb",
+        VERIFIED_ELEMENTARY,
         id="elementary"),
 ]
 
@@ -909,13 +1049,20 @@ class TestDeterminism:
         assert run_cli(capsys, *argv, "--output", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("argv, digest, indented", PINNED_BUNDLES)
-    def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest, indented):
+    @pytest.mark.parametrize("argv, digest, indented, verified", PINNED_BUNDLES)
+    def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest, indented, verified):
         data = _pinned_bundle(capsys, tmp_path, argv).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
-    @pytest.mark.parametrize("argv, digest, indented", PINNED_BUNDLES)
-    def test_bundle_is_one_line(self, capsys, monkeypatch, tmp_path, argv, digest, indented):
+    @pytest.mark.parametrize("argv, digest, indented, verified", PINNED_BUNDLES)
+    def test_verify_output_pinned(self, capsys, tmp_path, argv, digest, indented, verified):
+        bundle = _pinned_bundle(capsys, tmp_path, argv)
+        code, out, _ = run_cli(capsys, "verify", "--input", str(bundle))
+        assert (code, out.splitlines()) == (0, verified)
+
+    @pytest.mark.parametrize("argv, digest, indented, verified", PINNED_BUNDLES)
+    def test_bundle_is_one_line(self, capsys, monkeypatch, tmp_path, argv, digest, indented,
+                                verified):
         written = []
 
         def to_dict(pair, certs):
@@ -927,8 +1074,9 @@ class TestDeterminism:
         assert data == json.dumps(*written) + "\n"
         assert data.count("\n") == 1
 
-    @pytest.mark.parametrize("argv, digest, indented", PINNED_BUNDLES)
-    def test_indented_bundle_verifies(self, capsys, tmp_path, argv, digest, indented):
+    @pytest.mark.parametrize("argv, digest, indented, verified", PINNED_BUNDLES)
+    def test_indented_bundle_verifies(self, capsys, tmp_path, argv, digest, indented,
+                                      verified):
         # whitespace is no part of the format: the bundle re-encoded in the
         # indented layout has that layout's pinned digest, and verifies alike
         bundle = _pinned_bundle(capsys, tmp_path, argv)

@@ -155,10 +155,10 @@ def test_order_seven_bundle_fails(capsys, tmp_path):
     pair_curve, cert = twisted_certificate(curve, point, Fraction(3))
     (x, t), = cert.solutions
     bundle = {
-        "version": 6,
+        "version": 7,
         "pair": [{"a": format_rational(pair_curve.a), "b": format_rational(pair_curve.b)}],
         "certificates": [{
-            "k": 1, "D": "3",
+            "k": 1,
             "squarefree_D": {"value": "3", "complete": True},
             "solutions": [{"x": format_rational(x), "t": format_rational(t)}],
         }],

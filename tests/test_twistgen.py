@@ -575,6 +575,17 @@ class TestVerification:
         )
         assert verify_certificate(torsion_cert, [Curve(0, 1)]) == (False, "torsion-point")
 
+    def test_every_identity_before_any_torsion_test(self, cert):
+        # a bundle's D solves its first identity by construction, here with the
+        # order-6 point (2, 3) on y^2 = x^3 + 1; the wrong second solution is
+        # the reason reported, not the torsion point
+        tampered = cert._replace(
+            value=Fraction(1), squarefree_rep=(1, True),
+            solutions=((Fraction(2), Fraction(3)), (Fraction(0), Fraction(1))),
+        )
+        pair = [Curve(0, 1), Curve(0, 2)]
+        assert verify_certificate(tampered, pair) == (False, "solution-mismatch")
+
     def test_solution_beyond_the_pair_detected(self, cert):
         # two solutions, but a pair of one curve
         assert verify_certificate(cert, PAIR[:1]) == (False, "entry-count-mismatch")
@@ -592,7 +603,7 @@ class TestSerialization:
         certs, _, _ = generate(pp, Config(target_count=2))
         for cert in certs:
             data = json.loads(json.dumps(certificate_to_dict(cert)))
-            assert certificate_from_dict(data) == cert
+            assert certificate_from_dict(data, Curve(1, 1)) == cert
 
     def test_bundle_round_trip(self):
         cfg = Config(target_count=2)
@@ -600,7 +611,7 @@ class TestSerialization:
         certs, run_pair, _ = generate(pp, cfg)
         bundle = bundle_to_dict(run_pair, certs)
         assert list(bundle) == ["version", "pair", "certificates"]
-        assert bundle["version"] == 6
+        assert bundle["version"] == 7
         pair, parsed = bundle_from_dict(json.loads(json.dumps(bundle)))
         assert pair == [Curve(1, 1), Curve(2, 2)]
         assert parsed == certs
@@ -609,7 +620,7 @@ class TestSerialization:
         pp = prepare_pair(Curve(1, 1), Curve(2, 2))
         certs, _, _ = generate(pp, Config(target_count=1))
         data = certificate_to_dict(certs[0])
-        assert list(data) == ["k", "D", "squarefree_D", "solutions"]
+        assert list(data) == ["k", "squarefree_D", "solutions"]
         assert len(data["solutions"]) == 2
         assert list(data["solutions"][0]) == ["x", "t"]
         assert isinstance(data["squarefree_D"], dict)

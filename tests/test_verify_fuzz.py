@@ -171,11 +171,11 @@ def test_removed_key_is_rejected(tmp_path, capsys, path):
 
 def test_leaves_cover_every_certificate_field():
     names = {key for path in LEAVES for key in path if isinstance(key, str)}
-    assert names == {"version", "pair", "a", "b", "certificates", "k", "D",
+    assert names == {"version", "pair", "a", "b", "certificates", "k",
                      "squarefree_D", "value", "complete", "solutions", "x", "t"}
     # the bundle, the certificate, its label, its two solutions and the two
     # pair curves
     assert len(OBJECTS) == 7
-    assert len(KEYS) == 17
+    assert len(KEYS) == 16
     # and the pair, the certificates and the solutions
     assert len(NODES) == 10
