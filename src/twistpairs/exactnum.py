@@ -46,6 +46,12 @@ _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
 #: Characters of an input that an error message quotes.
 _EXCERPT_LIMIT = 200
 
+#: Characters of the longest number text ``parse_integer`` and ``parse_rational``
+#: read.  int() takes time quadratic in the length of a literal, and a bundle's
+#: D is about three times as long as its first x.  The worked pair at --count 25
+#: writes no x over 435 characters and, at --effort 1, no label over 866.
+_NUMBER_TEXT_LIMIT = 10_000
+
 # Strong-pseudoprime witnesses: the first 40 prime bases.  The first 12 of
 # them are a known deterministic witness schedule for every n below the
 # bound; above it we run all 40, which keeps the composite-acceptance
@@ -85,17 +91,23 @@ class ValueObject:
         return f"{type(self).__name__}{self._values}"
 
 
+def _number_text(text: str, pattern: re.Pattern, form: str) -> str:
+    """``text`` if it is a string in ``form`` of at most ``_NUMBER_TEXT_LIMIT`` characters."""
+    if not isinstance(text, str) or not pattern.fullmatch(text):
+        raise ValueError(f"not {form}: {excerpt(repr(text))}")
+    if len(text) > _NUMBER_TEXT_LIMIT:
+        raise ValueError(f"number of {len(text)} characters; the limit is {_NUMBER_TEXT_LIMIT}")
+    return text
+
+
 def parse_integer(text: str) -> int:
     """Parse the text format ``n``: ASCII digits, optional leading minus."""
-    if not isinstance(text, str) or not _INTEGER_RE.fullmatch(text):
-        raise ValueError(f"not an integer in n form: {excerpt(repr(text))}")
-    return int(text)
+    return int(_number_text(text, _INTEGER_RE, "an integer in n form"))
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the text format ``n`` or ``n/m``: ASCII digits, optional leading minus."""
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a rational in n or n/m form: {excerpt(repr(text))}")
+    _number_text(text, _RATIONAL_RE, "a rational in n or n/m form")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:

@@ -16,9 +16,11 @@ Given two smooth curve models, the pair is routed one of three ways:
 
 On the general and isomorphic routes the second solution is found on a model
 Q-isomorphic to curve 2 and carried onto curve 2 itself.  Every emitted value
-D comes with a certificate that states the claim only: per pair curve, a
-solution (x, t) of D*t^2 = x^3 + a*x + b on that curve, and is emitted only
-when the verifier, which recomputes everything, accepts it.
+D comes with a certificate that states the claim only: per pair curve, the x
+of a solution (x, t) of D*t^2 = x^3 + a*x + b on that curve, and is emitted
+only when the verifier, which recomputes everything, accepts it.  The first
+solution has t = 1, so D is curve 1's value at its x, and each further t is
+the square root of the value at x over D.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .exactnum import (
     ValueObject,
     excerpt,
     format_rational,
+    is_perfect_square,
     parse_integer,
     parse_rational,
     primes_avoiding,
@@ -55,13 +58,14 @@ ROUTE_JZERO = "jzero"
 
 SKIP_ZERO_VALUE = "zero-twist-value"
 SKIP_CLASS_COLLISION = "class-collision"
+SOLUTION_MISMATCH = "solution-mismatch"
 
 REJECT_SINGULAR = "singular-cubic"
 REJECT_EQUAL_LEADING = "a-equals-scaled-c"
 REJECT_TORSION_SEED = "torsion-seed"
 ACCEPTED = "accepted"
 
-BUNDLE_VERSION = 7
+BUNDLE_VERSION = 8
 
 #: Height bound of the rescaling search.
 LAMBDA_SEARCH_BOUND = 40
@@ -118,12 +122,12 @@ class PreparedPair(NamedTuple):
 
 
 class TwistCertificate(NamedTuple):
-    """The claim for one D: a solution (x, t) per pair curve, in pair order."""
+    """The claim for one D: the x of a solution (x, t) per pair curve, in pair order."""
 
     k: int
     value: Fraction
     squarefree_rep: tuple[int, bool]
-    solutions: tuple[tuple[Fraction, Fraction], ...]
+    solutions: tuple[Fraction, ...]
 
 
 def format_pair(curves: Sequence[Curve]) -> str:
@@ -313,43 +317,39 @@ def _squarefree_rep(value: Fraction, effort: int) -> tuple[int, bool]:
     return num_part * den_part, num_complete and den_complete
 
 
-#: One step of a generation stream: a candidate twist value D with one
-#: (x, t) solution of D*t^2 = x^3 + a*x + b per curve.
-Candidate = tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]]
+#: One step of a generation stream: the x of a solution per curve, the first
+#: with t = 1, so the candidate D is the first curve's value at its x.
+Candidate = tuple[Fraction, ...]
 
 
 def _seed_multiples(pp: PreparedPair) -> Iterator[Candidate]:
-    """kP, then -kP, for k = 1, 2, 3, ... of the seed P; D is the common cubic value.
+    """kP, then -kP, for k = 1, 2, 3, ... of the seed P, as its coordinates (x, y).
 
-    D at -kP is far shorter than at kP or (k+1)P; -kP is computed only when read.
-    P is non-torsion, so no +-kP is the base point, the only rational point at infinity.
+    D, the common cubic value, at -kP is far shorter than at kP or (k+1)P; -kP
+    is computed only when read.  P is non-torsion, so no +-kP is the base
+    point, the only rational point at infinity.
     """
     cubic, seed = pp.cubic, pp.seed
     assert cubic is not None and seed is not None
     current = point = seed
     while True:
-        x_coord, y_coord = point.affine()
-        yield cubic.common_value(point), (
-            (x_coord, Fraction(1)),
-            (y_coord, Fraction(1)),
-        )
+        yield point.affine()
         if point is current:
             point = cubic.negate(current)
         else:
             current = point = cubic.add(current, seed)
 
 
-def _integer_inputs(curve: Curve, copies: int = 1) -> Iterator[Candidate]:
-    """Inputs x = 1, 2, 3, ... of the cubic; D is its value at x, solved by (x, 1) per copy."""
+def _integer_inputs(copies: int = 1) -> Iterator[Candidate]:
+    """Inputs x = 1, 2, 3, ... of the cubic, once per copy."""
     for n in count(1):
-        x_input = Fraction(n)
-        yield curve.rhs(x_input), ((x_input, Fraction(1)),) * copies
+        yield (Fraction(n),) * copies
 
 
 def _carried(candidates: Iterator[Candidate], u: Fraction) -> Iterator[Candidate]:
     """Carry second solutions (x, t) on (a, b) to (u^2*x, u^3*t) on its twist by u^2, curve 2."""
-    for value, (first, (x, t)) in candidates:
-        yield value, (first, (u**2 * x, u**3 * t))
+    for first, x in candidates:
+        yield first, u * u * x
 
 
 def _run_generation(
@@ -368,21 +368,23 @@ def _run_generation(
     """
     certificates: list[TwistCertificate] = []
     steps = islice(candidates, cfg.max_iterations)
-    for k, (value, solutions) in enumerate(steps, start=1):
+    for k, xs in enumerate(steps, start=1):
         report.iterations_used = k
+        value = curves[0].rhs(xs[0])
         if value == 0:
             reason = SKIP_ZERO_VALUE
         elif any(same_square_class(value, seen) for _, seen in report.accepted):
             reason = SKIP_CLASS_COLLISION
         else:
-            reason = (_identity_reason(value, solutions, curves)
-                      or _torsion_reason(value, solutions, curves))
+            solutions = _solutions(value, xs, curves)
+            reason = (SOLUTION_MISMATCH if solutions is None
+                      else _torsion_reason(value, solutions, curves))
         if reason is None:
             cert = TwistCertificate(
                 k=k,
                 value=value,
                 squarefree_rep=_squarefree_rep(value, cfg.factor_effort),
-                solutions=solutions,
+                solutions=xs,
             )
             reason = _label_reason(cert)
         if reason is not None:
@@ -405,7 +407,7 @@ def generate(
     their second solution onto curve 2.
     """
     if pp.route == ROUTE_ISOMORPHIC:
-        candidates = _carried(_integer_inputs(pp.curve1, copies=2), pp.scale)
+        candidates = _carried(_integer_inputs(copies=2), pp.scale)
     elif pp.route == ROUTE_GENERAL:
         candidates = _carried(_seed_multiples(pp), 1 / pp.scale)
     else:
@@ -417,7 +419,7 @@ def elementary_generate(
     curve: Curve, cfg: Config
 ) -> tuple[list[TwistCertificate], tuple[Curve, ...], RunReport]:
     """Single-curve mode: certificates with one solution each."""
-    return _run_generation(_integer_inputs(curve), (curve,), cfg, RunReport())
+    return _run_generation(_integer_inputs(), (curve,), cfg, RunReport())
 
 
 def jzero_generate(
@@ -463,9 +465,9 @@ def verify_certificate(
     """Recompute every claim in a certificate from scratch, on the curves of ``pair``.
 
     Returns (True, None) or (False, reason) with a stable reason code.  The
-    cheap checks come first: the identities, where a wrong solution shows (a
-    bundle's D solves the first one by construction), then the label's square
-    test, and the torsion chain last.
+    cheap checks come first: the identities, where a wrong x shows as a t that
+    is no rational (a bundle's D makes t = 1 at the first x by construction),
+    then the label's square test, and the torsion chain last.
     """
     if cert.value == 0:
         return False, SKIP_ZERO_VALUE
@@ -473,8 +475,10 @@ def verify_certificate(
         return False, "no-curve-entries"
     if len(cert.solutions) != len(pair):
         return False, "entry-count-mismatch"
-    reason = (_identity_reason(cert.value, cert.solutions, pair) or _label_reason(cert)
-              or _torsion_reason(cert.value, cert.solutions, pair))
+    solutions = _solutions(cert.value, cert.solutions, pair)
+    if solutions is None:
+        return False, SOLUTION_MISMATCH
+    reason = _label_reason(cert) or _torsion_reason(cert.value, solutions, pair)
     return reason is None, reason
 
 
@@ -486,15 +490,21 @@ def _label_reason(cert: TwistCertificate) -> Optional[str]:
     return None
 
 
-def _identity_reason(value: Fraction, solutions: tuple, pair: Sequence[Curve]) -> Optional[str]:
-    if any(value * t * t != curve.rhs(x) for curve, (x, t) in zip(pair, solutions)):
-        return "solution-mismatch"
-    return None
+def _solutions(
+    value: Fraction, xs: Sequence[Fraction], pair: Sequence[Curve]
+) -> Optional[tuple[tuple[Fraction, Fraction], ...]]:
+    """Each x with the t >= 0 of D*t^2 = x^3 + a*x + b on its curve, or None if a t is irrational.
+
+    x and D fix t up to sign, and -t gives the negated point, of the same order.
+    """
+    ts = [is_perfect_square(curve.rhs(x) / value) for curve, x in zip(pair, xs)]
+    return None if None in ts else tuple(zip(xs, ts))
 
 
 def _torsion_reason(value: Fraction, solutions: tuple, pair: Sequence[Curve]) -> Optional[str]:
     for curve, (x, t) in zip(pair, solutions):
-        # (D*x, D^2*t) is the solution's point on the twist model by D
+        # (D*x, D^2*t) is the solution's point on the twist model by D; t = 0
+        # gives a point of order 2
         point = WPoint(value * x, value * value * t)
         if not certify_nontorsion(quadratic_twist(curve, value), point):
             return "torsion-point"
@@ -558,36 +568,29 @@ def certificate_to_dict(cert: TwistCertificate) -> dict:
             "value": str(cert.squarefree_rep[0]),
             "complete": cert.squarefree_rep[1],
         },
-        "solutions": [
-            {"x": format_rational(x), "t": format_rational(t)} for x, t in cert.solutions
-        ],
+        "x": [format_rational(x) for x in cert.solutions],
     }
 
 
 def certificate_from_dict(data: dict, curve1: Curve) -> TwistCertificate:
     """Parse one certificate of a bundle whose pair starts with ``curve1``.
 
-    D is not stored: the first solution (x, t) fixes it as curve1.rhs(x) / t^2,
-    so a certificate with no solution or with t = 0 there is malformed, and
-    raises ValueError like any other.  Every object has a fixed set of keys: a
-    missing one is named, and one outside the set is rejected, so no claim the
-    verifier does not check can ride along.
+    Neither D nor any t is stored: the first x fixes D as curve1.rhs(x), so a
+    certificate with no x is malformed, and raises ValueError like any other.
+    Every object has a fixed set of keys: a missing one is named, and one
+    outside the set is rejected, so no claim the verifier does not check can
+    ride along.
     """
-    _fixed_fields(data, ("k", "squarefree_D", "solutions"), "certificate")
+    _fixed_fields(data, ("k", "squarefree_D", "x"), "certificate")
     label = _fixed_fields(data["squarefree_D"], ("value", "complete"), "certificate")
-    entries = [_fixed_fields(s, ("x", "t"), "certificate")
-               for s in _json_value(data["solutions"], list)]
-    solutions = tuple((parse_rational(s["x"]), parse_rational(s["t"])) for s in entries)
-    if not solutions:
-        raise ValueError("malformed certificate: empty solutions")
-    x, t = solutions[0]
-    if t == 0:
-        raise ValueError("malformed certificate: first solution has t = 0")
+    xs = tuple(map(parse_rational, _json_value(data["x"], list)))
+    if not xs:
+        raise ValueError("malformed certificate: empty x")
     return TwistCertificate(
         k=_json_value(data["k"], int),
-        value=curve1.rhs(x) / (t * t),
+        value=curve1.rhs(xs[0]),
         squarefree_rep=(parse_integer(label["value"]), _json_value(label["complete"], bool)),
-        solutions=solutions,
+        solutions=xs,
     )
 
 

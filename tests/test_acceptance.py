@@ -90,8 +90,10 @@ def test_criterion_1_worked_pair(tmp_path, capsys):
         assert first.k == 1 and first.value == -1
         twist_model = quadratic_twist(Curve(1, 1), first.value)
         assert twist_model == Curve(1, -1)
-        x, t = first.solutions[0]
-        point = WPoint(first.value * x, first.value**2 * t)
+        # the first solution has t = 1, so D is the first curve's value at x
+        x = first.solutions[0]
+        assert first.value == Curve(1, 1).rhs(x)
+        point = WPoint(first.value * x, first.value**2)
         assert point == WPoint(Fraction(1), Fraction(1)) and twist_model.contains(point)
         for cert in certs:
             ok, reason = verify_certificate(cert, [Curve(1, 1), Curve(2, 2)])

@@ -18,7 +18,7 @@ import twistpairs
 
 from twistpairs import cli, planecubic, polyident, twistgen, weierstrass
 from twistpairs.cli import main
-from twistpairs.exactnum import format_rational
+from twistpairs.exactnum import _NUMBER_TEXT_LIMIT, format_rational
 from twistpairs.twistgen import (
     LAMBDA_SEARCH_BOUND,
     Config,
@@ -54,10 +54,10 @@ class TestGenerate:
         assert code == 0
         bundle = json.loads(out_file.read_text())
         assert list(bundle) == ["version", "pair", "certificates"]
-        assert bundle["version"] == 7
+        assert bundle["version"] == 8
         assert len(bundle["certificates"]) == 5
-        # D = (x^3 + x + 1)/t^2 at the first solution (-1, 1)
-        assert bundle["certificates"][0]["solutions"][0] == {"x": "-1", "t": "1"}
+        # D is x^3 + x + 1 at the first x, -1: D = -1
+        assert bundle["certificates"][0]["x"] == ["-1", "-1"]
         assert "route: general" in err
         assert "weierstrass model: Y^2 = X^3 - 6*X - 63/4" in err
         assert "seed point: (-1, -1) maps to (12, 81/2)" in err
@@ -324,7 +324,7 @@ class TestCorollaryCommand:
         (a, b), (a2, b2) = ([Fraction(v) for v in curve.values()] for curve in bundle["pair"])
         assert a * b2 / (b * a2) == 2
         for cert in bundle["certificates"]:
-            assert list(cert) == ["k", "squarefree_D", "solutions"]
+            assert list(cert) == ["k", "squarefree_D", "x"]
 
     def test_square_delta(self, capsys):
         code, out, err = run_cli(
@@ -349,7 +349,7 @@ class TestElementaryCommand:
         assert code == 0
         bundle = json.loads(out)
         assert len(bundle["pair"]) == 1
-        assert all(len(c["solutions"]) == 1 for c in bundle["certificates"])
+        assert all(len(c["x"]) == 1 for c in bundle["certificates"])
 
     def test_report_lists_k_in_walk_order(self, capsys):
         # x0 = 2 gives (2, 3), of order 6 on y^2 = x^3 + 1: skipped between accepted k
@@ -390,21 +390,22 @@ def _replace_pair(bundle):
 
 def _drop_second_solution(bundle):
     for cert in bundle["certificates"]:
-        del cert["solutions"][1]
+        del cert["x"][1]
+
+
+def _add_third_solution(bundle):
+    for cert in bundle["certificates"]:
+        cert["x"].append(cert["x"][0])
 
 
 def _duplicate_first_solution(bundle):
     for cert in bundle["certificates"]:
-        cert["solutions"][1] = cert["solutions"][0]
+        cert["x"][1] = cert["x"][0]
 
 
 # bundles that fix no D or store one, from a two-certificate general bundle
-def _zero_first_t(bundle):
-    bundle["certificates"][0]["solutions"][0]["t"] = "0"
-
-
 def _no_solutions(bundle):
-    bundle["certificates"][1]["solutions"] = []
+    bundle["certificates"][1]["x"] = []
 
 
 def _empty_pair(bundle):
@@ -416,15 +417,23 @@ def _empty_bundle(bundle):
 
 
 def _with_d(bundle):
-    # the D that the first solution fixes, stored as version 6 stored it
+    # the D that the first x fixes, stored as version 6 stored it
     curve1 = Curve(*(Fraction(v) for v in bundle["pair"][0].values()))
     for cert in bundle["certificates"]:
-        x, t = (Fraction(v) for v in cert["solutions"][0].values())
-        cert["D"] = format_rational(curve1.rhs(x) / (t * t))
+        cert["D"] = format_rational(curve1.rhs(Fraction(cert["x"][0])))
+
+
+def _as_version_seven(bundle):
+    # version 7 stored a solution (x, t) per curve; on the worked pair, whose
+    # scale is 1, every t is 1
+    for cert in bundle["certificates"]:
+        cert["solutions"] = [{"x": x, "t": "1"} for x in cert.pop("x")]
+    bundle["version"] = 7
 
 
 def _as_version_six(bundle):
     _with_d(bundle)
+    _as_version_seven(bundle)
     bundle["version"] = 6
 
 
@@ -447,8 +456,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("path, value", [
         ((), [1, 2]),
-        (("certificates", 0, "solutions"), 5),
-        # version 7 stores no D, in any form
+        # the x list holds the solutions
+        (("certificates", 0, "x"), 5),
+        # version 8 stores no D, in any form
         (("certificates", 0, "D"), 3),
         (("certificates", 0, "k"), float("1e999")),
         (("certificates", 0, "k"), 1.5),
@@ -473,7 +483,7 @@ class TestVerifyCommand:
         (("certificates", 0, "squarefree_D", "value"), 3.0),
         (("certificates", 0, "squarefree_D", "value"), "+3"),
         # x = 3 in Arabic-Indic digits, which int() reads as 3
-        (("certificates", 0, "solutions", 0, "x"), "\u0663"),
+        (("certificates", 0, "x", 0), "\u0663"),
     ], ids=["top-level-list", "solutions-int", "D-number", "k-infinite", "k-fraction",
             "k-boolean", "complete-text", "version-boolean", "version-float",
             "version-one", "version-two", "version-three", "version-four", "version-five",
@@ -495,17 +505,20 @@ class TestVerifyCommand:
 
     # an error line names the JSON kind it got, or quotes a bounded prefix of
     # the value, however large the value is
+    # number text meant to reach an error of its own stays within
+    # _NUMBER_TEXT_LIMIT; x-over-limit gets the limit's error
     @pytest.mark.parametrize("path, value", [
-        (("certificates", 0, "solutions", 0), [0] * 200_000),
+        (("certificates", 0, "x", 0), [0] * 200_000),
         (("certificates", 0, "k"), "7" * 100_000),
-        (("certificates", 0, "solutions", 0, "x"), "x" * 100_000),
+        (("certificates", 0, "x", 0), "x" * 100_000),
         (("version",), int("7" * 100_000)),
-        (("certificates", 0, "solutions", 0, "t"), "1/" + "0" * 100_000),
+        (("certificates", 0, "x", 0), "1/" + "0" * (_NUMBER_TEXT_LIMIT - 2)),
         (("certificates", 0, "k" * 100_000), 1),
         # 4a^3 + 27b^2 = 0 for a = -3t^2, b = 2t^3
-        (("pair", 0), {"a": str(-3 * 10**40_000), "b": str(2 * 10**60_000)}),
+        (("pair", 0), {"a": str(-3 * 10**2_000), "b": str(2 * 10**3_000)}),
+        (("certificates", 0, "x", 0), "7" * 100_000),
     ], ids=["solution-list", "k-text", "x-letters", "version-digits",
-            "t-zero-denominator", "long-key", "singular-pair-curve"])
+            "x-zero-denominator", "long-key", "singular-pair-curve", "x-over-limit"])
     def test_error_line_is_bounded(self, capsys, tmp_path, path, value):
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
@@ -525,30 +538,32 @@ class TestVerifyCommand:
         assert err.startswith("error: ")
 
     def test_tampered_bundle_fails(self, capsys, tmp_path):
-        # a true solution whose point (2, 3) has order 6 on y^2 = x^3 + 1
+        # x = 2 fixes D = 2^3 + 1 = 9, in the class of 1, and its point (18, 81)
+        # on the twist by 9 is (2, 3), of order 6 on y^2 = x^3 + 1, scaled by 3
         out_file = tmp_path / "bundle.json"
         bundle = {
-            "version": 7,
+            "version": 8,
             "pair": [{"a": "0", "b": "1"}],
             "certificates": [{
                 "k": 1,
                 "squarefree_D": {"value": "1", "complete": True},
-                "solutions": [{"x": "2", "t": "3"}],
+                "x": ["2"],
             }],
         }
         out_file.write_text(json.dumps(bundle))
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
         assert code == 1
-        assert "certificate k=1 D=1: FAILED (torsion-point)" in out
+        assert "certificate k=1 D=9: FAILED (torsion-point)" in out
 
-    # each solution is checked on its own curve of the bundle's pair; at k=1
-    # the seed (-1, -1) has equal coordinates, so a duplicated first solution
-    # still holds there
+    # each x is checked on its own curve of the bundle's pair; at k=1 the seed
+    # (-1, -1) has equal coordinates, so a duplicated first x still holds there
     @pytest.mark.parametrize("tamper, statuses", [
         (_replace_pair, ["FAILED (solution-mismatch)"] * 2),
         (_drop_second_solution, ["FAILED (entry-count-mismatch)"] * 2),
+        (_add_third_solution, ["FAILED (entry-count-mismatch)"] * 2),
         (_duplicate_first_solution, ["OK", "FAILED (solution-mismatch)"]),
-    ], ids=["pair-replaced", "second-solution-dropped", "first-solution-duplicated"])
+    ], ids=["pair-replaced", "second-solution-dropped", "third-solution-added",
+            "first-solution-duplicated"])
     def test_certificates_are_bound_to_the_pair(self, capsys, tmp_path, tamper, statuses):
         out_file = tmp_path / "bundle.json"
         code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
@@ -565,28 +580,30 @@ class TestVerifyCommand:
         assert lines[3] == "pairwise square classes: OK"
 
     # one tamper per certificate field, on the first certificate of a general
-    # bundle: at k=1 both solutions are (-1, 1), so D = (-1)^3 - 1 + 1 = -1,
-    # and its label is -1; k and complete are no claims, so the verifier
+    # bundle: at k=1 both x are -1, so D = (-1)^3 - 1 + 1 = -1, each t is 1,
+    # and the label is -1; k and complete are no claims, so the verifier
     # accepts any value of them
     @pytest.mark.parametrize("path, value, status", [
         # D = (-1)^3 - 1 + 2 = 0 on y^2 = x^3 + x + 2
         (("pair", 0, "b"), "2", "FAILED (zero-twist-value)"),
-        # t = 1/2 fixes D = -4, in the label's class, so the second solution catches it
-        (("certificates", 0, "solutions", 0, "t"), "1/2", "FAILED (solution-mismatch)"),
+        # x = -2 fixes D = -9, in the label's class: the second t is 1/3, and the
+        # certificate holds, as the twists by D and by D/9 are one curve
+        (("certificates", 0, "x", 0), "-2", "OK"),
         (("certificates", 0, "squarefree_D", "value"), "-7", "FAILED (label-class-mismatch)"),
         (("certificates", 0, "squarefree_D", "value"), "0", "FAILED (label-class-mismatch)"),
-        # x = 0 fixes D = 1, outside the label's class; the solutions are
-        # checked first, so the second one names the tamper
-        (("certificates", 0, "solutions", 0, "x"), "0", "FAILED (solution-mismatch)"),
-        (("certificates", 0, "solutions", 1, "x"), "0", "FAILED (solution-mismatch)"),
-        (("certificates", 0, "solutions", 0, "t"), "2", "FAILED (solution-mismatch)"),
-        (("certificates", 0, "solutions", 1, "t"), "2", "FAILED (solution-mismatch)"),
+        # x = 0 fixes D = 1, outside the label's class; the identities are
+        # checked first, so the second x, where -1/D is no square, names the tamper
+        (("certificates", 0, "x", 0), "0", "FAILED (solution-mismatch)"),
+        # -2/D = 2 is no square
+        (("certificates", 0, "x", 1), "0", "FAILED (solution-mismatch)"),
         (("pair", 0, "a"), "2", "FAILED (solution-mismatch)"),
-        (("pair", 1, "b"), "3", "FAILED (solution-mismatch)"),
+        # b = 3 puts the second x = -1 at a root of x^3 + 2x + 3: t = 0 there,
+        # and (D*x, 0) has order 2
+        (("pair", 1, "b"), "3", "FAILED (torsion-point)"),
         (("certificates", 0, "k"), 7, "OK"),
         (("certificates", 0, "squarefree_D", "complete"), False, "OK"),
     ], ids=["D-zero", "D-same-class", "label-other-class", "label-zero",
-            "x-first", "x-second", "t-first", "t-second", "pair-first-a", "pair-second-b",
+            "x-first", "x-second", "pair-first-a", "pair-second-b",
             "k", "complete"])
     def test_every_field_is_checked(self, capsys, tmp_path, path, value, status):
         out_file = tmp_path / "bundle.json"
@@ -607,7 +624,7 @@ class TestVerifyCommand:
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
         bundle = json.loads(out_file.read_text())
-        bundle["certificates"][0]["solutions"][0]["x"] = "7" * 400
+        bundle["certificates"][0]["x"][0] = "7" * 400
         out_file.write_text(json.dumps(bundle))
 
         def refuse(curve, point):
@@ -618,17 +635,17 @@ class TestVerifyCommand:
         assert code == 1
         assert out.splitlines()[1].endswith(": FAILED (label-class-mismatch)")
 
-    # D is read from the pair's first curve and the first solution, so a
-    # bundle that cannot fix it is refused, and so is one that stores it
+    # D is read from the pair's first curve and the first x, so a bundle that
+    # cannot fix it is refused, and so is one that stores it or any t
     @pytest.mark.parametrize("tamper, error", [
-        (_zero_first_t, "malformed certificate: first solution has t = 0"),
-        (_no_solutions, "malformed certificate: empty solutions"),
+        (_no_solutions, "malformed certificate: empty x"),
         (_empty_pair, "malformed bundle: empty pair"),
         (_empty_bundle, "malformed bundle: empty pair"),
         (_with_d, "malformed certificate: unexpected field 'D'"),
         (_as_version_six, "unsupported bundle version: 6"),
-    ], ids=["first-t-zero", "solutions-empty", "pair-empty", "bundle-empty", "stored-D",
-            "version-six"])
+        (_as_version_seven, "unsupported bundle version: 7"),
+    ], ids=["solutions-empty", "pair-empty", "bundle-empty", "stored-D",
+            "version-six", "version-seven"])
     def test_bundle_that_fixes_no_d_or_stores_one_is_refused(self, capsys, tmp_path,
                                                               tamper, error):
         out_file = tmp_path / "bundle.json"
@@ -683,8 +700,8 @@ class TestVerifyCommand:
          "malformed certificate: missing field 'squarefree_D'"),
         (("certificates", 0, "squarefree_D", "complete"),
          "malformed certificate: missing field 'complete'"),
-        (("certificates", 0, "solutions", 1, "t"), "malformed certificate: missing field 't'"),
-    ], ids=["version", "pair", "certificates", "pair-b", "k", "label", "complete", "t"])
+        (("certificates", 0, "x"), "malformed certificate: missing field 'x'"),
+    ], ids=["version", "pair", "certificates", "pair-b", "k", "label", "complete", "x"])
     def test_missing_field_is_named(self, capsys, tmp_path, path, error):
         out_file = tmp_path / "bundle.json"
         code, _, _ = run_cli(capsys, "corollary", "--curve=1,1", "--delta=2",
@@ -699,11 +716,11 @@ class TestVerifyCommand:
 
     # json.load keeps the last of two equal keys, so a reader that keeps the
     # first would see a claim the verifier never checked; at k=1 of the worked
-    # pair both solutions are (-1, 1)
+    # pair both x are -1
     @pytest.mark.parametrize("old, new, key", [
         ('"k": 1', '"k": 7, "k": 1', "k"),
         ('"certificates": [', '"certificates": [], "certificates": [', "certificates"),
-        ('"x": "-1"', '"x": "5", "x": "-1"', "x"),
+        ('"x": ["-1", "-1"]', '"x": ["5", "-1"], "x": ["-1", "-1"]', "x"),
     ], ids=["k", "certificates", "solution-x"])
     def test_repeated_key_is_refused(self, capsys, tmp_path, old, new, key):
         out_file = tmp_path / "bundle.json"
@@ -717,16 +734,17 @@ class TestVerifyCommand:
         assert (code, out, err) == (1, "", f"error: repeated field {key!r}\n")
         assert len(err.encode()) < 1024
 
-    # pair, certificates and solutions are JSON arrays, read like every other
-    # value: an object, a string or a number in their place is refused
+    # pair, certificates and the x list of the solutions are JSON arrays, read
+    # like every other value: an object, a string or a number in their place is
+    # refused, a solution object of version 7 included
     @pytest.mark.parametrize("path, value, error", [
         (("certificates",), "", "expected a JSON array, got a JSON string"),
         (("certificates",), {}, "expected a JSON array, got a JSON object"),
         (("pair",), {}, "expected a JSON array, got a JSON object"),
-        (("certificates", 0, "solutions"), 5, "expected a JSON array, got a JSON integer"),
-        (("certificates", 0, "solutions"), {"x": "-1", "t": "1"},
+        (("certificates", 0, "x"), 5, "expected a JSON array, got a JSON integer"),
+        (("certificates", 0, "x"), {"x": "-1", "t": "1"},
          "expected a JSON array, got a JSON object"),
-        ((), {"version": 7, "pair": {}, "certificates": {}},
+        ((), {"version": 8, "pair": {}, "certificates": {}},
          "expected a JSON array, got a JSON object"),
     ], ids=["certificates-text", "certificates-object", "pair-object", "solutions-int",
             "solutions-object", "shapeless"])
@@ -754,6 +772,45 @@ class TestVerifyCommand:
         assert perf_counter() - start < 0.05
         assert (code, out) == (1, "")
         assert err == "error: JSON integer of 100000 characters; the limit is 20\n"
+
+    # a rational's digits are bounded too: the D of a bundle is about three
+    # times as long as its first x, and printing a long D is quadratic
+    def test_long_x_is_refused_quickly(self, capsys, tmp_path):
+        out_file = tmp_path / "bundle.json"
+        run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
+        bundle = json.loads(out_file.read_text())
+        bundle["certificates"][0]["x"][0] = "7" * 100_000
+        out_file.write_text(json.dumps(bundle))
+        start = perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert perf_counter() - start < 0.1
+        assert (code, out) == (1, "")
+        assert err == f"error: number of 100000 characters; the limit is {_NUMBER_TEXT_LIMIT}\n"
+
+    def test_x_at_the_limit_is_read(self, capsys, tmp_path):
+        # D = x^3 + x + 1 of that x is not in the square class of the label 3
+        out_file = tmp_path / "bundle.json"
+        run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
+        bundle = json.loads(out_file.read_text())
+        bundle["certificates"][0]["x"][0] = "7" * _NUMBER_TEXT_LIMIT
+        out_file.write_text(json.dumps(bundle))
+        code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 1
+        assert out.splitlines()[1].endswith(": FAILED (label-class-mismatch)")
+
+    def test_second_x_at_a_root_is_a_torsion_point(self, capsys, tmp_path):
+        # x^3 - x vanishes at x = 1: there t = 0, and (D, 0) has order 2 on the
+        # twist by D of y^2 = x^3 - x; the identities and the label still hold
+        out_file = tmp_path / "bundle.json"
+        code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "-1,0",
+                             "--effort", "2000", "--output", str(out_file))
+        assert code == 0
+        bundle = json.loads(out_file.read_text())
+        bundle["certificates"][0]["x"][1] = "1"
+        out_file.write_text(json.dumps(bundle))
+        code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 1
+        assert out.splitlines()[1] == "certificate k=1 D=3/8: FAILED (torsion-point)"
 
     @pytest.mark.parametrize("k, code", [(10**19, 0), (-(10**18), 0), (10**20, 1), (-(10**19), 1)])
     def test_k_is_free_up_to_twenty_characters(self, capsys, tmp_path, k, code):
@@ -927,8 +984,8 @@ def _pinned_bundle(capsys, tmp_path, argv):
 
 
 # verify's stdout for each pinned scenario, as version 6 bundles gave it with
-# D stored: each D the verifier now derives from the first solution is the D
-# those bundles stored
+# D stored: each D the verifier now derives from the first x is the D those
+# bundles stored
 VERIFIED_GENERAL = [
     "pair: y^2 = x^3 + x + 1  |  y^2 = x^3 + 2*x + 2",
     "certificate k=1 D=-1: OK",
@@ -982,55 +1039,56 @@ VERIFIED_ELEMENTARY = [
 # indent=2, the layout of bundles before they were written as one line,
 # verify's stdout).  The bytes may move only when the certificate format, the
 # search order or the layout changes on purpose, as version 7 did by dropping
-# D; a bundle holds only its pair and certificates, so corollary --delta 4,
+# D and version 8 by dropping t; a bundle holds only its pair and certificates,
+# so corollary --delta 4,
 # whose pair is (1, 1), (16, 64), writes the isomorphic route's bytes.
 PINNED_BUNDLES = [
     pytest.param(
         ("generate", "--curve1", "1,1", "--curve2", "2,2"),
-        "07cb820d9eba02dc7ff4c36e02ee889e7483d567f228b987bb6064c22d097bb1",
-        "a937c44b9cedc52fc8773e337a918889b20bed33ff20a798fa23fa05cb0571a9",
+        "8a7b291ac53a565e855b2d2572833b7c291347de7693cc3985c795f38ab2f2bb",
+        "c0c68c62ae7b4c5bc097c0df0a1db50946f861681d2acc6a2e12d9838ada3561",
         VERIFIED_GENERAL,
         id="general"),
     pytest.param(
         ("generate", "--curve1", "1,1", "--curve2", "16,64"),
-        "57f90319c33765eacf23dd40fff496bdb4097163ab176266014168ef63d30d90",
-        "9b9cd4618480a2c6a8611301e7314a4d6b56e20d5b56f4cb8fa0b4af240ddfe9",
+        "3e5f56c0c110179f5fb204920c243b0d44372755a03385b496d311ce17ae84f7",
+        "7e34e72be5b0d3959bcbbc00a5c992d84673197f606cb94179328070c709290f",
         VERIFIED_ISOMORPHIC,
         id="isomorphic"),
     pytest.param(
         ("generate", "--curve1", "0,2", "--curve2", "0,2"),
-        "1c4ad1ec24f72d22174c6cdaae5402c252eb4eadef2ec878d2defabbbaddd78e",
-        "68621fb13d988f4b008a46a95c50e51f5228018fbba8d62cbf7c8ddf7f57db6b",
+        "9e24e7ac4f3ace12032f9cdca2df3898e9d6e7c44288c7cd2ae583498423582d",
+        "5b54a816953ba096497cd9c8ad6e550d168156dc40829b5d631885dfb420dbea",
         VERIFIED_IDENTICAL_JZERO,
         id="identical-jzero"),
     pytest.param(
         ("jzero", "--curve1", "0,1", "--curve2", "0,2"),
-        "19cbf5dfecc7edd6a57613af59bc6bbf3fcccaaef32441361042b8c2f445fb50",
-        "5a81981ee4d8b49182c75b7270ff26d8896e0fadf223221ea121951fdf8cf958",
+        "fdcf25ddaaa434bc8c9ce5f45b9e87dabf79c2f30c93f7f79b6ff471d428e892",
+        "070ca204c0c6aba485c776e3b7040307b89a59f064a1e3dbae92b834150cd8bf",
         VERIFIED_JZERO,
         id="jzero"),
     pytest.param(
         ("generate", "--curve1", "0,1", "--curve2", "0,2"),
-        "19cbf5dfecc7edd6a57613af59bc6bbf3fcccaaef32441361042b8c2f445fb50",
-        "5a81981ee4d8b49182c75b7270ff26d8896e0fadf223221ea121951fdf8cf958",
+        "fdcf25ddaaa434bc8c9ce5f45b9e87dabf79c2f30c93f7f79b6ff471d428e892",
+        "070ca204c0c6aba485c776e3b7040307b89a59f064a1e3dbae92b834150cd8bf",
         VERIFIED_JZERO,
         id="generate-jzero"),
     pytest.param(
         ("corollary", "--curve", "1,1", "--delta", "2"),
-        "e610d548bafba695943cefaed7315eec766c73b01d2dadd27712d20158b4e260",
-        "40937d0f1e0c412477d0df40c46adfa1701565d40665568f3fe055f97b8657e3",
+        "064bd606fc7af83a2d8d456b5ce8b6dd5355196d0263405eceb0baa3d2f1971b",
+        "fa88f658196a4729ed6745d396e43df311233374228b5e9e1c203f2c2ebdbb33",
         VERIFIED_COROLLARY,
         id="corollary-delta2"),
     pytest.param(
         ("corollary", "--curve", "1,1", "--delta", "4"),
-        "57f90319c33765eacf23dd40fff496bdb4097163ab176266014168ef63d30d90",
-        "9b9cd4618480a2c6a8611301e7314a4d6b56e20d5b56f4cb8fa0b4af240ddfe9",
+        "3e5f56c0c110179f5fb204920c243b0d44372755a03385b496d311ce17ae84f7",
+        "7e34e72be5b0d3959bcbbc00a5c992d84673197f606cb94179328070c709290f",
         VERIFIED_ISOMORPHIC,
         id="corollary-delta4"),
     pytest.param(
         ("elementary", "--curve", "1,1"),
-        "8c4971bbf3c5621d929eb1387f48325c3c2edab305ea355e2370dbc9cb1a4127",
-        "085521ab2dd24a537e21535c5b996373b39a82e16a10926ae8fae2cc0c4659eb",
+        "26cbe0cd24f2d57af371e273ac56fdc4e01dba65bd9833b9a91ceb288a8e375c",
+        "8c0f5bfd4476f5e1850a8d22c34bc368c3b3874cde47934518d68d99aff4c66b",
         VERIFIED_ELEMENTARY,
         id="elementary"),
 ]

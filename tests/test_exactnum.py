@@ -57,6 +57,23 @@ class TestTextFormat:
             q = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
             assert parse_rational(format_rational(q)) == q
 
+    @pytest.mark.parametrize("parse", [exactnum.parse_integer, parse_rational])
+    def test_text_at_most_the_limit(self, parse):
+        # int() of a long literal takes time quadratic in its length, so the
+        # length is checked first; the sign counts as a character
+        limit = exactnum._NUMBER_TEXT_LIMIT
+        assert parse("-" + "7" * (limit - 1)) == -int("7" * (limit - 1))
+        with pytest.raises(ValueError) as info:
+            parse("-" + "7" * limit)
+        assert str(info.value) == f"number of {limit + 1} characters; the limit is {limit}"
+
+    def test_limit_counts_both_parts_of_a_rational(self):
+        limit = exactnum._NUMBER_TEXT_LIMIT
+        half = "7" * (limit // 2)
+        assert parse_rational(half + "/" + half[1:]) == Fraction(int(half), int(half[1:]))
+        with pytest.raises(ValueError, match="the limit is"):
+            parse_rational(half + "/" + half)
+
 
 class TestPerfectSquare:
     def test_square_fraction(self):

@@ -100,14 +100,14 @@ def twisted_certificate(
     """The pair curve (A/D^2, B/D^3) and a certificate whose solution is the point.
 
     (X/D, Y/D^2) solves D*t^2 = x^3 + (A/D^2)*x + B/D^3, and its point on the
-    twist model by D is (X, Y) on (A, B) again, of the same order.
+    twist model by D is (X, Y) on (A, B) again, of the same order.  The
+    certificate stores x = X/D; the verifier derives t = |Y/D^2| from it.
     """
     pair_curve = Curve(curve.a / value**2, curve.b / value**3)
     # numerator * denominator lies in the square class of D
     label = (value.numerator * value.denominator, True)
-    solution = (point.x / value, point.y / value**2)
     return pair_curve, TwistCertificate(k=1, value=value, squarefree_rep=label,
-                                        solutions=(solution,))
+                                        solutions=(point.x / value,))
 
 
 def _nonintegral_denominator_test(curve: Curve, x: Fraction) -> bool:
@@ -144,8 +144,8 @@ def test_twisted_torsion_point_is_refused(order, t, value):
     except (ZeroDivisionError, ValueError):
         assume(False)
     pair_curve, cert = twisted_certificate(curve, point, value)
-    x, sol_t = cert.solutions[0]
-    assert value * sol_t * sol_t == pair_curve.rhs(x)
+    x, = cert.solutions
+    assert value * (point.y / value**2) ** 2 == pair_curve.rhs(x)
     assert verify_certificate(cert, [pair_curve]) == (False, "torsion-point")
     assert not _nonintegral_denominator_test(pair_curve, x)
 
@@ -153,17 +153,21 @@ def test_twisted_torsion_point_is_refused(order, t, value):
 def test_order_seven_bundle_fails(capsys, tmp_path):
     curve, point = torsion_point(7, Fraction(2))
     pair_curve, cert = twisted_certificate(curve, point, Fraction(3))
-    (x, t), = cert.solutions
+    x, = cert.solutions
     bundle = {
-        "version": 7,
+        "version": 8,
         "pair": [{"a": format_rational(pair_curve.a), "b": format_rational(pair_curve.b)}],
         "certificates": [{
             "k": 1,
             "squarefree_D": {"value": "3", "complete": True},
-            "solutions": [{"x": format_rational(x), "t": format_rational(t)}],
+            "x": [format_rational(x)],
         }],
     }
     out_file = tmp_path / "bundle.json"
     out_file.write_text(json.dumps(bundle))
     assert main(["verify", "--input", str(out_file)]) == 1
-    assert "certificate k=1 D=3: FAILED (torsion-point)" in capsys.readouterr().out
+    # the bundle's D is the curve's value at x, 3*t^2 for the t of D = 3
+    value = pair_curve.rhs(x)
+    assert value == 3 * (point.y / 9) ** 2
+    assert f"certificate k=1 D={format_rational(value)}: FAILED (torsion-point)" in (
+        capsys.readouterr().out)

@@ -29,6 +29,7 @@ from twistpairs.twistgen import (
     SearchExhausted,
     TwistCertificate,
     _seed_multiples,
+    _solutions,
     bundle_from_dict,
     bundle_to_dict,
     certificate_from_dict,
@@ -207,7 +208,8 @@ class TestGenerateWorkedPair:
         first = certs[0]
         assert first.k == 1
         assert first.value == -1
-        assert first.solutions[0] == (-1, 1)
+        assert first.solutions == (-1, -1)
+        assert _solutions(first.value, first.solutions, PAIR) == ((-1, 1), (-1, 1))
         twist_model = quadratic_twist(pp.curve1, first.value)
         assert (twist_model.a, twist_model.b) == (1, -1)
         # (D*x, D^2*t) for the solution (-1, 1) and D = -1
@@ -255,12 +257,12 @@ class TestSeedStream:
     def test_plus_then_minus_multiples(self, worked):
         cubic, seed = worked.cubic, worked.seed
         points = [cubic.scalar_mul(sign * k, seed) for k in range(1, 5) for sign in (1, -1)]
-        expected = [(cubic.common_value(p), ((p.x, 1), (p.y, 1))) for p in points]
-        assert list(islice(_seed_multiples(worked), 8)) == expected
+        assert list(islice(_seed_multiples(worked), 8)) == [p.affine() for p in points]
 
     def test_bit_lengths_of_the_first_steps(self, worked):
         # the kP-only walk reached 1, 37, 93, 181, 289 in five steps
-        bits = [value.numerator.bit_length() for value, _ in islice(_seed_multiples(worked), 9)]
+        bits = [worked.curve1.rhs(x).numerator.bit_length()
+                for x, _ in islice(_seed_multiples(worked), 9)]
         assert bits == [1, 20, 37, 74, 93, 146, 181, 252, 289]
 
     def test_k_is_the_stream_index(self, worked):
@@ -292,11 +294,8 @@ class TestGeneralTransport:
         pp = prepare_pair(Curve(1, 1), Curve(1, 2))
         assert (pp.route, pp.scale) == (ROUTE_GENERAL, 2)
         certs, _, _ = generate(pp, cfg)
-        assert certs[0].solutions == (
-            (Fraction(-127, 15), Fraction(1)), (Fraction(-127, 60), Fraction(1, 8)),
-        )
-        x, t = certs[0].solutions[1]
-        assert certs[0].value * t * t == Curve(1, 2).rhs(x)
+        assert certs[0].solutions == (Fraction(-127, 15), Fraction(-127, 60))
+        assert certs[0].value * Fraction(1, 8) ** 2 == Curve(1, 2).rhs(Fraction(-127, 60))
         assert verify_certificate(certs[0], [Curve(1, 1), Curve(1, 2)]) == (True, None)
 
 
@@ -307,7 +306,7 @@ class TestElementary:
         twist_model = quadratic_twist(Curve(1, 1), certs[0].value)
         assert (twist_model.a, twist_model.b) == (9, 27)
         # (D*x, D^2*t) for the solution (1, 1) and D = 3
-        assert certs[0].solutions[0] == (1, 1)
+        assert certs[0].solutions == (1,)
         assert twist_model.contains(WPoint(Fraction(3), Fraction(9)))
         assert pair == (Curve(1, 1),)
         assert verify_bundle(pair, certs)[0]
@@ -349,7 +348,7 @@ class TestIsomorphicTransport:
         for cert in certs:
             first, second = cert.solutions
             # the scaling u=2 sends x to 4x and the unit t to 8
-            assert second == (4 * first[0], 8)
+            assert _solutions(cert.value, cert.solutions, pair) == ((first, 1), (4 * first, 8))
             ok, reason = verify_certificate(cert, pair)
             assert ok, reason
         assert verify_bundle(pair, certs)[0]
@@ -507,6 +506,31 @@ class TestCorollary:
             corollary_mode(Curve(1, 1), Fraction(0), Config())
 
 
+class TestDerivedT:
+    """The t the verifier derives at each x is the t of the route's point map, up to sign.
+
+    Every stream writes its first solution with t = 1; a carried second
+    solution gets u^3 from the scaling u that carries it.
+    """
+
+    @pytest.mark.parametrize("run, carried_t", [
+        # lambda = 2 carries the cubic's t = 1 by u = 1/2 to 1/8 on curve 2
+        (lambda cfg: generate(prepare_pair(Curve(1, 1), Curve(1, 2)), cfg), Fraction(1, 8)),
+        # u = 2 carries t = 1 to 8
+        (lambda cfg: generate(prepare_pair(Curve(1, 1), Curve(16, 64)), cfg), Fraction(8)),
+        (lambda cfg: jzero_generate(Curve(0, 1), Curve(0, 2), cfg), Fraction(1)),
+        (lambda cfg: corollary_mode(Curve(1, 1), Fraction(2), cfg), Fraction(1)),
+        (lambda cfg: elementary_generate(Curve(1, 1), cfg), None),
+    ], ids=["general", "isomorphic", "jzero", "corollary", "elementary"])
+    def test_derived_t_is_the_stream_t(self, run, carried_t):
+        certs, pair, _ = run(Config(target_count=3, factor_effort=2000))
+        assert len(certs) == 3
+        for cert in certs:
+            ts = [t for _, t in _solutions(cert.value, cert.solutions, pair)]
+            assert ts == ([1] if carried_t is None else [1, abs(carried_t)])
+            assert cert.value == pair[0].rhs(cert.solutions[0])
+
+
 class TestAdmission:
     def test_each_candidate_is_tested_once(self, monkeypatch):
         # each candidate is compared once with each value accepted before it,
@@ -546,11 +570,11 @@ class TestVerification:
         assert verify_certificate(cert, PAIR) == (True, None)
 
     def test_rescaled_value_still_verifies(self, cert):
-        # D -> 4D with t -> t/2 is the same square class and a consistent
+        # D -> 4D halves every derived t: the same square class and a consistent
         # certificate; the verifier accepts it, the pairwise class check flags it
         new_value = 4 * cert.value
-        scaled = tuple((x, t / 2) for x, t in cert.solutions)
-        scaled_cert = cert._replace(value=new_value, solutions=scaled)
+        scaled_cert = cert._replace(value=new_value)
+        assert _solutions(new_value, cert.solutions, PAIR) == ((-1, Fraction(1, 2)),) * 2
         assert verify_certificate(scaled_cert, PAIR) == (True, None)
         assert same_square_class(cert.value, new_value)
 
@@ -562,26 +586,26 @@ class TestVerification:
         assert verify_certificate(bad_cert, PAIR) == (False, "label-class-mismatch")
 
     def test_corrupted_solution_detected(self, cert):
-        (x, t), rest = cert.solutions[0], cert.solutions[1:]
-        bad_cert = cert._replace(solutions=((x + 1, t),) + rest)
+        # x^3 + x + 1 at x = 0 over D = -1 is -1, no square: no rational t
+        x, rest = cert.solutions[0], cert.solutions[1:]
+        bad_cert = cert._replace(solutions=(x + 1,) + rest)
         ok, reason = verify_certificate(bad_cert, PAIR)
         assert not ok and reason == "solution-mismatch"
 
     def test_torsion_point_detected(self, cert):
-        # (2, 3) solves 1*t^2 = x^3 + 1 and has order 6 on y^2 = x^3 + 1
+        # x = 2 and D = 1 give t = 3: (2, 3) has order 6 on y^2 = x^3 + 1
         torsion_cert = cert._replace(
-            value=Fraction(1), squarefree_rep=(1, True),
-            solutions=((Fraction(2), Fraction(3)),),
+            value=Fraction(1), squarefree_rep=(1, True), solutions=(Fraction(2),),
         )
         assert verify_certificate(torsion_cert, [Curve(0, 1)]) == (False, "torsion-point")
 
     def test_every_identity_before_any_torsion_test(self, cert):
-        # a bundle's D solves its first identity by construction, here with the
-        # order-6 point (2, 3) on y^2 = x^3 + 1; the wrong second solution is
-        # the reason reported, not the torsion point
+        # D = 1 gives t = 3 at the first x = 2, the order-6 point (2, 3) on
+        # y^2 = x^3 + 1; the second x = 0 has no rational t on y^2 = x^3 + 2,
+        # and that is the reason reported, not the torsion point
         tampered = cert._replace(
             value=Fraction(1), squarefree_rep=(1, True),
-            solutions=((Fraction(2), Fraction(3)), (Fraction(0), Fraction(1))),
+            solutions=(Fraction(2), Fraction(0)),
         )
         pair = [Curve(0, 1), Curve(0, 2)]
         assert verify_certificate(tampered, pair) == (False, "solution-mismatch")
@@ -611,7 +635,7 @@ class TestSerialization:
         certs, run_pair, _ = generate(pp, cfg)
         bundle = bundle_to_dict(run_pair, certs)
         assert list(bundle) == ["version", "pair", "certificates"]
-        assert bundle["version"] == 7
+        assert bundle["version"] == 8
         pair, parsed = bundle_from_dict(json.loads(json.dumps(bundle)))
         assert pair == [Curve(1, 1), Curve(2, 2)]
         assert parsed == certs
@@ -620,9 +644,8 @@ class TestSerialization:
         pp = prepare_pair(Curve(1, 1), Curve(2, 2))
         certs, _, _ = generate(pp, Config(target_count=1))
         data = certificate_to_dict(certs[0])
-        assert list(data) == ["k", "squarefree_D", "solutions"]
-        assert len(data["solutions"]) == 2
-        assert list(data["solutions"][0]) == ["x", "t"]
+        assert list(data) == ["k", "squarefree_D", "x"]
+        assert data["x"] == ["-1", "-1"]
         assert isinstance(data["squarefree_D"], dict)
         assert list(data["squarefree_D"]) == ["value", "complete"]
 

@@ -77,7 +77,7 @@ def _node_paths(node, prefix=()):
 
 # every object and array of the bundle, the top level included
 NODES = tuple(_node_paths(BUNDLE))
-# the bundle, its certificate, label, solutions and pair curves: each has
+# the bundle, its certificate, label and pair curves: each has
 # exactly its keys, so none may be added or removed
 OBJECTS = tuple(path for path in NODES if isinstance(_leaf(BUNDLE, path), dict))
 KEYS = tuple(path + (key,) for path in OBJECTS for key in _leaf(BUNDLE, path))
@@ -172,10 +172,11 @@ def test_removed_key_is_rejected(tmp_path, capsys, path):
 def test_leaves_cover_every_certificate_field():
     names = {key for path in LEAVES for key in path if isinstance(key, str)}
     assert names == {"version", "pair", "a", "b", "certificates", "k",
-                     "squarefree_D", "value", "complete", "solutions", "x", "t"}
-    # the bundle, the certificate, its label, its two solutions and the two
-    # pair curves
-    assert len(OBJECTS) == 7
-    assert len(KEYS) == 16
-    # and the pair, the certificates and the solutions
-    assert len(NODES) == 10
+                     "squarefree_D", "value", "complete", "x"}
+    # both x values are leaves, one per pair curve
+    assert (("certificates", 0, "x", 0) in LEAVES and ("certificates", 0, "x", 1) in LEAVES)
+    # the bundle, the certificate, its label and the two pair curves
+    assert len(OBJECTS) == 5
+    assert len(KEYS) == 12
+    # and the pair, the certificates and the x list
+    assert len(NODES) == 8
