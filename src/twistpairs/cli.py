@@ -129,7 +129,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _short_int(text: str) -> int:
-    """A JSON integer of at most 20 characters: ``version`` is 6 and ``k`` a stream index."""
+    """A JSON integer of at most 20 characters: ``version`` and ``k``, a stream index."""
     if len(text) > 20:  # int() of a longer literal would take time quadratic in its length
         raise ValueError(f"JSON integer of {len(text)} characters; the limit is 20")
     return int(text)

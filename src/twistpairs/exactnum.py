@@ -49,7 +49,7 @@ _EXCERPT_LIMIT = 200
 #: Characters of the longest number text ``parse_integer`` and ``parse_rational``
 #: read.  int() takes time quadratic in the length of a literal, and a bundle's
 #: D is about three times as long as its first x.  The worked pair at --count 25
-#: writes no x over 435 characters and, at --effort 1, no label over 866.
+#: writes no x over 435 characters and, at --effort 1, no square over 217.
 _NUMBER_TEXT_LIMIT = 10_000
 
 # Strong-pseudoprime witnesses: the first 40 prime bases.  The first 12 of

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, count, islice
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactnum import (
@@ -65,7 +65,7 @@ REJECT_EQUAL_LEADING = "a-equals-scaled-c"
 REJECT_TORSION_SEED = "torsion-seed"
 ACCEPTED = "accepted"
 
-BUNDLE_VERSION = 8
+BUNDLE_VERSION = 9
 
 #: Height bound of the rescaling search.
 LAMBDA_SEARCH_BOUND = 40
@@ -122,12 +122,17 @@ class PreparedPair(NamedTuple):
 
 
 class TwistCertificate(NamedTuple):
-    """The claim for one D: the x of a solution (x, t) per pair curve, in pair order."""
+    """The claim for one D: the x of a solution (x, t) per pair curve, in pair order.
+
+    ``square`` is the s >= 1 with num(D)*den(D) = V*s^2 for the label V, an
+    integer in the square class of D, squarefree when ``complete`` is true.
+    """
 
     k: int
     value: Fraction
-    squarefree_rep: tuple[int, bool]
     solutions: tuple[Fraction, ...]
+    square: int
+    complete: bool
 
 
 def format_pair(curves: Sequence[Curve]) -> str:
@@ -308,13 +313,14 @@ def prepare_pair(curve1: Curve, curve2: Curve) -> PreparedPair:
 # ---------------------------------------------------------------- generation
 
 
-def _squarefree_rep(value: Fraction, effort: int) -> tuple[int, bool]:
+def _label_square(value: Fraction, effort: int) -> tuple[int, bool]:
     # numerator and denominator are coprime, so the product of their
-    # squarefree parts is the squarefree part of numerator*denominator, an
-    # integer in the square class of the value
-    num_part, num_complete = squarefree_part(value.numerator, effort)
-    den_part, den_complete = squarefree_part(value.denominator, effort)
-    return num_part * den_part, num_complete and den_complete
+    # squarefree parts is the squarefree part of numerator*denominator; each
+    # quotient by its part is a square, and s is the product of their roots
+    num, den = value.numerator, value.denominator
+    num_part, num_complete = squarefree_part(num, effort)
+    den_part, den_complete = squarefree_part(den, effort)
+    return isqrt(num // num_part) * isqrt(den // den_part), num_complete and den_complete
 
 
 #: One step of a generation stream: the x of a solution per curve, the first
@@ -380,12 +386,7 @@ def _run_generation(
             reason = (SOLUTION_MISMATCH if solutions is None
                       else _torsion_reason(value, solutions, curves))
         if reason is None:
-            cert = TwistCertificate(
-                k=k,
-                value=value,
-                squarefree_rep=_squarefree_rep(value, cfg.factor_effort),
-                solutions=xs,
-            )
+            cert = TwistCertificate(k, value, xs, *_label_square(value, cfg.factor_effort))
             reason = _label_reason(cert)
         if reason is not None:
             report.skipped.append((k, reason))
@@ -467,7 +468,7 @@ def verify_certificate(
     Returns (True, None) or (False, reason) with a stable reason code.  The
     cheap checks come first: the identities, where a wrong x shows as a t that
     is no rational (a bundle's D makes t = 1 at the first x by construction),
-    then the label's square test, and the torsion chain last.
+    then the label's divisibility test, and the torsion chain last.
     """
     if cert.value == 0:
         return False, SKIP_ZERO_VALUE
@@ -483,9 +484,10 @@ def verify_certificate(
 
 
 def _label_reason(cert: TwistCertificate) -> Optional[str]:
-    # a square test, not a refactorization: `complete` is not rechecked
-    label = cert.squarefree_rep[0]
-    if label == 0 or not same_square_class(Fraction(label), cert.value):
+    # the label num*den/s^2 is an integer in the class of D exactly when s^2
+    # divides num*den; a division, not a refactorization: `complete` is not rechecked
+    value = cert.value
+    if cert.square < 1 or value.numerator * value.denominator % cert.square**2:
         return "label-class-mismatch"
     return None
 
@@ -564,33 +566,32 @@ def _fixed_fields(data: dict, names: tuple[str, ...], what: str) -> dict:
 def certificate_to_dict(cert: TwistCertificate) -> dict:
     return {
         "k": cert.k,
-        "squarefree_D": {
-            "value": str(cert.squarefree_rep[0]),
-            "complete": cert.squarefree_rep[1],
-        },
         "x": [format_rational(x) for x in cert.solutions],
+        "square": str(cert.square),
+        "complete": cert.complete,
     }
 
 
 def certificate_from_dict(data: dict, curve1: Curve) -> TwistCertificate:
     """Parse one certificate of a bundle whose pair starts with ``curve1``.
 
-    Neither D nor any t is stored: the first x fixes D as curve1.rhs(x), so a
-    certificate with no x is malformed, and raises ValueError like any other.
+    Neither D, any t nor the label is stored: the first x fixes D as
+    curve1.rhs(x), so a certificate with no x is malformed, and raises
+    ValueError like any other.
     Every object has a fixed set of keys: a missing one is named, and one
     outside the set is rejected, so no claim the verifier does not check can
     ride along.
     """
-    _fixed_fields(data, ("k", "squarefree_D", "x"), "certificate")
-    label = _fixed_fields(data["squarefree_D"], ("value", "complete"), "certificate")
+    _fixed_fields(data, ("k", "x", "square", "complete"), "certificate")
     xs = tuple(map(parse_rational, _json_value(data["x"], list)))
     if not xs:
         raise ValueError("malformed certificate: empty x")
     return TwistCertificate(
         k=_json_value(data["k"], int),
         value=curve1.rhs(xs[0]),
-        squarefree_rep=(parse_integer(label["value"]), _json_value(label["complete"], bool)),
         solutions=xs,
+        square=parse_integer(data["square"]),
+        complete=_json_value(data["complete"], bool),
     )
 
 

@@ -8,6 +8,7 @@ own job runner, so a renamed name, a reshaped result or a changed output line
 fails in the test suite and not only in a traced benchmark run.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -25,8 +26,9 @@ MODULES = {"cli": cli, "twistgen": twistgen, "planecubic": planecubic,
            "weierstrass": weierstrass, "exactnum": exactnum}
 OWNERS = (cli, twistgen, planecubic.PlaneCubic, weierstrass.Curve)
 
+# the worked pair at count 2 compares two values; the label test compares none
 JOBS = [
-    Job(("generate", "--curve1=1,1", "--curve2=2,2", "--effort=2000"), 1),
+    Job(("generate", "--curve1=1,1", "--curve2=2,2", "--count=2", "--effort=2000"), 2),
     Job(("generate", "--curve1=1,1", "--curve2=16,64", "--effort=2000"), 1),
     Job(("jzero", "--curve1=0,1", "--curve2=0,2", "--effort=2000"), 1),
     Job(("corollary", "--curve=1,1", "--delta=2", "--effort=2000"), 1),
@@ -71,7 +73,7 @@ def test_every_job_exits_zero_and_verifies(traced):
         assert result.verified == job.requested, job.argv
         if result.generating:
             assert result.emitted == job.requested
-            assert result.complete == 1, job.argv
+            assert result.complete == job.requested, job.argv
 
 
 def test_span_info_has_the_shapes_the_metrics_read(traced):
@@ -92,3 +94,32 @@ def test_restore_puts_every_attribute_back(traced):
     assert [list(attrs) for attrs in after] == [list(attrs) for attrs in before]
     for old, new in zip(before, after):
         assert all(new[name] is value for name, value in old.items())
+
+
+# the pinned scenarios of tests/test_cli.py, whose labels are all complete,
+# and the worked pair at --count 9 and --effort 1, whose labels are mixed
+PINNED = [
+    ("generate", "--curve1=1,1", "--curve2=2,2"),
+    ("generate", "--curve1=1,1", "--curve2=16,64"),
+    ("generate", "--curve1=0,2", "--curve2=0,2"),
+    ("jzero", "--curve1=0,1", "--curve2=0,2"),
+    ("generate", "--curve1=0,1", "--curve2=0,2"),
+    ("corollary", "--curve=1,1", "--delta=2"),
+    ("corollary", "--curve=1,1", "--delta=4"),
+    ("elementary", "--curve=1,1"),
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *((*argv, "--count=3", "--effort=2000") for argv in PINNED),
+    ("generate", "--curve1=1,1", "--curve2=2,2", "--count=9", "--effort=1"),
+])
+def test_complete_flags_are_counted_from_the_bytes(tmp_path, argv):
+    # label_complete_ratio counts '"complete": true' in a bundle's bytes: a
+    # layout that wrote the flag another way would read 0 there, not fail
+    bundle = tmp_path / "bundle.json"
+    assert cli.main([*argv, "--output", str(bundle)]) == 0
+    data = bundle.read_bytes()
+    _, certs = twistgen.bundle_from_dict(json.loads(data))
+    assert len(certs) > 1
+    assert data.count(harness._COMPLETE) == sum(cert.complete for cert in certs)

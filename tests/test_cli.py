@@ -54,10 +54,13 @@ class TestGenerate:
         assert code == 0
         bundle = json.loads(out_file.read_text())
         assert list(bundle) == ["version", "pair", "certificates"]
-        assert bundle["version"] == 8
+        assert bundle["version"] == 9
         assert len(bundle["certificates"]) == 5
         # D is x^3 + x + 1 at the first x, -1: D = -1
         assert bundle["certificates"][0]["x"] == ["-1", "-1"]
+        # D = 907559/61^3 at k=2, so num*den = 55361099 * 61^2: the label is
+        # 55361099, and its square cofactor s = 61
+        assert bundle["certificates"][1]["square"] == "61"
         assert "route: general" in err
         assert "weierstrass model: Y^2 = X^3 - 6*X - 63/4" in err
         assert "seed point: (-1, -1) maps to (12, 81/2)" in err
@@ -324,7 +327,7 @@ class TestCorollaryCommand:
         (a, b), (a2, b2) = ([Fraction(v) for v in curve.values()] for curve in bundle["pair"])
         assert a * b2 / (b * a2) == 2
         for cert in bundle["certificates"]:
-            assert list(cert) == ["k", "squarefree_D", "x"]
+            assert list(cert) == ["k", "x", "square", "complete"]
 
     def test_square_delta(self, capsys):
         code, out, err = run_cli(
@@ -423,9 +426,20 @@ def _with_d(bundle):
         cert["D"] = format_rational(curve1.rhs(Fraction(cert["x"][0])))
 
 
+def _as_version_eight(bundle):
+    # version 8 stored the label num*den/s^2 itself, in an object with its flag
+    curve1 = Curve(*(Fraction(v) for v in bundle["pair"][0].values()))
+    for cert in bundle["certificates"]:
+        value = curve1.rhs(Fraction(cert["x"][0]))
+        label = value.numerator * value.denominator // int(cert.pop("square")) ** 2
+        cert["squarefree_D"] = {"value": str(label), "complete": cert.pop("complete")}
+    bundle["version"] = 8
+
+
 def _as_version_seven(bundle):
     # version 7 stored a solution (x, t) per curve; on the worked pair, whose
     # scale is 1, every t is 1
+    _as_version_eight(bundle)
     for cert in bundle["certificates"]:
         cert["solutions"] = [{"x": x, "t": "1"} for x in cert.pop("x")]
     bundle["version"] = 7
@@ -458,12 +472,12 @@ class TestVerifyCommand:
         ((), [1, 2]),
         # the x list holds the solutions
         (("certificates", 0, "x"), 5),
-        # version 8 stores no D, in any form
+        # version 9 stores no D, in any form
         (("certificates", 0, "D"), 3),
         (("certificates", 0, "k"), float("1e999")),
         (("certificates", 0, "k"), 1.5),
         (("certificates", 0, "k"), True),
-        (("certificates", 0, "squarefree_D", "complete"), "no"),
+        (("certificates", 0, "complete"), "no"),
         (("version",), True),
         (("version",), 6.0),
         (("version",), 1),
@@ -475,13 +489,14 @@ class TestVerifyCommand:
         # version 5 an unchecked config and ledger_ok
         (("version",), 4),
         (("version",), 5),
-        (("certificates", 0, "squarefree_D"), None),
-        (("certificates", 0, "squarefree_D"), "1"),
-        (("certificates", 0, "squarefree_D", "value"), " 2"),
+        (("certificates", 0, "square"), None),
+        (("certificates", 0, "square"), "three"),
+        (("certificates", 0, "square"), " 2"),
         # int("1_0") == 10
-        (("certificates", 0, "squarefree_D", "value"), "1_0"),
-        (("certificates", 0, "squarefree_D", "value"), 3.0),
-        (("certificates", 0, "squarefree_D", "value"), "+3"),
+        (("certificates", 0, "square"), "1_0"),
+        (("certificates", 0, "square"), 3.0),
+        (("certificates", 0, "square"), "+3"),
+        (("certificates", 0, "square"), 3),
         # x = 3 in Arabic-Indic digits, which int() reads as 3
         (("certificates", 0, "x", 0), "\u0663"),
     ], ids=["top-level-list", "solutions-int", "D-number", "k-infinite", "k-fraction",
@@ -489,7 +504,8 @@ class TestVerifyCommand:
             "version-one", "version-two", "version-three", "version-four", "version-five",
             "label-null",
             "label-text", "multiple-order-space",
-            "multiple-order-underscore", "label-float", "label-plus-sign", "x-non-ascii-digit"])
+            "multiple-order-underscore", "label-float", "label-plus-sign", "label-integer",
+            "x-non-ascii-digit"])
     def test_malformed_bundle_exits_one(self, capsys, tmp_path, path, value):
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
@@ -517,8 +533,10 @@ class TestVerifyCommand:
         # 4a^3 + 27b^2 = 0 for a = -3t^2, b = 2t^3
         (("pair", 0), {"a": str(-3 * 10**2_000), "b": str(2 * 10**3_000)}),
         (("certificates", 0, "x", 0), "7" * 100_000),
+        (("certificates", 0, "square"), "7" * 100_000),
     ], ids=["solution-list", "k-text", "x-letters", "version-digits",
-            "x-zero-denominator", "long-key", "singular-pair-curve", "x-over-limit"])
+            "x-zero-denominator", "long-key", "singular-pair-curve", "x-over-limit",
+            "square-over-limit"])
     def test_error_line_is_bounded(self, capsys, tmp_path, path, value):
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
@@ -538,17 +556,13 @@ class TestVerifyCommand:
         assert err.startswith("error: ")
 
     def test_tampered_bundle_fails(self, capsys, tmp_path):
-        # x = 2 fixes D = 2^3 + 1 = 9, in the class of 1, and its point (18, 81)
-        # on the twist by 9 is (2, 3), of order 6 on y^2 = x^3 + 1, scaled by 3
+        # x = 2 fixes D = 2^3 + 1 = 9 = 1 * 3^2, in the class of 1, and its point
+        # (18, 81) on the twist by 9 is (2, 3), of order 6 on y^2 = x^3 + 1, scaled by 3
         out_file = tmp_path / "bundle.json"
         bundle = {
-            "version": 8,
+            "version": 9,
             "pair": [{"a": "0", "b": "1"}],
-            "certificates": [{
-                "k": 1,
-                "squarefree_D": {"value": "1", "complete": True},
-                "x": ["2"],
-            }],
+            "certificates": [{"k": 1, "x": ["2"], "square": "3", "complete": True}],
         }
         out_file.write_text(json.dumps(bundle))
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
@@ -581,18 +595,20 @@ class TestVerifyCommand:
 
     # one tamper per certificate field, on the first certificate of a general
     # bundle: at k=1 both x are -1, so D = (-1)^3 - 1 + 1 = -1, each t is 1,
-    # and the label is -1; k and complete are no claims, so the verifier
-    # accepts any value of them
+    # and the square cofactor is 1; k and complete are no claims, so the
+    # verifier accepts any value of them
     @pytest.mark.parametrize("path, value, status", [
         # D = (-1)^3 - 1 + 2 = 0 on y^2 = x^3 + x + 2
         (("pair", 0, "b"), "2", "FAILED (zero-twist-value)"),
-        # x = -2 fixes D = -9, in the label's class: the second t is 1/3, and the
+        # x = -2 fixes D = -9, in the class of -1: the second t is 1/3, and the
         # certificate holds, as the twists by D and by D/9 are one curve
         (("certificates", 0, "x", 0), "-2", "OK"),
-        (("certificates", 0, "squarefree_D", "value"), "-7", "FAILED (label-class-mismatch)"),
-        (("certificates", 0, "squarefree_D", "value"), "0", "FAILED (label-class-mismatch)"),
-        # x = 0 fixes D = 1, outside the label's class; the identities are
-        # checked first, so the second x, where -1/D is no square, names the tamper
+        # s = 2 would make the label -1/4, no integer: 4 does not divide -1
+        (("certificates", 0, "square"), "2", "FAILED (label-class-mismatch)"),
+        (("certificates", 0, "square"), "0", "FAILED (label-class-mismatch)"),
+        (("certificates", 0, "square"), "-1", "FAILED (label-class-mismatch)"),
+        # x = 0 fixes D = 1; the identities are checked first, so the second x,
+        # where -1/D is no square, names the tamper
         (("certificates", 0, "x", 0), "0", "FAILED (solution-mismatch)"),
         # -2/D = 2 is no square
         (("certificates", 0, "x", 1), "0", "FAILED (solution-mismatch)"),
@@ -601,8 +617,8 @@ class TestVerifyCommand:
         # and (D*x, 0) has order 2
         (("pair", 1, "b"), "3", "FAILED (torsion-point)"),
         (("certificates", 0, "k"), 7, "OK"),
-        (("certificates", 0, "squarefree_D", "complete"), False, "OK"),
-    ], ids=["D-zero", "D-same-class", "label-other-class", "label-zero",
+        (("certificates", 0, "complete"), False, "OK"),
+    ], ids=["D-zero", "D-same-class", "label-other-class", "label-zero", "label-negative",
             "x-first", "x-second", "pair-first-a", "pair-second-b",
             "k", "complete"])
     def test_every_field_is_checked(self, capsys, tmp_path, path, value, status):
@@ -619,12 +635,14 @@ class TestVerifyCommand:
 
     def test_label_is_read_before_any_twist_point(self, capsys, monkeypatch, tmp_path):
         # on a one-curve bundle a tampered x fixes a D of its own, which only the
-        # label can refuse; its square test runs before the torsion chain,
-        # whose cost grows quickly with the height of x (seconds at 400 digits)
+        # label can refuse; its divisibility test runs before the torsion chain,
+        # whose cost grows quickly with the height of x (seconds at 400 digits).
+        # x is odd, so D = x^3 + x + 1 is odd, and s = 2 does not divide it
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
         bundle = json.loads(out_file.read_text())
         bundle["certificates"][0]["x"][0] = "7" * 400
+        bundle["certificates"][0]["square"] = "2"
         out_file.write_text(json.dumps(bundle))
 
         def refuse(curve, point):
@@ -644,8 +662,9 @@ class TestVerifyCommand:
         (_with_d, "malformed certificate: unexpected field 'D'"),
         (_as_version_six, "unsupported bundle version: 6"),
         (_as_version_seven, "unsupported bundle version: 7"),
+        (_as_version_eight, "unsupported bundle version: 8"),
     ], ids=["solutions-empty", "pair-empty", "bundle-empty", "stored-D",
-            "version-six", "version-seven"])
+            "version-six", "version-seven", "version-eight"])
     def test_bundle_that_fixes_no_d_or_stores_one_is_refused(self, capsys, tmp_path,
                                                               tamper, error):
         out_file = tmp_path / "bundle.json"
@@ -674,6 +693,9 @@ class TestVerifyCommand:
             (("config",), {"delta": "7"}, "malformed bundle: unexpected field 'config'"),
             (("claim",), "E^7 has rank 5", "malformed bundle: unexpected field 'claim'"),
             (("ledger_ok",), False, "malformed bundle: unexpected field 'ledger_ok'"),
+            # the label as version 8 stored it, which no check would read
+            (("certificates", 0, "squarefree_D"), {"value": "-1137", "complete": True},
+             "malformed certificate: unexpected field 'squarefree_D'"),
         ]:
             bundle = json.loads(json.dumps(generated))
             _set_leaf(bundle, path, value)
@@ -696,9 +718,8 @@ class TestVerifyCommand:
         (("certificates",), "malformed bundle: missing field 'certificates'"),
         (("pair", 1, "b"), "malformed pair curve: missing field 'b'"),
         (("certificates", 0, "k"), "malformed certificate: missing field 'k'"),
-        (("certificates", 0, "squarefree_D"),
-         "malformed certificate: missing field 'squarefree_D'"),
-        (("certificates", 0, "squarefree_D", "complete"),
+        (("certificates", 0, "square"), "malformed certificate: missing field 'square'"),
+        (("certificates", 0, "complete"),
          "malformed certificate: missing field 'complete'"),
         (("certificates", 0, "x"), "malformed certificate: missing field 'x'"),
     ], ids=["version", "pair", "certificates", "pair-b", "k", "label", "complete", "x"])
@@ -744,7 +765,7 @@ class TestVerifyCommand:
         (("certificates", 0, "x"), 5, "expected a JSON array, got a JSON integer"),
         (("certificates", 0, "x"), {"x": "-1", "t": "1"},
          "expected a JSON array, got a JSON object"),
-        ((), {"version": 8, "pair": {}, "certificates": {}},
+        ((), {"version": 9, "pair": {}, "certificates": {}},
          "expected a JSON array, got a JSON object"),
     ], ids=["certificates-text", "certificates-object", "pair-object", "solutions-int",
             "solutions-object", "shapeless"])
@@ -788,11 +809,13 @@ class TestVerifyCommand:
         assert err == f"error: number of 100000 characters; the limit is {_NUMBER_TEXT_LIMIT}\n"
 
     def test_x_at_the_limit_is_read(self, capsys, tmp_path):
-        # D = x^3 + x + 1 of that x is not in the square class of the label 3
+        # D = x^3 + x + 1 of that odd x is odd, so s = 2 does not divide it; with
+        # the stored s = 1 the torsion chain would run on it for minutes
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
         bundle = json.loads(out_file.read_text())
         bundle["certificates"][0]["x"][0] = "7" * _NUMBER_TEXT_LIMIT
+        bundle["certificates"][0]["square"] = "2"
         out_file.write_text(json.dumps(bundle))
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
         assert code == 1
@@ -1039,59 +1062,72 @@ VERIFIED_ELEMENTARY = [
 # indent=2, the layout of bundles before they were written as one line,
 # verify's stdout).  The bytes may move only when the certificate format, the
 # search order or the layout changes on purpose, as version 7 did by dropping
-# D and version 8 by dropping t; a bundle holds only its pair and certificates,
-# so corollary --delta 4,
-# whose pair is (1, 1), (16, 64), writes the isomorphic route's bytes.
+# D, version 8 by dropping t and version 9 by storing the label's square
+# cofactor in place of the label; a bundle holds only its pair and
+# certificates, so corollary --delta 4, whose pair is (1, 1), (16, 64), writes
+# the isomorphic route's bytes.
 PINNED_BUNDLES = [
     pytest.param(
         ("generate", "--curve1", "1,1", "--curve2", "2,2"),
-        "8a7b291ac53a565e855b2d2572833b7c291347de7693cc3985c795f38ab2f2bb",
-        "c0c68c62ae7b4c5bc097c0df0a1db50946f861681d2acc6a2e12d9838ada3561",
+        "562476f1fc2fe44e969d32d5e7d33212a21864d30970d5bd23a2e7b45511f841",
+        "f35726c884f5eeab4fb6db3294c2c9be8f929faccf8e7cf726571be02b4ff297",
         VERIFIED_GENERAL,
         id="general"),
     pytest.param(
         ("generate", "--curve1", "1,1", "--curve2", "16,64"),
-        "3e5f56c0c110179f5fb204920c243b0d44372755a03385b496d311ce17ae84f7",
-        "7e34e72be5b0d3959bcbbc00a5c992d84673197f606cb94179328070c709290f",
+        "f301703a1f3009dd7db85b4fd02488e5e14e7025dc3bcc0506bcba4dc8e76fc4",
+        "d3401f86d8cb800190e4bbb8c80d57ea0eea6d1380af1699bbcf6c72c851117c",
         VERIFIED_ISOMORPHIC,
         id="isomorphic"),
     pytest.param(
         ("generate", "--curve1", "0,2", "--curve2", "0,2"),
-        "9e24e7ac4f3ace12032f9cdca2df3898e9d6e7c44288c7cd2ae583498423582d",
-        "5b54a816953ba096497cd9c8ad6e550d168156dc40829b5d631885dfb420dbea",
+        "8a33da0decd6d7859bceff24f8bb77a84fa2f6b4ff82fd2ee425ef03323ab2c2",
+        "52510481fa2fd874586df96178f52238a7fb97b72ece608e4b15daeaac47498d",
         VERIFIED_IDENTICAL_JZERO,
         id="identical-jzero"),
     pytest.param(
         ("jzero", "--curve1", "0,1", "--curve2", "0,2"),
-        "fdcf25ddaaa434bc8c9ce5f45b9e87dabf79c2f30c93f7f79b6ff471d428e892",
-        "070ca204c0c6aba485c776e3b7040307b89a59f064a1e3dbae92b834150cd8bf",
+        "6cc32c97272850a01168dd3f038516141d7e29b1bab7b6262960db9d9e47c17b",
+        "cd8c9d33b7624ebb4b8651ffee88e49c3c53524fe60e3ebd3a6281f5728789f3",
         VERIFIED_JZERO,
         id="jzero"),
     pytest.param(
         ("generate", "--curve1", "0,1", "--curve2", "0,2"),
-        "fdcf25ddaaa434bc8c9ce5f45b9e87dabf79c2f30c93f7f79b6ff471d428e892",
-        "070ca204c0c6aba485c776e3b7040307b89a59f064a1e3dbae92b834150cd8bf",
+        "6cc32c97272850a01168dd3f038516141d7e29b1bab7b6262960db9d9e47c17b",
+        "cd8c9d33b7624ebb4b8651ffee88e49c3c53524fe60e3ebd3a6281f5728789f3",
         VERIFIED_JZERO,
         id="generate-jzero"),
     pytest.param(
         ("corollary", "--curve", "1,1", "--delta", "2"),
-        "064bd606fc7af83a2d8d456b5ce8b6dd5355196d0263405eceb0baa3d2f1971b",
-        "fa88f658196a4729ed6745d396e43df311233374228b5e9e1c203f2c2ebdbb33",
+        "4950f84f3bda5f47f00faf57494cc4d86d06e887cc585e11f1f8d1efb92e5d18",
+        "2d18f05812d35b29fe23bfdaf826b81065e74b0e0939a017ce6608d91cdcf5c7",
         VERIFIED_COROLLARY,
         id="corollary-delta2"),
     pytest.param(
         ("corollary", "--curve", "1,1", "--delta", "4"),
-        "3e5f56c0c110179f5fb204920c243b0d44372755a03385b496d311ce17ae84f7",
-        "7e34e72be5b0d3959bcbbc00a5c992d84673197f606cb94179328070c709290f",
+        "f301703a1f3009dd7db85b4fd02488e5e14e7025dc3bcc0506bcba4dc8e76fc4",
+        "d3401f86d8cb800190e4bbb8c80d57ea0eea6d1380af1699bbcf6c72c851117c",
         VERIFIED_ISOMORPHIC,
         id="corollary-delta4"),
     pytest.param(
         ("elementary", "--curve", "1,1"),
-        "26cbe0cd24f2d57af371e273ac56fdc4e01dba65bd9833b9a91ceb288a8e375c",
-        "8c0f5bfd4476f5e1850a8d22c34bc368c3b3874cde47934518d68d99aff4c66b",
+        "e5055540cd488314e80e429662986f45e86ccad9176e9e07d80e662192c9af2e",
+        "e7841979d7ceea511933d0a024b5044629c6f0e7d7b8da3a6736669d53d5bb15",
         VERIFIED_ELEMENTARY,
         id="elementary"),
 ]
+
+
+# the labels version 8 stored for each pinned scenario's bundle, all complete,
+# by its pair line
+VERSION_8_LABELS = {
+    VERIFIED_GENERAL[0]: [-1, 55361099, 7230135666139],
+    VERIFIED_ISOMORPHIC[0]: [3, 11, 31],
+    VERIFIED_IDENTICAL_JZERO[0]: [3, 10, 29],
+    VERIFIED_JZERO[0]: [431, 214, 494109062062],
+    VERIFIED_COROLLARY[0]: [-1137, 82160411998179, 100572955638779614773],
+    VERIFIED_ELEMENTARY[0]: [3, 11, 31],
+}
 
 
 class TestDeterminism:
@@ -1117,6 +1153,21 @@ class TestDeterminism:
         bundle = _pinned_bundle(capsys, tmp_path, argv)
         code, out, _ = run_cli(capsys, "verify", "--input", str(bundle))
         assert (code, out.splitlines()) == (0, verified)
+
+    @pytest.mark.parametrize("argv, digest, indented, verified", PINNED_BUNDLES)
+    def test_label_is_the_one_version_8_stored(self, capsys, tmp_path, argv, digest,
+                                               indented, verified):
+        # each D with its square cofactor s gives num*den/s^2, the label version 8
+        # stored, and the same complete flag: the claim did not change
+        bundle = json.loads(_pinned_bundle(capsys, tmp_path, argv).read_text())
+        curve1 = Curve(*(Fraction(v) for v in bundle["pair"][0].values()))
+        labels = []
+        for cert in bundle["certificates"]:
+            value = curve1.rhs(Fraction(cert["x"][0]))
+            product, square = value.numerator * value.denominator, int(cert["square"])
+            assert product % square**2 == 0
+            labels.append((product // square**2, cert["complete"]))
+        assert labels == [(label, True) for label in VERSION_8_LABELS[verified[0]]]
 
     @pytest.mark.parametrize("argv, digest, indented, verified", PINNED_BUNDLES)
     def test_bundle_is_one_line(self, capsys, monkeypatch, tmp_path, argv, digest, indented,

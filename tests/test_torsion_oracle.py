@@ -104,10 +104,9 @@ def twisted_certificate(
     certificate stores x = X/D; the verifier derives t = |Y/D^2| from it.
     """
     pair_curve = Curve(curve.a / value**2, curve.b / value**3)
-    # numerator * denominator lies in the square class of D
-    label = (value.numerator * value.denominator, True)
-    return pair_curve, TwistCertificate(k=1, value=value, squarefree_rep=label,
-                                        solutions=(point.x / value,))
+    # s = 1 makes the label numerator * denominator, in the square class of D
+    return pair_curve, TwistCertificate(k=1, value=value, solutions=(point.x / value,),
+                                        square=1, complete=True)
 
 
 def _nonintegral_denominator_test(curve: Curve, x: Fraction) -> bool:
@@ -154,20 +153,23 @@ def test_order_seven_bundle_fails(capsys, tmp_path):
     curve, point = torsion_point(7, Fraction(2))
     pair_curve, cert = twisted_certificate(curve, point, Fraction(3))
     x, = cert.solutions
+    # the bundle's D is the curve's value at x, 3*t^2 for the t of D = 3, and
+    # its label 3 has the square cofactor s = num(t)*den(t)
+    value = pair_curve.rhs(x)
+    t = point.y / 9
+    assert value == 3 * t**2
     bundle = {
-        "version": 8,
+        "version": 9,
         "pair": [{"a": format_rational(pair_curve.a), "b": format_rational(pair_curve.b)}],
         "certificates": [{
             "k": 1,
-            "squarefree_D": {"value": "3", "complete": True},
             "x": [format_rational(x)],
+            "square": str(abs(t.numerator) * t.denominator),
+            "complete": True,
         }],
     }
     out_file = tmp_path / "bundle.json"
     out_file.write_text(json.dumps(bundle))
     assert main(["verify", "--input", str(out_file)]) == 1
-    # the bundle's D is the curve's value at x, 3*t^2 for the t of D = 3
-    value = pair_curve.rhs(x)
-    assert value == 3 * (point.y / 9) ** 2
     assert f"certificate k=1 D={format_rational(value)}: FAILED (torsion-point)" in (
         capsys.readouterr().out)

@@ -28,6 +28,7 @@ from twistpairs.twistgen import (
     RunReport,
     SearchExhausted,
     TwistCertificate,
+    _label_square,
     _seed_multiples,
     _solutions,
     bundle_from_dict,
@@ -483,7 +484,7 @@ class TestCorollary:
         certs, pair, _ = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
         assert pair == (Curve(1, 1), Curve(4, 8))
         assert list(TwistCertificate._fields) == [
-            "k", "value", "squarefree_rep", "solutions",
+            "k", "value", "solutions", "square", "complete",
         ]
         for cert in certs:
             assert verify_certificate(cert, pair) == (True, None)
@@ -534,8 +535,8 @@ class TestDerivedT:
 class TestAdmission:
     def test_each_candidate_is_tested_once(self, monkeypatch):
         # each candidate is compared once with each value accepted before it,
-        # 0 + 1 + 2 + 3 + 4 calls for five acceptances; then the verifier
-        # tests its label against it, one call per accepted certificate
+        # 0 + 1 + 2 + 3 + 4 calls for five acceptances; the label test divides
+        # and compares nothing
         import twistpairs.twistgen as twistgen
 
         calls = []
@@ -549,10 +550,8 @@ class TestAdmission:
         certs, _, report = generate(prepare_pair(Curve(1, 1), Curve(2, 2)), cfg)
         assert len(certs) == 5 and not report.skipped
         comparisons = [(c.value, e.value) for i, c in enumerate(certs) for e in certs[:i]]
-        labels = [(Fraction(c.squarefree_rep[0]), c.value) for c in certs]
-        assert [call for call in calls if call not in labels] == comparisons
+        assert calls == comparisons
         assert len(comparisons) == 10
-        assert [call for call in calls if call in labels] == labels
 
 
 PAIR = (Curve(1, 1), Curve(2, 2))
@@ -578,11 +577,11 @@ class TestVerification:
         assert verify_certificate(scaled_cert, PAIR) == (True, None)
         assert same_square_class(cert.value, new_value)
 
-    @pytest.mark.parametrize("label", [7, 0])
-    def test_tampered_label_detected(self, cert, label):
-        # the label must stay in the square class of D; `complete` is not rechecked
-        assert cert.squarefree_rep is not None
-        bad_cert = cert._replace(squarefree_rep=(label, cert.squarefree_rep[1]))
+    @pytest.mark.parametrize("square", [7, 0])
+    def test_tampered_label_detected(self, cert, square):
+        # s^2 must divide num*den of D = -1, so that the label is an integer in
+        # its class; `complete` is not rechecked
+        bad_cert = cert._replace(square=square)
         assert verify_certificate(bad_cert, PAIR) == (False, "label-class-mismatch")
 
     def test_corrupted_solution_detected(self, cert):
@@ -595,7 +594,7 @@ class TestVerification:
     def test_torsion_point_detected(self, cert):
         # x = 2 and D = 1 give t = 3: (2, 3) has order 6 on y^2 = x^3 + 1
         torsion_cert = cert._replace(
-            value=Fraction(1), squarefree_rep=(1, True), solutions=(Fraction(2),),
+            value=Fraction(1), solutions=(Fraction(2),), square=1,
         )
         assert verify_certificate(torsion_cert, [Curve(0, 1)]) == (False, "torsion-point")
 
@@ -604,8 +603,7 @@ class TestVerification:
         # y^2 = x^3 + 1; the second x = 0 has no rational t on y^2 = x^3 + 2,
         # and that is the reason reported, not the torsion point
         tampered = cert._replace(
-            value=Fraction(1), squarefree_rep=(1, True),
-            solutions=(Fraction(2), Fraction(0)),
+            value=Fraction(1), solutions=(Fraction(2), Fraction(0)), square=1,
         )
         pair = [Curve(0, 1), Curve(0, 2)]
         assert verify_certificate(tampered, pair) == (False, "solution-mismatch")
@@ -635,7 +633,7 @@ class TestSerialization:
         certs, run_pair, _ = generate(pp, cfg)
         bundle = bundle_to_dict(run_pair, certs)
         assert list(bundle) == ["version", "pair", "certificates"]
-        assert bundle["version"] == 8
+        assert bundle["version"] == 9
         pair, parsed = bundle_from_dict(json.loads(json.dumps(bundle)))
         assert pair == [Curve(1, 1), Curve(2, 2)]
         assert parsed == certs
@@ -644,10 +642,9 @@ class TestSerialization:
         pp = prepare_pair(Curve(1, 1), Curve(2, 2))
         certs, _, _ = generate(pp, Config(target_count=1))
         data = certificate_to_dict(certs[0])
-        assert list(data) == ["k", "squarefree_D", "x"]
+        assert list(data) == ["k", "x", "square", "complete"]
         assert data["x"] == ["-1", "-1"]
-        assert isinstance(data["squarefree_D"], dict)
-        assert list(data["squarefree_D"]) == ["value", "complete"]
+        assert (data["square"], data["complete"]) == ("1", True)
 
 
 def test_readme_library_block_runs():

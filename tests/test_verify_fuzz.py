@@ -21,7 +21,7 @@ from twistpairs.twistgen import bundle_to_dict
 
 
 def _small_bundle() -> dict:
-    # two curves and a label: every kind of certificate field
+    # two curves, an x for each and a label: every kind of certificate field
     cfg = Config(target_count=1, factor_effort=2000)
     certs, _, report = corollary_mode(Curve(1, 1), Fraction(2), cfg)
     pp = report.pair
@@ -77,7 +77,7 @@ def _node_paths(node, prefix=()):
 
 # every object and array of the bundle, the top level included
 NODES = tuple(_node_paths(BUNDLE))
-# the bundle, its certificate, label and pair curves: each has
+# the bundle, its certificate and pair curves: each has
 # exactly its keys, so none may be added or removed
 OBJECTS = tuple(path for path in NODES if isinstance(_leaf(BUNDLE, path), dict))
 KEYS = tuple(path + (key,) for path in OBJECTS for key in _leaf(BUNDLE, path))
@@ -171,12 +171,13 @@ def test_removed_key_is_rejected(tmp_path, capsys, path):
 
 def test_leaves_cover_every_certificate_field():
     names = {key for path in LEAVES for key in path if isinstance(key, str)}
-    assert names == {"version", "pair", "a", "b", "certificates", "k",
-                     "squarefree_D", "value", "complete", "x"}
+    assert names == {"version", "pair", "a", "b", "certificates", "k", "x",
+                     "square", "complete"}
     # both x values are leaves, one per pair curve
     assert (("certificates", 0, "x", 0) in LEAVES and ("certificates", 0, "x", 1) in LEAVES)
-    # the bundle, the certificate, its label and the two pair curves
-    assert len(OBJECTS) == 5
-    assert len(KEYS) == 12
+    # the bundle, the certificate and the two pair curves; the label's two
+    # fields are the certificate's own
+    assert len(OBJECTS) == 4
+    assert len(KEYS) == 11
     # and the pair, the certificates and the x list
-    assert len(NODES) == 8
+    assert len(NODES) == 7
