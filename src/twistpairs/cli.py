@@ -187,7 +187,6 @@ def _add_search_flags(sub: argparse.ArgumentParser) -> None:
     defaults = Config()
     sub.add_argument("--count", dest="target_count", type=int,
                      default=defaults.target_count, help="certificates to emit")
-    sub.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
     sub.add_argument("--effort", dest="factor_effort", type=int,
                      default=defaults.factor_effort,
                      help="factorization budget for squarefree labels")

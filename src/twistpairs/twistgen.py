@@ -69,22 +69,21 @@ BUNDLE_VERSION = 9
 
 #: Height bound of the rescaling search.
 LAMBDA_SEARCH_BOUND = 40
+#: Steps of a walk, and so certificates in a bundle: 64 steps reach +-32P.
+MAX_ITERATIONS = 64
 
 
 class Config(ValueObject):
-    """Knobs for the search loops; every bound is finite and explicit."""
+    """Certificates to emit and each label's factorization budget; the walk's is MAX_ITERATIONS."""
 
-    _fields = __slots__ = ("target_count", "max_iterations", "factor_effort")
+    _fields = __slots__ = ("target_count", "factor_effort")
 
-    def __init__(self, target_count: int = 1, max_iterations: int = 64,
-                 factor_effort: int = DEFAULT_FACTOR_EFFORT) -> None:
-        self.target_count, self.max_iterations, self.factor_effort = (
-            target_count, max_iterations, factor_effort)
+    def __init__(self, target_count: int = 1, factor_effort: int = DEFAULT_FACTOR_EFFORT) -> None:
+        self.target_count, self.factor_effort = target_count, factor_effort
         if self.target_count < 1:
             raise ValueError("target_count must be at least 1")
-        for name in ("max_iterations", "factor_effort"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        if self.factor_effort < 1:
+            raise ValueError("factor_effort must be positive")
 
 
 class SearchExhausted(Exception):
@@ -231,18 +230,18 @@ def enumerate_scales(bound: int) -> Iterator[Fraction]:
         )
 
 
-def lambda_search(curve1: Curve, curve2: Curve, bound: int) -> PreparedPair:
+def lambda_search(curve1: Curve, curve2: Curve) -> PreparedPair:
     """The general route of the pair, from the first rescaling that yields a seed.
 
     A candidate scale L replaces (c, d) by its twist by L^2, (L^4*c, L^6*d);
     it is accepted when the glued cubic is smooth, its tangent point is
     defined (a differs from the rescaled c), and that point has infinite
     order.  The result carries every trial up to the accepted one.  Raises
-    SearchExhausted with the full trial log when the bound runs out.
+    SearchExhausted with the full trial log when LAMBDA_SEARCH_BOUND runs out.
     """
     a, b = curve1.a, curve1.b
     trials: list[LambdaTrial] = []
-    for scale in enumerate_scales(bound):
+    for scale in enumerate_scales(LAMBDA_SEARCH_BOUND):
         model2 = quadratic_twist(curve2, scale * scale)
         try:
             cubic = PlaneCubic(a, b, model2.a, model2.b)
@@ -259,7 +258,7 @@ def lambda_search(curve1: Curve, curve2: Curve, bound: int) -> PreparedPair:
         trials.append(LambdaTrial(scale, ACCEPTED))
         return PreparedPair(ROUTE_GENERAL, curve1, curve2, scale, tuple(trials), cubic, seed)
     raise SearchExhausted(
-        f"no usable rescaling up to height {bound} "
+        f"no usable rescaling up to height {LAMBDA_SEARCH_BOUND} "
         f"for the pair ({curve1}) / ({curve2})",
         tuple(trials),
     )
@@ -307,7 +306,7 @@ def prepare_pair(curve1: Curve, curve2: Curve) -> PreparedPair:
         )
     if curve1.has_j_zero and curve2.has_j_zero:
         return _prepare_jzero(curve1, curve2)
-    return lambda_search(curve1, curve2, LAMBDA_SEARCH_BOUND)
+    return lambda_search(curve1, curve2)
 
 
 # ---------------------------------------------------------------- generation
@@ -373,7 +372,7 @@ def _run_generation(
     keeps each accepted (k, D) once.
     """
     certificates: list[TwistCertificate] = []
-    steps = islice(candidates, cfg.max_iterations)
+    steps = islice(candidates, MAX_ITERATIONS)
     for k, xs in enumerate(steps, start=1):
         report.iterations_used = k
         value = curves[0].rhs(xs[0])
@@ -614,5 +613,9 @@ def bundle_from_dict(data: dict) -> tuple[list[Curve], list[TwistCertificate]]:
     pair = [curve_from_dict(c) for c in _json_value(data["pair"], list)]
     if not pair:
         raise ValueError("malformed bundle: empty pair")
-    certs = [certificate_from_dict(c, pair[0]) for c in _json_value(data["certificates"], list)]
+    entries = _json_value(data["certificates"], list)
+    if len(entries) > MAX_ITERATIONS:  # no run writes more; bounds verify_bundle's pairwise check
+        raise ValueError(f"malformed bundle: {len(entries)} certificates; "
+                         f"a run writes at most {MAX_ITERATIONS}")
+    certs = [certificate_from_dict(c, pair[0]) for c in entries]
     return pair, certs

@@ -226,7 +226,7 @@ def test_criterion_7_robustness():
         pp = prepare_pair(Curve(0, 1), Curve(0, 1))
         assert pp.route == ROUTE_ISOMORPHIC
 
-        pp = lambda_search(Curve(1, 1), Curve(1, 2), 40)
+        pp = lambda_search(Curve(1, 1), Curve(1, 2))
         assert pp.trials[0].scale == 1
         assert pp.trials[0].outcome == "a-equals-scaled-c"
         assert pp.scale not in (1, -1)

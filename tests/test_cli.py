@@ -74,14 +74,16 @@ class TestGenerate:
         assert len(bundle["certificates"]) == 1
 
     def test_partial_budget_exit_two(self, capsys, tmp_path):
+        # the walk stops after MAX_ITERATIONS = 64 integer inputs, 5 of them skipped
         out_file = tmp_path / "partial.json"
         code, _, err = run_cli(
-            capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
-            "--count", "50", "--max-iterations", "3", "--output", str(out_file),
+            capsys, "elementary", "--curve=-1,0", "--count", "64", "--effort", "1",
+            "--output", str(out_file),
         )
         assert code == 2
-        assert "partial result" in err
-        assert json.loads(out_file.read_text())["certificates"]
+        assert "iterations used: 64, budget exhausted\n" in err
+        assert err.endswith("partial result: 59 of 64 certificates\n")
+        assert len(json.loads(out_file.read_text())["certificates"]) == 59
 
     @pytest.mark.parametrize("command, values", [
         ("generate", (("--curve1", "-5,9"), ("--curve2", "3,-2"))),
@@ -208,6 +210,19 @@ class TestErrors:
         assert info.value.code == 1
         assert "unrecognized arguments: --lambda-bound 5" in capsys.readouterr().err
 
+    # the walk's step budget is the constant MAX_ITERATIONS
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--curve1=1,1", "--curve2=2,2"],
+        ["jzero", "--curve1=0,1", "--curve2=0,2"],
+        ["corollary", "--curve=1,1", "--delta=2"],
+        ["elementary", "--curve=1,1"],
+    ], ids=["generate", "jzero", "corollary", "elementary"])
+    def test_max_iterations_is_no_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--max-iterations", "3"])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --max-iterations 3" in capsys.readouterr().err
+
     def test_missing_verify_input(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--input", "/does/not/exist.json")
         assert code == 1
@@ -221,7 +236,7 @@ class TestParserReuse:
              "--effort", "2000", "--output", bundle],
             ["verify", "--input", bundle],
             ["generate", "--curve1", "1,1"],
-            ["elementary", "--curve", "-1,1", "--max-iterations", "2", "--count", "3"],
+            ["elementary", "--curve=-1,0", "--count", "64", "--effort", "1"],
             ["elementary", "--curve", "-1,1", "--count", "3"],
             ["corollary", "--curve=1,1", "--delta=2", "--count", "1"],
             ["no-such-command"],
@@ -807,6 +822,37 @@ class TestVerifyCommand:
         assert perf_counter() - start < 0.1
         assert (code, out) == (1, "")
         assert err == f"error: number of 100000 characters; the limit is {_NUMBER_TEXT_LIMIT}\n"
+
+    # no run writes more than MAX_ITERATIONS = 64 certificates, so a longer list
+    # is refused before any entry is read, malformed ones included; the cap
+    # bounds the pairwise check, which is quadratic in the certificates
+    @pytest.mark.parametrize("entry, copies", [({"k": "one"}, 65), (None, 1_997)],
+                             ids=["malformed", "valid"])
+    def test_more_certificates_than_a_run_writes_are_refused(self, capsys, tmp_path,
+                                                             entry, copies):
+        out_file = tmp_path / "bundle.json"
+        run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
+        bundle = json.loads(out_file.read_text())
+        bundle["certificates"] = [entry or bundle["certificates"][0]] * copies
+        out_file.write_text(json.dumps(bundle))
+        start = perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert perf_counter() - start < 0.1
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed bundle: {copies} certificates; a run writes at most 64\n"
+
+    def test_as_many_certificates_as_a_run_writes_are_read(self, capsys, tmp_path):
+        out_file = tmp_path / "bundle.json"
+        run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
+        bundle = json.loads(out_file.read_text())
+        bundle["certificates"] *= 64
+        out_file.write_text(json.dumps(bundle))
+        code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 1 + 64 + 1
+        assert all(line.endswith(": OK") for line in lines[1:-1])
+        assert lines[-1] == "pairwise square classes: FAILED"
 
     def test_x_at_the_limit_is_read(self, capsys, tmp_path):
         # D = x^3 + x + 1 of that odd x is odd, so s = 2 does not divide it; with

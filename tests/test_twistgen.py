@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from twistpairs.exactnum import (
+    DEFAULT_FACTOR_EFFORT,
     is_probable_prime,
     primes_avoiding,
     same_square_class,
@@ -16,6 +17,8 @@ from twistpairs.exactnum import (
 from twistpairs.planecubic import PlaneCubic, ProjPoint
 from twistpairs.twistgen import (
     ACCEPTED,
+    LAMBDA_SEARCH_BOUND,
+    MAX_ITERATIONS,
     Config,
     REJECT_EQUAL_LEADING,
     REJECT_SINGULAR,
@@ -47,7 +50,7 @@ from twistpairs.twistgen import (
 )
 from twistpairs.weierstrass import Curve, WPoint, quadratic_twist
 
-CFG = Config(target_count=5, max_iterations=64)
+CFG = Config(target_count=5)
 
 
 class TestConfig:
@@ -55,12 +58,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(target_count=0)
         with pytest.raises(ValueError):
-            Config(max_iterations=0)
+            Config(factor_effort=0)
 
     def test_equal_by_fields(self):
-        assert Config(target_count=2) == Config(2, 64) and hash(Config(2)) == hash(Config(2))
+        assert Config(target_count=2) == Config(2, DEFAULT_FACTOR_EFFORT)
+        assert hash(Config(2)) == hash(Config(2))
         assert Config(target_count=2) != Config(target_count=3)
-        assert Config._fields == ("target_count", "max_iterations", "factor_effort")
+        # the walk's step budget is the constant MAX_ITERATIONS, no field
+        assert Config._fields == ("target_count", "factor_effort")
 
 
 class TestScaleEnumeration:
@@ -151,7 +156,7 @@ class TestRouting:
 
 class TestLambdaSearch:
     def test_worked_pair_accepts_one(self):
-        pp = lambda_search(Curve(1, 1), Curve(2, 2), 40)
+        pp = lambda_search(Curve(1, 1), Curve(2, 2))
         assert pp.scale == 1
         assert pp.seed.affine() == (-1, -1)
         assert pp.trials[-1].outcome == ACCEPTED
@@ -162,7 +167,7 @@ class TestLambdaSearch:
         assert pp[4] is pp.trials
 
     def test_equal_leading_rejection(self):
-        pp = lambda_search(Curve(1, 1), Curve(1, 2), 40)
+        pp = lambda_search(Curve(1, 1), Curve(1, 2))
         assert [(t.scale, t.outcome) for t in pp.trials[:1]] == [
             (Fraction(1), REJECT_EQUAL_LEADING),
         ]
@@ -171,7 +176,7 @@ class TestLambdaSearch:
     def test_two_torsion_seed_rejection(self):
         # b equals the rescaled d at scale 1 (and -1, which is never tried),
         # putting the seed at order two; the search must move past it
-        pp = lambda_search(Curve(1, 5), Curve(2, 5), 40)
+        pp = lambda_search(Curve(1, 5), Curve(2, 5))
         assert pp.trials[0] == pp.trials[0].__class__(Fraction(1), REJECT_TORSION_SEED)
         assert pp.scale not in (1, -1)
 
@@ -182,7 +187,7 @@ class TestLambdaSearch:
         (Curve(-3, -4), Curve(-3, 0)),
     ], ids=["singular", "singular-and-equal-leading"])
     def test_singular_cubic_rejection(self, curve1, curve2):
-        pp = lambda_search(curve1, curve2, 40)
+        pp = lambda_search(curve1, curve2)
         assert [(t.scale, t.outcome) for t in pp.trials] == [
             (Fraction(1), REJECT_SINGULAR),
             (Fraction(2), ACCEPTED),
@@ -191,9 +196,12 @@ class TestLambdaSearch:
         assert (pp.cubic.c, pp.cubic.d) == (16 * curve2.a, 64 * curve2.b)
 
     def test_bound_exhaustion(self):
+        # a j = 1728 pair: the tangent point has order 2 at every scale
         with pytest.raises(SearchExhausted) as info:
-            lambda_search(Curve(1, 1), Curve(1, 2), 1)
-        assert len(info.value.trials) == 1
+            lambda_search(Curve(1, 0), Curve(2, 0))
+        assert [t.scale for t in info.value.trials] == list(enumerate_scales(LAMBDA_SEARCH_BOUND))
+        assert len(info.value.trials) == 979
+        assert {t.outcome for t in info.value.trials} == {REJECT_TORSION_SEED}
 
 
 @pytest.fixture(scope="module")
@@ -241,11 +249,10 @@ class TestGenerateWorkedPair:
         assert not report.budget_exhausted
 
     def test_budget_exhaustion_is_partial_not_error(self):
-        cfg = Config(target_count=50, max_iterations=3)
-        pp = prepare_pair(Curve(1, 1), Curve(2, 2))
-        certs, _, report = generate(pp, cfg)
+        certs, _, report = elementary_generate(Curve(-1, 0), Config(64, 1))
         assert report.budget_exhausted
-        assert 0 < len(certs) < 50
+        assert report.iterations_used == MAX_ITERATIONS == 64
+        assert len(certs) == 59
 
 
 class TestSeedStream:
