@@ -32,10 +32,10 @@ from .twistgen import (
     format_pair,
     generate,
     jzero_generate,
+    parse_curve,
     prepare_pair,
     verify_bundle,
 )
-from .weierstrass import Curve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,13 +50,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _parse_curve(text: str) -> Curve:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"curve format is a,b with rational entries: {excerpt(repr(text))}")
-    return Curve(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
 def _progress(*lines: str) -> None:
@@ -95,26 +88,26 @@ def _finish(args: argparse.Namespace, run: Sequence) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    curve1 = _parse_curve(args.curve1)
-    curve2 = _parse_curve(args.curve2)
+    curve1 = parse_curve(args.curve1)
+    curve2 = parse_curve(args.curve2)
     cfg = _config(args)
     return _finish(args, generate(prepare_pair(curve1, curve2), cfg))
 
 
 def _cmd_jzero(args: argparse.Namespace) -> int:
-    curve1 = _parse_curve(args.curve1)
-    curve2 = _parse_curve(args.curve2)
+    curve1 = parse_curve(args.curve1)
+    curve2 = parse_curve(args.curve2)
     return _finish(args, jzero_generate(curve1, curve2, _config(args)))
 
 
 def _cmd_corollary(args: argparse.Namespace) -> int:
-    curve = _parse_curve(args.curve)
+    curve = parse_curve(args.curve)
     delta = parse_rational(args.delta)
     return _finish(args, corollary_mode(curve, delta, _config(args)))
 
 
 def _cmd_elementary(args: argparse.Namespace) -> int:
-    curve = _parse_curve(args.curve)
+    curve = parse_curve(args.curve)
     return _finish(args, elementary_generate(curve, _config(args)))
 
 
@@ -129,7 +122,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _short_int(text: str) -> int:
-    """A JSON integer of at most 20 characters: ``version`` and ``k``, a stream index."""
+    """A JSON integer of at most 20 characters: in a valid bundle only ``version`` is one."""
     if len(text) > 20:  # int() of a longer literal would take time quadratic in its length
         raise ValueError(f"JSON integer of {len(text)} characters; the limit is 20")
     return int(text)
@@ -144,9 +137,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     pair, certs = bundle_from_dict(data)
     overall, results, ledger_ok = verify_bundle(pair, certs)
     print(format_pair(pair))
-    for cert, (ok, reason) in zip(certs, results):
+    # k is the certificate's position, the walk step when the run skipped none
+    for k, (cert, (ok, reason)) in enumerate(zip(certs, results), start=1):
         status = "OK" if ok else f"FAILED ({reason})"
-        print(f"certificate k={cert.k} D={format_rational(cert.value)}: {status}")
+        print(f"certificate k={k} D={format_rational(cert.value)}: {status}")
     print(f"pairwise square classes: {'OK' if ledger_ok else 'FAILED'}")
     return 0 if overall else 1
 

@@ -121,6 +121,16 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def parse_rationals(text: str) -> tuple[Fraction, ...]:
+    """Parse comma-separated ``parse_rational`` texts, such as a curve's ``a,b``."""
+    return tuple(map(parse_rational, text.split(",")))
+
+
+def format_rationals(values: Sequence[Fraction]) -> str:
+    """Inverse of parse_rationals."""
+    return ",".join(map(format_rational, values))
+
+
 def is_perfect_square(value: Fraction) -> Optional[Fraction]:
     """The nonnegative rational square root of ``value``, or None.
 

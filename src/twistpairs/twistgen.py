@@ -35,9 +35,10 @@ from .exactnum import (
     ValueObject,
     excerpt,
     format_rational,
+    format_rationals,
     is_perfect_square,
     parse_integer,
-    parse_rational,
+    parse_rationals,
     primes_avoiding,
     same_square_class,
     squarefree_part,
@@ -65,7 +66,7 @@ REJECT_EQUAL_LEADING = "a-equals-scaled-c"
 REJECT_TORSION_SEED = "torsion-seed"
 ACCEPTED = "accepted"
 
-BUNDLE_VERSION = 9
+BUNDLE_VERSION = 10
 
 #: Height bound of the rescaling search.
 LAMBDA_SEARCH_BOUND = 40
@@ -74,14 +75,15 @@ MAX_ITERATIONS = 64
 
 
 class Config(ValueObject):
-    """Certificates to emit and each label's factorization budget; the walk's is MAX_ITERATIONS."""
+    """Certificates to emit, at most MAX_ITERATIONS, and each label's factorization budget."""
 
     _fields = __slots__ = ("target_count", "factor_effort")
 
     def __init__(self, target_count: int = 1, factor_effort: int = DEFAULT_FACTOR_EFFORT) -> None:
         self.target_count, self.factor_effort = target_count, factor_effort
-        if self.target_count < 1:
-            raise ValueError("target_count must be at least 1")
+        if not 1 <= self.target_count <= MAX_ITERATIONS:
+            raise ValueError(f"target_count must be from 1 to {MAX_ITERATIONS}: "
+                             "no walk writes more")
         if self.factor_effort < 1:
             raise ValueError("factor_effort must be positive")
 
@@ -127,7 +129,6 @@ class TwistCertificate(NamedTuple):
     integer in the square class of D, squarefree when ``complete`` is true.
     """
 
-    k: int
     value: Fraction
     solutions: tuple[Fraction, ...]
     square: int
@@ -385,7 +386,7 @@ def _run_generation(
             reason = (SOLUTION_MISMATCH if solutions is None
                       else _torsion_reason(value, solutions, curves))
         if reason is None:
-            cert = TwistCertificate(k, value, xs, *_label_square(value, cfg.factor_effort))
+            cert = TwistCertificate(value, xs, *_label_square(value, cfg.factor_effort))
             reason = _label_reason(cert)
         if reason is not None:
             report.skipped.append((k, reason))
@@ -525,13 +526,11 @@ def verify_bundle(
 # ------------------------------------------------------------- serialization
 
 
-def curve_to_dict(curve: Curve) -> dict:
-    return {"a": format_rational(curve.a), "b": format_rational(curve.b)}
-
-
-def curve_from_dict(data: dict) -> Curve:
-    data = _fixed_fields(data, ("a", "b"), "pair curve")
-    return Curve(parse_rational(data["a"]), parse_rational(data["b"]))
+def parse_curve(text: str) -> Curve:
+    """The curve of the text ``a,b``, as the CLI takes it and a bundle's pair writes it."""
+    if text.count(",") != 1:
+        raise ValueError(f"curve format is a,b with rational entries: {excerpt(repr(text))}")
+    return Curve(*parse_rationals(text))
 
 
 #: The JSON kind of each type that json.load produces.
@@ -564,8 +563,7 @@ def _fixed_fields(data: dict, names: tuple[str, ...], what: str) -> dict:
 
 def certificate_to_dict(cert: TwistCertificate) -> dict:
     return {
-        "k": cert.k,
-        "x": [format_rational(x) for x in cert.solutions],
+        "x": format_rationals(cert.solutions),
         "square": str(cert.square),
         "complete": cert.complete,
     }
@@ -574,19 +572,15 @@ def certificate_to_dict(cert: TwistCertificate) -> dict:
 def certificate_from_dict(data: dict, curve1: Curve) -> TwistCertificate:
     """Parse one certificate of a bundle whose pair starts with ``curve1``.
 
-    Neither D, any t nor the label is stored: the first x fixes D as
-    curve1.rhs(x), so a certificate with no x is malformed, and raises
-    ValueError like any other.
-    Every object has a fixed set of keys: a missing one is named, and one
-    outside the set is rejected, so no claim the verifier does not check can
-    ride along.
+    Neither D, any t nor the label is stored: ``x`` is the text ``x1,x2,...``,
+    one x per pair curve, and x1 fixes D as curve1.rhs(x1).  A malformed
+    certificate raises ValueError.  Every object has a fixed set of keys: a
+    missing one is named, and one outside the set is rejected, so no claim the
+    verifier does not check can ride along.
     """
-    _fixed_fields(data, ("k", "x", "square", "complete"), "certificate")
-    xs = tuple(map(parse_rational, _json_value(data["x"], list)))
-    if not xs:
-        raise ValueError("malformed certificate: empty x")
+    _fixed_fields(data, ("x", "square", "complete"), "certificate")
+    xs = parse_rationals(_json_value(data["x"], str))
     return TwistCertificate(
-        k=_json_value(data["k"], int),
         value=curve1.rhs(xs[0]),
         solutions=xs,
         square=parse_integer(data["square"]),
@@ -597,7 +591,7 @@ def certificate_from_dict(data: dict, curve1: Curve) -> TwistCertificate:
 def bundle_to_dict(pair: Sequence[Curve], certs: Sequence[TwistCertificate]) -> dict:
     return {
         "version": BUNDLE_VERSION,
-        "pair": [curve_to_dict(curve) for curve in pair],
+        "pair": [format_rationals((curve.a, curve.b)) for curve in pair],
         "certificates": [certificate_to_dict(cert) for cert in certs],
     }
 
@@ -610,7 +604,7 @@ def bundle_from_dict(data: dict) -> tuple[list[Curve], list[TwistCertificate]]:
     _fixed_fields(data, ("version", "pair", "certificates"), "bundle")
     if _json_value(data["version"], int) != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version: {excerpt(repr(data['version']))}")
-    pair = [curve_from_dict(c) for c in _json_value(data["pair"], list)]
+    pair = [parse_curve(_json_value(c, str)) for c in _json_value(data["pair"], list)]
     if not pair:
         raise ValueError("malformed bundle: empty pair")
     entries = _json_value(data["certificates"], list)

@@ -87,7 +87,7 @@ def test_criterion_1_worked_pair(tmp_path, capsys):
         certs = [certificate_from_dict(raw, Curve(1, 1)) for raw in bundle["certificates"]]
         assert len(certs) == 5
         first = certs[0]
-        assert first.k == 1 and first.value == -1
+        assert first.value == -1
         twist_model = quadratic_twist(Curve(1, 1), first.value)
         assert twist_model == Curve(1, -1)
         # the first solution has t = 1, so D is the first curve's value at x

@@ -35,7 +35,7 @@ from twistpairs.weierstrass import Curve
 
 
 # the sextic twists by lambda = 215 of y^2 = x^3 + 1 and y^2 = x^3 + 2
-JZERO_PAIR = [{"a": "0", "b": "215"}, {"a": "0", "b": "430"}]
+JZERO_PAIR = ["0,215", "0,430"]
 
 
 def run_cli(capsys, *args):
@@ -54,10 +54,11 @@ class TestGenerate:
         assert code == 0
         bundle = json.loads(out_file.read_text())
         assert list(bundle) == ["version", "pair", "certificates"]
-        assert bundle["version"] == 9
+        assert bundle["version"] == 10
+        assert bundle["pair"] == ["1,1", "2,2"]
         assert len(bundle["certificates"]) == 5
         # D is x^3 + x + 1 at the first x, -1: D = -1
-        assert bundle["certificates"][0]["x"] == ["-1", "-1"]
+        assert bundle["certificates"][0]["x"] == "-1,-1"
         # D = 907559/61^3 at k=2, so num*den = 55361099 * 61^2: the label is
         # 55361099, and its square cofactor s = 61
         assert bundle["certificates"][1]["square"] == "61"
@@ -223,6 +224,15 @@ class TestErrors:
         assert info.value.code == 1
         assert "unrecognized arguments: --max-iterations 3" in capsys.readouterr().err
 
+    def test_count_no_run_reaches_is_refused_at_once(self, capsys):
+        # 65 would walk all 64 steps before its certain partial result
+        start = perf_counter()
+        code, out, err = run_cli(capsys, "elementary", "--curve=1,1", "--count", "65",
+                                 "--effort", "1")
+        assert perf_counter() - start < 0.1
+        assert (code, out) == (1, "")
+        assert err == "error: target_count must be from 1 to 64: no walk writes more\n"
+
     def test_missing_verify_input(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--input", "/does/not/exist.json")
         assert code == 1
@@ -279,7 +289,7 @@ class TestJZeroCommand:
         # on y^2 = x^3 + 1 the first solution (6, 1) gives D = 6^3 + 1 = 217,
         # not 6^3 + 215 = 431, which the second solution fails, and at k=2
         # the first solution (-1, 1) gives D = 0
-        bundle["pair"] = [{"a": "0", "b": "1"}, {"a": "0", "b": "2"}]
+        bundle["pair"] = ["0,1", "0,2"]
         out_file.write_text(json.dumps(bundle))
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
         assert code == 1
@@ -338,11 +348,11 @@ class TestCorollaryCommand:
         assert code == 0
         bundle = json.loads(out_file.read_text())
         assert list(bundle) == ["version", "pair", "certificates"]
-        assert bundle["pair"] == [{"a": "1", "b": "1"}, {"a": "4", "b": "8"}]
-        (a, b), (a2, b2) = ([Fraction(v) for v in curve.values()] for curve in bundle["pair"])
+        assert bundle["pair"] == ["1,1", "4,8"]
+        (a, b), (a2, b2) = ([Fraction(v) for v in curve.split(",")] for curve in bundle["pair"])
         assert a * b2 / (b * a2) == 2
         for cert in bundle["certificates"]:
-            assert list(cert) == ["k", "x", "square", "complete"]
+            assert list(cert) == ["x", "square", "complete"]
 
     def test_square_delta(self, capsys):
         code, out, err = run_cli(
@@ -367,7 +377,7 @@ class TestElementaryCommand:
         assert code == 0
         bundle = json.loads(out)
         assert len(bundle["pair"]) == 1
-        assert all(len(c["x"]) == 1 for c in bundle["certificates"])
+        assert all("," not in c["x"] for c in bundle["certificates"])
 
     def test_report_lists_k_in_walk_order(self, capsys):
         # x0 = 2 gives (2, 3), of order 6 on y^2 = x^3 + 1: skipped between accepted k
@@ -396,34 +406,60 @@ def _parent(bundle, path):
     return bundle, last
 
 
+# a path may end in one entry of a comma text: a pair curve's "a,b", by name,
+# or a certificate's "x1,x2", by position
 def _set_leaf(bundle, path, value):
     node, last = _parent(bundle, path)
-    node[last] = value
+    if isinstance(node, str):
+        parts = node.split(",")
+        parts[{"a": 0, "b": 1}.get(last, last)] = value
+        _set_leaf(bundle, path[:-1], ",".join(parts))
+    else:
+        node[last] = value
+
+
+def _drop_leaf(bundle, path):
+    node, last = _parent(bundle, path)
+    if isinstance(node, str):
+        parts = node.split(",")
+        del parts[{"a": 0, "b": 1}.get(last, last)]
+        _set_leaf(bundle, path[:-1], ",".join(parts))
+    else:
+        del node[last]
+
+
+def _first_x(cert) -> Fraction:
+    return Fraction(cert["x"].split(",")[0])
+
+
+def _first_curve(bundle) -> Curve:
+    return Curve(*(Fraction(v) for v in bundle["pair"][0].split(",")))
 
 
 # tampers of a two-certificate general bundle, each applied to every certificate
 def _replace_pair(bundle):
-    bundle["pair"] = [{"a": "3", "b": "5"}, {"a": "-2", "b": "7"}]
+    bundle["pair"] = ["3,5", "-2,7"]
 
 
 def _drop_second_solution(bundle):
     for cert in bundle["certificates"]:
-        del cert["x"][1]
+        cert["x"] = cert["x"].split(",")[0]
 
 
 def _add_third_solution(bundle):
     for cert in bundle["certificates"]:
-        cert["x"].append(cert["x"][0])
+        cert["x"] += "," + cert["x"].split(",")[0]
 
 
 def _duplicate_first_solution(bundle):
     for cert in bundle["certificates"]:
-        cert["x"][1] = cert["x"][0]
+        first = cert["x"].split(",")[0]
+        cert["x"] = f"{first},{first}"
 
 
 # bundles that fix no D or store one, from a two-certificate general bundle
 def _no_solutions(bundle):
-    bundle["certificates"][1]["x"] = []
+    bundle["certificates"][1]["x"] = ""
 
 
 def _empty_pair(bundle):
@@ -436,16 +472,26 @@ def _empty_bundle(bundle):
 
 def _with_d(bundle):
     # the D that the first x fixes, stored as version 6 stored it
-    curve1 = Curve(*(Fraction(v) for v in bundle["pair"][0].values()))
+    curve1 = _first_curve(bundle)
     for cert in bundle["certificates"]:
-        cert["D"] = format_rational(curve1.rhs(Fraction(cert["x"][0])))
+        cert["D"] = format_rational(curve1.rhs(_first_x(cert)))
+
+
+def _as_version_nine(bundle):
+    # version 9 wrote each pair curve as an object {"a", "b"}, and each
+    # certificate with its walk index k and its x values as an array
+    bundle["pair"] = [dict(zip("ab", curve.split(","))) for curve in bundle["pair"]]
+    for k, cert in enumerate(bundle["certificates"], start=1):
+        cert.update(k=k, x=cert["x"].split(","))
+    bundle["version"] = 9
 
 
 def _as_version_eight(bundle):
     # version 8 stored the label num*den/s^2 itself, in an object with its flag
-    curve1 = Curve(*(Fraction(v) for v in bundle["pair"][0].values()))
-    for cert in bundle["certificates"]:
-        value = curve1.rhs(Fraction(cert["x"][0]))
+    curve1 = _first_curve(bundle)
+    values = [curve1.rhs(_first_x(cert)) for cert in bundle["certificates"]]
+    _as_version_nine(bundle)
+    for cert, value in zip(bundle["certificates"], values):
         label = value.numerator * value.denominator // int(cert.pop("square")) ** 2
         cert["squarefree_D"] = {"value": str(label), "complete": cert.pop("complete")}
     bundle["version"] = 8
@@ -485,9 +531,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("path, value", [
         ((), [1, 2]),
-        # the x list holds the solutions
+        # the x text holds the solutions
         (("certificates", 0, "x"), 5),
-        # version 9 stores no D, in any form
+        # version 10 stores no D, in any form, and no k
         (("certificates", 0, "D"), 3),
         (("certificates", 0, "k"), float("1e999")),
         (("certificates", 0, "k"), 1.5),
@@ -539,14 +585,14 @@ class TestVerifyCommand:
     # number text meant to reach an error of its own stays within
     # _NUMBER_TEXT_LIMIT; x-over-limit gets the limit's error
     @pytest.mark.parametrize("path, value", [
-        (("certificates", 0, "x", 0), [0] * 200_000),
+        (("certificates", 0, "x"), [0] * 200_000),
         (("certificates", 0, "k"), "7" * 100_000),
         (("certificates", 0, "x", 0), "x" * 100_000),
         (("version",), int("7" * 100_000)),
         (("certificates", 0, "x", 0), "1/" + "0" * (_NUMBER_TEXT_LIMIT - 2)),
         (("certificates", 0, "k" * 100_000), 1),
         # 4a^3 + 27b^2 = 0 for a = -3t^2, b = 2t^3
-        (("pair", 0), {"a": str(-3 * 10**2_000), "b": str(2 * 10**3_000)}),
+        (("pair", 0), f"{-3 * 10**2_000},{2 * 10**3_000}"),
         (("certificates", 0, "x", 0), "7" * 100_000),
         (("certificates", 0, "square"), "7" * 100_000),
     ], ids=["solution-list", "k-text", "x-letters", "version-digits",
@@ -575,9 +621,9 @@ class TestVerifyCommand:
         # (18, 81) on the twist by 9 is (2, 3), of order 6 on y^2 = x^3 + 1, scaled by 3
         out_file = tmp_path / "bundle.json"
         bundle = {
-            "version": 9,
-            "pair": [{"a": "0", "b": "1"}],
-            "certificates": [{"k": 1, "x": ["2"], "square": "3", "complete": True}],
+            "version": 10,
+            "pair": ["0,1"],
+            "certificates": [{"x": "2", "square": "3", "complete": True}],
         }
         out_file.write_text(json.dumps(bundle))
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
@@ -610,8 +656,8 @@ class TestVerifyCommand:
 
     # one tamper per certificate field, on the first certificate of a general
     # bundle: at k=1 both x are -1, so D = (-1)^3 - 1 + 1 = -1, each t is 1,
-    # and the square cofactor is 1; k and complete are no claims, so the
-    # verifier accepts any value of them
+    # and the square cofactor is 1; complete is no claim, so the verifier
+    # accepts either value of it
     @pytest.mark.parametrize("path, value, status", [
         # D = (-1)^3 - 1 + 2 = 0 on y^2 = x^3 + x + 2
         (("pair", 0, "b"), "2", "FAILED (zero-twist-value)"),
@@ -631,11 +677,10 @@ class TestVerifyCommand:
         # b = 3 puts the second x = -1 at a root of x^3 + 2x + 3: t = 0 there,
         # and (D*x, 0) has order 2
         (("pair", 1, "b"), "3", "FAILED (torsion-point)"),
-        (("certificates", 0, "k"), 7, "OK"),
         (("certificates", 0, "complete"), False, "OK"),
     ], ids=["D-zero", "D-same-class", "label-other-class", "label-zero", "label-negative",
             "x-first", "x-second", "pair-first-a", "pair-second-b",
-            "k", "complete"])
+            "complete"])
     def test_every_field_is_checked(self, capsys, tmp_path, path, value, status):
         out_file = tmp_path / "bundle.json"
         code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
@@ -656,7 +701,7 @@ class TestVerifyCommand:
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
         bundle = json.loads(out_file.read_text())
-        bundle["certificates"][0]["x"][0] = "7" * 400
+        bundle["certificates"][0]["x"] = "7" * 400
         bundle["certificates"][0]["square"] = "2"
         out_file.write_text(json.dumps(bundle))
 
@@ -671,15 +716,16 @@ class TestVerifyCommand:
     # D is read from the pair's first curve and the first x, so a bundle that
     # cannot fix it is refused, and so is one that stores it or any t
     @pytest.mark.parametrize("tamper, error", [
-        (_no_solutions, "malformed certificate: empty x"),
+        (_no_solutions, "not a rational in n or n/m form: ''"),
         (_empty_pair, "malformed bundle: empty pair"),
         (_empty_bundle, "malformed bundle: empty pair"),
         (_with_d, "malformed certificate: unexpected field 'D'"),
         (_as_version_six, "unsupported bundle version: 6"),
         (_as_version_seven, "unsupported bundle version: 7"),
         (_as_version_eight, "unsupported bundle version: 8"),
+        (_as_version_nine, "unsupported bundle version: 9"),
     ], ids=["solutions-empty", "pair-empty", "bundle-empty", "stored-D",
-            "version-six", "version-seven", "version-eight"])
+            "version-six", "version-seven", "version-eight", "version-nine"])
     def test_bundle_that_fixes_no_d_or_stores_one_is_refused(self, capsys, tmp_path,
                                                               tamper, error):
         out_file = tmp_path / "bundle.json"
@@ -731,33 +777,32 @@ class TestVerifyCommand:
         (("version",), "malformed bundle: missing field 'version'"),
         (("pair",), "malformed bundle: missing field 'pair'"),
         (("certificates",), "malformed bundle: missing field 'certificates'"),
-        (("pair", 1, "b"), "malformed pair curve: missing field 'b'"),
-        (("certificates", 0, "k"), "malformed certificate: missing field 'k'"),
+        # the pair's second curve "4,8" without its b
+        (("pair", 1, "b"), "curve format is a,b with rational entries: '4'"),
         (("certificates", 0, "square"), "malformed certificate: missing field 'square'"),
         (("certificates", 0, "complete"),
          "malformed certificate: missing field 'complete'"),
         (("certificates", 0, "x"), "malformed certificate: missing field 'x'"),
-    ], ids=["version", "pair", "certificates", "pair-b", "k", "label", "complete", "x"])
+    ], ids=["version", "pair", "certificates", "pair-b", "label", "complete", "x"])
     def test_missing_field_is_named(self, capsys, tmp_path, path, error):
         out_file = tmp_path / "bundle.json"
         code, _, _ = run_cli(capsys, "corollary", "--curve=1,1", "--delta=2",
                              "--effort", "2000", "--output", str(out_file))
         assert code == 0
         bundle = json.loads(out_file.read_text())
-        node, last = _parent(bundle, path)
-        del node[last]
+        _drop_leaf(bundle, path)
         out_file.write_text(json.dumps(bundle))
         code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
         assert (code, out, err) == (1, "", f"error: {error}\n")
 
     # json.load keeps the last of two equal keys, so a reader that keeps the
     # first would see a claim the verifier never checked; at k=1 of the worked
-    # pair both x are -1
+    # pair both x are -1, and the square cofactor is 1
     @pytest.mark.parametrize("old, new, key", [
-        ('"k": 1', '"k": 7, "k": 1', "k"),
+        ('"square": "1"', '"square": "7", "square": "1"', "square"),
         ('"certificates": [', '"certificates": [], "certificates": [', "certificates"),
-        ('"x": ["-1", "-1"]', '"x": ["5", "-1"], "x": ["-1", "-1"]', "x"),
-    ], ids=["k", "certificates", "solution-x"])
+        ('"x": "-1,-1"', '"x": "5,-1", "x": "-1,-1"', "x"),
+    ], ids=["square", "certificates", "solution-x"])
     def test_repeated_key_is_refused(self, capsys, tmp_path, old, new, key):
         out_file = tmp_path / "bundle.json"
         code, _, _ = run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
@@ -770,17 +815,19 @@ class TestVerifyCommand:
         assert (code, out, err) == (1, "", f"error: repeated field {key!r}\n")
         assert len(err.encode()) < 1024
 
-    # pair, certificates and the x list of the solutions are JSON arrays, read
-    # like every other value: an object, a string or a number in their place is
-    # refused, a solution object of version 7 included
+    # pair and certificates are JSON arrays, and the x text of the solutions a
+    # JSON string, read like every other value: an object, a string or a number
+    # in the place of an array is refused, and so is anything but a string in
+    # the place of x, a solution object of version 7 and the x array of
+    # version 9 included
     @pytest.mark.parametrize("path, value, error", [
         (("certificates",), "", "expected a JSON array, got a JSON string"),
         (("certificates",), {}, "expected a JSON array, got a JSON object"),
         (("pair",), {}, "expected a JSON array, got a JSON object"),
-        (("certificates", 0, "x"), 5, "expected a JSON array, got a JSON integer"),
+        (("certificates", 0, "x"), 5, "expected a JSON string, got a JSON integer"),
         (("certificates", 0, "x"), {"x": "-1", "t": "1"},
-         "expected a JSON array, got a JSON object"),
-        ((), {"version": 9, "pair": {}, "certificates": {}},
+         "expected a JSON string, got a JSON object"),
+        ((), {"version": 10, "pair": {}, "certificates": {}},
          "expected a JSON array, got a JSON object"),
     ], ids=["certificates-text", "certificates-object", "pair-object", "solutions-int",
             "solutions-object", "shapeless"])
@@ -815,7 +862,7 @@ class TestVerifyCommand:
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
         bundle = json.loads(out_file.read_text())
-        bundle["certificates"][0]["x"][0] = "7" * 100_000
+        bundle["certificates"][0]["x"] = "7" * 100_000
         out_file.write_text(json.dumps(bundle))
         start = perf_counter()
         code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
@@ -860,7 +907,7 @@ class TestVerifyCommand:
         out_file = tmp_path / "bundle.json"
         run_cli(capsys, "elementary", "--curve", "1,1", "--output", str(out_file))
         bundle = json.loads(out_file.read_text())
-        bundle["certificates"][0]["x"][0] = "7" * _NUMBER_TEXT_LIMIT
+        bundle["certificates"][0]["x"] = "7" * _NUMBER_TEXT_LIMIT
         bundle["certificates"][0]["square"] = "2"
         out_file.write_text(json.dumps(bundle))
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
@@ -875,21 +922,56 @@ class TestVerifyCommand:
                              "--effort", "2000", "--output", str(out_file))
         assert code == 0
         bundle = json.loads(out_file.read_text())
-        bundle["certificates"][0]["x"][1] = "1"
+        _set_leaf(bundle, ("certificates", 0, "x", 1), "1")
         out_file.write_text(json.dumps(bundle))
         code, out, _ = run_cli(capsys, "verify", "--input", str(out_file))
         assert code == 1
         assert out.splitlines()[1] == "certificate k=1 D=3/8: FAILED (torsion-point)"
 
-    @pytest.mark.parametrize("k, code", [(10**19, 0), (-(10**18), 0), (10**20, 1), (-(10**19), 1)])
-    def test_k_is_free_up_to_twenty_characters(self, capsys, tmp_path, k, code):
+    # version 9 stored each certificate's walk index k, which no check read; a
+    # k is now refused like any other unchecked claim, and a JSON integer over
+    # 20 characters as the bundle is read, before any key is looked at
+    @pytest.mark.parametrize("k, error", [
+        (10**19, "malformed certificate: unexpected field 'k'"),
+        (-(10**18), "malformed certificate: unexpected field 'k'"),
+        (10**20, "JSON integer of 21 characters; the limit is 20"),
+        (-(10**19), "JSON integer of 21 characters; the limit is 20"),
+    ], ids=["twenty-digits", "negative-nineteen-digits", "twenty-one-digits",
+            "negative-twenty-digits"])
+    def test_k_is_refused(self, capsys, tmp_path, k, error):
         out_file = tmp_path / "bundle.json"
         assert run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
                        "--effort", "2000", "--output", str(out_file))[0] == 0
         bundle = json.loads(out_file.read_text())
         bundle["certificates"][0]["k"] = k
         out_file.write_text(json.dumps(bundle))
-        assert run_cli(capsys, "verify", "--input", str(out_file))[0] == code
+        code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
+    # a pair curve is the text "a,b" and a certificate's x the text "x1,x2";
+    # each entry is read as a rational, within the 10,000-character limit, and
+    # the shapes version 9 wrote are refused by their JSON kind
+    @pytest.mark.parametrize("path, value, error", [
+        (("pair", 0), "1", "curve format is a,b with rational entries: '1'"),
+        (("pair", 0), "1,2,3", "curve format is a,b with rational entries: '1,2,3'"),
+        (("pair", 0), "", "curve format is a,b with rational entries: ''"),
+        (("pair", 0), "1" * (_NUMBER_TEXT_LIMIT + 1) + ",1",
+         f"number of {_NUMBER_TEXT_LIMIT + 1} characters; the limit is {_NUMBER_TEXT_LIMIT}"),
+        (("pair", 0), {"a": "1", "b": "1"}, "expected a JSON string, got a JSON object"),
+        (("certificates", 0, "x"), "", "not a rational in n or n/m form: ''"),
+        (("certificates", 0, "x"), "1,,2", "not a rational in n or n/m form: ''"),
+        (("certificates", 0, "x"), ["-1", "-1"], "expected a JSON string, got a JSON array"),
+    ], ids=["pair-one-entry", "pair-three-entries", "pair-empty-text", "pair-over-limit",
+            "pair-version-nine", "x-empty-text", "x-empty-entry", "x-version-nine"])
+    def test_text_of_another_shape_is_refused(self, capsys, tmp_path, path, value, error):
+        out_file = tmp_path / "bundle.json"
+        assert run_cli(capsys, "generate", "--curve1", "1,1", "--curve2", "2,2",
+                       "--effort", "2000", "--output", str(out_file))[0] == 0
+        bundle = json.loads(out_file.read_text())
+        _set_leaf(bundle, path, value)
+        out_file.write_text(json.dumps(bundle))
+        code, out, err = run_cli(capsys, "verify", "--input", str(out_file))
+        assert (code, out, err) == (1, "", f"error: {error}\n")
 
 
 class TestStartup:
@@ -1108,57 +1190,60 @@ VERIFIED_ELEMENTARY = [
 # indent=2, the layout of bundles before they were written as one line,
 # verify's stdout).  The bytes may move only when the certificate format, the
 # search order or the layout changes on purpose, as version 7 did by dropping
-# D, version 8 by dropping t and version 9 by storing the label's square
-# cofactor in place of the label; a bundle holds only its pair and
+# D, version 8 by dropping t, version 9 by storing the label's square
+# cofactor in place of the label and version 10 by writing each pair curve
+# and each certificate's x values as comma texts and dropping k; verify's
+# stdout did not move, as its k= is the certificate's position, the walk
+# step in every pinned scenario; a bundle holds only its pair and
 # certificates, so corollary --delta 4, whose pair is (1, 1), (16, 64), writes
 # the isomorphic route's bytes.
 PINNED_BUNDLES = [
     pytest.param(
         ("generate", "--curve1", "1,1", "--curve2", "2,2"),
-        "562476f1fc2fe44e969d32d5e7d33212a21864d30970d5bd23a2e7b45511f841",
-        "f35726c884f5eeab4fb6db3294c2c9be8f929faccf8e7cf726571be02b4ff297",
+        "43b3eefc7c8b7425b47e5a2991ed778f4475fb77b840a662769002c9c9309420",
+        "71c70b385621591107199ed39273d4a6ec6d70c44a7a0d67a2d3b553cc240ac6",
         VERIFIED_GENERAL,
         id="general"),
     pytest.param(
         ("generate", "--curve1", "1,1", "--curve2", "16,64"),
-        "f301703a1f3009dd7db85b4fd02488e5e14e7025dc3bcc0506bcba4dc8e76fc4",
-        "d3401f86d8cb800190e4bbb8c80d57ea0eea6d1380af1699bbcf6c72c851117c",
+        "723fb758566fb5445726a2ab5e51043e332ee4a903bff5594649320f6bbcb0d1",
+        "598bd1c8b7a40e82407cfc530616bcc2fe4c36ca118daa2dea10d87b4e7349bd",
         VERIFIED_ISOMORPHIC,
         id="isomorphic"),
     pytest.param(
         ("generate", "--curve1", "0,2", "--curve2", "0,2"),
-        "8a33da0decd6d7859bceff24f8bb77a84fa2f6b4ff82fd2ee425ef03323ab2c2",
-        "52510481fa2fd874586df96178f52238a7fb97b72ece608e4b15daeaac47498d",
+        "cac7471494117489476102d0a2ccd02d785a5235e178a53151768c54d61ad29c",
+        "87b7875d1b83d8eff8eb5ea29c1e37e580baf4154b1a9b487d59e3e7c5a246b6",
         VERIFIED_IDENTICAL_JZERO,
         id="identical-jzero"),
     pytest.param(
         ("jzero", "--curve1", "0,1", "--curve2", "0,2"),
-        "6cc32c97272850a01168dd3f038516141d7e29b1bab7b6262960db9d9e47c17b",
-        "cd8c9d33b7624ebb4b8651ffee88e49c3c53524fe60e3ebd3a6281f5728789f3",
+        "7b3ab3ede855676672546d1e9422d7fe670923b59c36798d026d739621074aca",
+        "6fb26034def24aab05f830502ae94f227dcaaee283bac6fc6d644cf1d0c808f4",
         VERIFIED_JZERO,
         id="jzero"),
     pytest.param(
         ("generate", "--curve1", "0,1", "--curve2", "0,2"),
-        "6cc32c97272850a01168dd3f038516141d7e29b1bab7b6262960db9d9e47c17b",
-        "cd8c9d33b7624ebb4b8651ffee88e49c3c53524fe60e3ebd3a6281f5728789f3",
+        "7b3ab3ede855676672546d1e9422d7fe670923b59c36798d026d739621074aca",
+        "6fb26034def24aab05f830502ae94f227dcaaee283bac6fc6d644cf1d0c808f4",
         VERIFIED_JZERO,
         id="generate-jzero"),
     pytest.param(
         ("corollary", "--curve", "1,1", "--delta", "2"),
-        "4950f84f3bda5f47f00faf57494cc4d86d06e887cc585e11f1f8d1efb92e5d18",
-        "2d18f05812d35b29fe23bfdaf826b81065e74b0e0939a017ce6608d91cdcf5c7",
+        "f475a9cd7270402ef9170df98f9208557ad19e56cbc2927b146e8e0f8fecf685",
+        "0ea20ebf129c79e64f19004813f7fff02737c92717a9770865d514c5bedb5667",
         VERIFIED_COROLLARY,
         id="corollary-delta2"),
     pytest.param(
         ("corollary", "--curve", "1,1", "--delta", "4"),
-        "f301703a1f3009dd7db85b4fd02488e5e14e7025dc3bcc0506bcba4dc8e76fc4",
-        "d3401f86d8cb800190e4bbb8c80d57ea0eea6d1380af1699bbcf6c72c851117c",
+        "723fb758566fb5445726a2ab5e51043e332ee4a903bff5594649320f6bbcb0d1",
+        "598bd1c8b7a40e82407cfc530616bcc2fe4c36ca118daa2dea10d87b4e7349bd",
         VERIFIED_ISOMORPHIC,
         id="corollary-delta4"),
     pytest.param(
         ("elementary", "--curve", "1,1"),
-        "e5055540cd488314e80e429662986f45e86ccad9176e9e07d80e662192c9af2e",
-        "e7841979d7ceea511933d0a024b5044629c6f0e7d7b8da3a6736669d53d5bb15",
+        "2052185135e97937c6e9c1e075e5596d33df55d2d0ad46f9bb1d50b63683cb03",
+        "3d4619a02822f6141c5995e69e27b01b2626783bfb49d45777b65821c01dbfae",
         VERIFIED_ELEMENTARY,
         id="elementary"),
 ]
@@ -1206,10 +1291,10 @@ class TestDeterminism:
         # each D with its square cofactor s gives num*den/s^2, the label version 8
         # stored, and the same complete flag: the claim did not change
         bundle = json.loads(_pinned_bundle(capsys, tmp_path, argv).read_text())
-        curve1 = Curve(*(Fraction(v) for v in bundle["pair"][0].values()))
+        curve1 = _first_curve(bundle)
         labels = []
         for cert in bundle["certificates"]:
-            value = curve1.rhs(Fraction(cert["x"][0]))
+            value = curve1.rhs(_first_x(cert))
             product, square = value.numerator * value.denominator, int(cert["square"])
             assert product % square**2 == 0
             labels.append((product // square**2, cert["complete"]))

@@ -74,6 +74,36 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="the limit is"):
             parse_rational(half + "/" + half)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("5", (Fraction(5),)),
+        ("74/61,47/61", (Fraction(74, 61), Fraction(47, 61))),
+        ("-1,0,10/4", (Fraction(-1), Fraction(0), Fraction(5, 2))),
+    ])
+    def test_parse_rationals(self, text, expected):
+        assert exactnum.parse_rationals(text) == expected
+
+    @pytest.mark.parametrize("bad", ["", ",", "1,", ",1", "1,,2", "1, 2", "1;2", "1.5,2"])
+    def test_rationals_reject(self, bad):
+        # every entry is read by parse_rational, an empty one included
+        with pytest.raises(ValueError, match="not a rational"):
+            exactnum.parse_rationals(bad)
+
+    def test_rationals_limit_is_per_entry(self):
+        limit = exactnum._NUMBER_TEXT_LIMIT
+        long = "7" * limit
+        assert exactnum.parse_rationals(long + "," + long) == (Fraction(int(long)),) * 2
+        with pytest.raises(ValueError, match=f"number of {limit + 1} characters"):
+            exactnum.parse_rationals("1," + long + "7")
+
+    def test_rationals_round_trip(self):
+        rng = random.Random(12)
+        for size in range(1, 5):
+            values = tuple(Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+                           for _ in range(size))
+            text = exactnum.format_rationals(values)
+            assert text.count(",") == size - 1
+            assert exactnum.parse_rationals(text) == values
+
 
 class TestPerfectSquare:
     def test_square_fraction(self):

@@ -57,5 +57,5 @@ def test_square_of_a_known_value(value, square):
     (Fraction(-1), -1, False),
 ])
 def test_label_holds_when_the_square_divides(value, square, holds):
-    cert = TwistCertificate(k=1, value=value, solutions=(), square=square, complete=True)
+    cert = TwistCertificate(value=value, solutions=(), square=square, complete=True)
     assert _label_reason(cert) == (None if holds else "label-class-mismatch")

@@ -105,7 +105,7 @@ def twisted_certificate(
     """
     pair_curve = Curve(curve.a / value**2, curve.b / value**3)
     # s = 1 makes the label numerator * denominator, in the square class of D
-    return pair_curve, TwistCertificate(k=1, value=value, solutions=(point.x / value,),
+    return pair_curve, TwistCertificate(value=value, solutions=(point.x / value,),
                                         square=1, complete=True)
 
 
@@ -159,11 +159,10 @@ def test_order_seven_bundle_fails(capsys, tmp_path):
     t = point.y / 9
     assert value == 3 * t**2
     bundle = {
-        "version": 9,
-        "pair": [{"a": format_rational(pair_curve.a), "b": format_rational(pair_curve.b)}],
+        "version": 10,
+        "pair": [f"{format_rational(pair_curve.a)},{format_rational(pair_curve.b)}"],
         "certificates": [{
-            "k": 1,
-            "x": [format_rational(x)],
+            "x": format_rational(x),
             "square": str(abs(t.numerator) * t.denominator),
             "complete": True,
         }],

@@ -44,6 +44,7 @@ from twistpairs.twistgen import (
     generate,
     jzero_generate,
     lambda_search,
+    parse_curve,
     prepare_pair,
     verify_bundle,
     verify_certificate,
@@ -60,12 +61,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(factor_effort=0)
 
+    def test_no_count_beyond_the_walk(self):
+        # a walk of MAX_ITERATIONS steps writes at most that many certificates
+        assert Config(MAX_ITERATIONS).target_count == 64
+        with pytest.raises(ValueError, match="target_count must be from 1 to 64"):
+            Config(MAX_ITERATIONS + 1)
+
     def test_equal_by_fields(self):
         assert Config(target_count=2) == Config(2, DEFAULT_FACTOR_EFFORT)
         assert hash(Config(2)) == hash(Config(2))
         assert Config(target_count=2) != Config(target_count=3)
         # the walk's step budget is the constant MAX_ITERATIONS, no field
         assert Config._fields == ("target_count", "factor_effort")
+
+
+class TestParseCurve:
+    def test_curve_text(self):
+        assert parse_curve("1,1") == Curve(1, 1)
+        assert parse_curve("-5/2,9") == Curve(Fraction(-5, 2), 9)
+
+    @pytest.mark.parametrize("text", ["1", "1,2,3", ""])
+    def test_two_entries(self, text):
+        with pytest.raises(ValueError, match="curve format is a,b"):
+            parse_curve(text)
 
 
 class TestScaleEnumeration:
@@ -215,7 +233,6 @@ class TestGenerateWorkedPair:
     def test_first_certificate(self, run):
         pp, certs, _, _ = run
         first = certs[0]
-        assert first.k == 1
         assert first.value == -1
         assert first.solutions == (-1, -1)
         assert _solutions(first.value, first.solutions, PAIR) == ((-1, 1), (-1, 1))
@@ -275,7 +292,7 @@ class TestSeedStream:
 
     def test_k_is_the_stream_index(self, worked):
         certs, _, report = generate(worked, Config(target_count=3, factor_effort=1))
-        assert [c.k for c in certs] == [1, 2, 3] and not report.skipped
+        assert [k for k, _ in report.accepted] == [1, 2, 3] and not report.skipped
         negative = worked.cubic.negate(worked.seed)
         assert certs[1].value == worked.cubic.common_value(negative)
 
@@ -491,7 +508,7 @@ class TestCorollary:
         certs, pair, _ = corollary_mode(Curve(1, 1), Fraction(2), Config(target_count=2))
         assert pair == (Curve(1, 1), Curve(4, 8))
         assert list(TwistCertificate._fields) == [
-            "k", "value", "solutions", "square", "complete",
+            "value", "solutions", "square", "complete",
         ]
         for cert in certs:
             assert verify_certificate(cert, pair) == (True, None)
@@ -640,7 +657,8 @@ class TestSerialization:
         certs, run_pair, _ = generate(pp, cfg)
         bundle = bundle_to_dict(run_pair, certs)
         assert list(bundle) == ["version", "pair", "certificates"]
-        assert bundle["version"] == 9
+        assert bundle["version"] == 10
+        assert bundle["pair"] == ["1,1", "2,2"]
         pair, parsed = bundle_from_dict(json.loads(json.dumps(bundle)))
         assert pair == [Curve(1, 1), Curve(2, 2)]
         assert parsed == certs
@@ -649,8 +667,8 @@ class TestSerialization:
         pp = prepare_pair(Curve(1, 1), Curve(2, 2))
         certs, _, _ = generate(pp, Config(target_count=1))
         data = certificate_to_dict(certs[0])
-        assert list(data) == ["k", "x", "square", "complete"]
-        assert data["x"] == ["-1", "-1"]
+        assert list(data) == ["x", "square", "complete"]
+        assert data["x"] == "-1,-1"
         assert (data["square"], data["complete"]) == ("1", True)
 
 

@@ -77,7 +77,7 @@ def _node_paths(node, prefix=()):
 
 # every object and array of the bundle, the top level included
 NODES = tuple(_node_paths(BUNDLE))
-# the bundle, its certificate and pair curves: each has
+# the bundle and its certificate: each has
 # exactly its keys, so none may be added or removed
 OBJECTS = tuple(path for path in NODES if isinstance(_leaf(BUNDLE, path), dict))
 KEYS = tuple(path + (key,) for path in OBJECTS for key in _leaf(BUNDLE, path))
@@ -171,13 +171,12 @@ def test_removed_key_is_rejected(tmp_path, capsys, path):
 
 def test_leaves_cover_every_certificate_field():
     names = {key for path in LEAVES for key in path if isinstance(key, str)}
-    assert names == {"version", "pair", "a", "b", "certificates", "k", "x",
-                     "square", "complete"}
-    # both x values are leaves, one per pair curve
-    assert (("certificates", 0, "x", 0) in LEAVES and ("certificates", 0, "x", 1) in LEAVES)
-    # the bundle, the certificate and the two pair curves; the label's two
-    # fields are the certificate's own
-    assert len(OBJECTS) == 4
-    assert len(KEYS) == 11
-    # and the pair, the certificates and the x list
-    assert len(NODES) == 7
+    assert names == {"version", "pair", "certificates", "x", "square", "complete"}
+    # each pair curve is one "a,b" leaf, and both x values are one "x1,x2" leaf
+    assert ("pair", 0) in LEAVES and ("pair", 1) in LEAVES
+    assert _leaf(BUNDLE, ("certificates", 0, "x")).count(",") == 1
+    # the bundle and the certificate
+    assert len(OBJECTS) == 2
+    assert len(KEYS) == 6
+    # and the pair and the certificates
+    assert len(NODES) == 4
